@@ -1,6 +1,5 @@
 """MX block floating-point quantization with learnable block-wise affine transforms."""
 
-from ._kernels import BACKEND
 from .calib import (
     CalibConfig,
     CalibRun,
@@ -15,7 +14,7 @@ from .calib import (
     loss,
     quantized_forward,
 )
-from .clipping import ClipBounds, ClipParams, clip, clip_gradients
+from .clipping import ClipParams, clip, clip_gradients
 from .errors import (
     DataError,
     DivergenceError,
@@ -44,7 +43,6 @@ from .formats import (
 )
 from .transform import (
     DecompositionKind,
-    DenseBlockDiagonal,
     GpkTransform,
     block_hadamard,
     gpk_forward,
@@ -54,3 +52,4 @@ from .transform import (
 )
 
 __version__ = "0.1.0"
+BACKEND = "numpy"  # the block codec is pure numpy

@@ -9,7 +9,11 @@ The pipeline per training step, for a linear layer Y = X @ W.T:
 
 The weight side uses the inverse-transpose factors so that with
 quantization and clipping disabled Y~ equals Y exactly for any invertible
-transform. Gradients are a fixed-graph reverse pass hand-derived for this
+transform. Both sides run one transform -> clip -> qdq operand path
+(_site_operand); fused_forward and the toy block's linear sites in harness
+reuse it.
+
+Gradients are a fixed-graph reverse pass hand-derived for this
 pipeline: the quantize-dequantize step is a clipped straight-through
 estimator (identity inside the representable range, zero where an element
 saturated), clip and the transform contractions use exact adjoints.
@@ -42,7 +46,7 @@ class Theta:
     weight_clip: ClipParams
 
     @classmethod
-    def init(cls, n: int, g1: int, g2: int, clip_init: float = 4.0) -> "Theta":
+    def init(cls, n: int, g1: int = 8, g2: int = 4, clip_init: float = 4.0) -> "Theta":
         t = GpkTransform.identity(n, g1, g2)
         return cls(t, ClipParams.init(t.k, clip_init), ClipParams.init(t.k, clip_init))
 
@@ -133,21 +137,23 @@ class _StepCtx:
     y: np.ndarray
 
 
+def _site_operand(v, t: GpkTransform, clip_params: ClipParams, fmt, g: int):
+    """Transform -> clip -> qdq of one matmul operand; fmt None skips qdq.
+
+    Returns (out, mask, clip_ctx); mask is None when qdq is skipped.
+    """
+    vc, ctx = clip_with_ctx(gpk_forward(v, t), clip_params, g)
+    if fmt is None:
+        return vc, None, ctx
+    out, mask = quantize_dequantize_with_mask(vc, fmt)
+    return out, mask, ctx
+
+
 def _forward(x, w, theta: Theta, formats: FormatConfig, g: int) -> _StepCtx:
     t = theta.transform
     wt_factors = t.inverse_transpose()
-    xt = gpk_forward(x, t)
-    wt = gpk_forward(w, wt_factors)
-    xc, xctx = clip_with_ctx(xt, theta.act_clip, g)
-    wc, wctx = clip_with_ctx(wt, theta.weight_clip, g)
-    if formats.activations is not None:
-        xq, xmask = quantize_dequantize_with_mask(xc, formats.activations)
-    else:
-        xq, xmask = xc, None
-    if formats.weights is not None:
-        wq, wmask = quantize_dequantize_with_mask(wc, formats.weights)
-    else:
-        wq, wmask = wc, None
+    xq, xmask, xctx = _site_operand(x, t, theta.act_clip, formats.activations, g)
+    wq, wmask, wctx = _site_operand(w, wt_factors, theta.weight_clip, formats.weights, g)
     y = xq @ wq.T
     return _StepCtx(x, w, theta, wt_factors, xq, wq, xmask, wmask, xctx, wctx, y)
 
@@ -337,12 +343,6 @@ def fuse(run: CalibRun) -> FusedLayer:
 
 def fused_forward(x, fused: FusedLayer, formats: FormatConfig, g: int = 32) -> np.ndarray:
     """Inference with pre-quantized weights and the online activation path."""
-    x = np.asarray(x, dtype=np.float64)
-    xt = gpk_forward(x, fused.transform)
-    xc = clip(xt, fused.act_clip, g)
-    if formats.activations is not None:
-        xq, _ = quantize_dequantize_with_mask(xc, formats.activations)
-    else:
-        xq = xc
+    xq, _, _ = _site_operand(x, fused.transform, fused.act_clip, formats.activations, g)
     w = fused.w_q.to_dense() if isinstance(fused.w_q, MxTensor) else fused.w_q
     return xq @ w.T

@@ -17,7 +17,7 @@ import numpy as np
 from . import io
 from .calib import calibrate_layer
 from .errors import DataError, MxQuantError, NumericalError
-from .formats import BLOCK, E2M1, FormatConfig, MxTensor
+from .formats import BLOCK, E2M1, FormatConfig, MxTensor, quantize_tensor
 from .harness import build_toy_block, calibrate_block, simulate_block
 from .oracle import bimodality_score
 from .transform import DecompositionKind, GpkTransform, gpk_forward, param_count
@@ -118,11 +118,9 @@ def _stats_rows(x: np.ndarray, fmt, transform: GpkTransform | None):
     post = gpk_forward(x, transform) if transform is not None else x
 
     def scaled(vals):
-        from ._kernels import _scale_exps_np
-
-        vb = vals.reshape(-1, BLOCK)
-        se = _scale_exps_np(vb, fmt.emax)
-        r = np.ldexp(vb, -se[:, None])
+        # quantize_tensor rejects non-finite values, so NaN never reaches a score
+        se = quantize_tensor(vals, fmt).scale_exps.astype(np.int64)
+        r = np.ldexp(vals.reshape(-1, BLOCK), -se[:, None])
         return r.reshape(-1, n // BLOCK, BLOCK)
 
     pre_r, post_r = scaled(np.asarray(x, dtype=np.float64)), scaled(post)

@@ -59,12 +59,6 @@ class ClipParams:
 
 
 @dataclass
-class ClipBounds:
-    beta_min: np.ndarray  # (k,)
-    beta_max: np.ndarray  # (k,)
-
-
-@dataclass
 class ClipCtx:
     """Saved forward state for the backward pass."""
 
@@ -84,17 +78,6 @@ def _blocked(x, g):
     if x.shape[-1] % g != 0:
         raise ShapeError(f"trailing dimension {x.shape[-1]} is not a multiple of g = {g}")
     return x.reshape(-1, x.shape[-1] // g, g)
-
-
-def compute_bounds(x, params: ClipParams, g: int = 32) -> ClipBounds:
-    """Bounds from the tensor's own per-block extrema (over all rows)."""
-    xb = _blocked(x, g)
-    if xb.shape[1] != params.k:
-        raise ShapeError(f"{xb.shape[1]} blocks but {params.k} clip logit pairs")
-    return ClipBounds(
-        sigmoid(params.alpha_min) * xb.min(axis=(0, 2)),
-        sigmoid(params.alpha_max) * xb.max(axis=(0, 2)),
-    )
 
 
 def clip(x, params: ClipParams, g: int = 32) -> np.ndarray:

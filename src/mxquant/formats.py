@@ -11,6 +11,9 @@ largest element exponent of the format. An all-zero block gets exponent 0.
 Element rule: each value is divided by the scale and mapped to the nearest
 magnitude in the format's value set, ties on exact midpoints going to the
 even code index. Magnitudes above the largest grid value saturate.
+
+The codec works on a C-contiguous (n_blocks, 32) float64 view; scaling by
+2^e is done with ldexp, which is exact.
 """
 
 from __future__ import annotations
@@ -19,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import NonFiniteError, ShapeError
 
-BLOCK = _kernels.BLOCK
+BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -150,10 +152,53 @@ class MxTensor:
 
     def to_dense(self) -> np.ndarray:
         """Decode to float64. Exact: a value-set lookup scaled by ldexp."""
-        flat = _kernels.decode_blocks(
-            self.scale_exps, self.codes, self.fmt.value_set, self.fmt.sign_shift
-        )
-        return flat.reshape(self.shape)
+        return _decode_blocks(self.scale_exps, self.codes, self.fmt).reshape(self.shape)
+
+
+# -- block codec -----------------------------------------------------------
+
+
+def _scale_exps(xb, emax):
+    maxabs = np.max(np.abs(xb), axis=1)
+    _, ex = np.frexp(maxabs)  # maxabs = m * 2^ex, m in [0.5, 1)
+    se = np.clip(ex.astype(np.int64) - 1 - emax, -127, 127)
+    se[maxabs == 0.0] = 0
+    return se
+
+
+def _nearest_idx(r, values):
+    hi = np.minimum(np.searchsorted(values, r, side="left"), len(values) - 1)
+    lo = np.maximum(hi - 1, 0)
+    d_lo = r - values[lo]
+    d_hi = values[hi] - r
+    take_hi = (d_hi < d_lo) | ((d_hi == d_lo) & (hi % 2 == 0))
+    return np.where(take_hi, hi, lo)
+
+
+def _round_blocks(xb, fmt: MxFormat):
+    """Block scale exponents, scaled magnitudes and nearest value-set indices."""
+    se = _scale_exps(xb, fmt.emax)
+    r = np.abs(np.ldexp(xb, -se[:, None]))
+    return se, r, _nearest_idx(r, fmt.value_set)
+
+
+def _encode_blocks(xb, fmt: MxFormat):
+    se, _, idx = _round_blocks(xb, fmt)
+    codes = (np.signbit(xb).astype(np.uint8) << fmt.sign_shift) | idx.astype(np.uint8)
+    return se.astype(np.int8), codes
+
+
+def _decode_blocks(scale_exps, codes, fmt: MxFormat):
+    idx = codes & np.uint8((1 << fmt.sign_shift) - 1)
+    out = np.ldexp(fmt.value_set[idx], scale_exps.astype(np.int64)[:, None])
+    return np.where((codes >> fmt.sign_shift) != 0, -out, out)
+
+
+def _qdq_blocks(xb, fmt: MxFormat):
+    se, r, idx = _round_blocks(xb, fmt)
+    mag = fmt.value_set[idx]
+    y = np.ldexp(np.where(np.signbit(xb), -mag, mag), se[:, None])
+    return y, r <= fmt.value_set[-1]
 
 
 def _check_finite(x):
@@ -177,25 +222,21 @@ def quantize_block(values, fmt: MxFormat) -> MxBlock:
     if v.shape != (BLOCK,):
         raise ShapeError(f"a block holds exactly {BLOCK} elements, got shape {v.shape}")
     _check_finite(v)
-    se, codes = _kernels.encode_blocks(
-        v.reshape(1, BLOCK), fmt.value_set, fmt.emax, fmt.sign_shift
-    )
+    se, codes = _encode_blocks(v.reshape(1, BLOCK), fmt)
     return MxBlock(int(se[0]), codes[0])
 
 
 def dequantize_block(block: MxBlock, fmt: MxFormat) -> np.ndarray:
     """Decode one block to 32 float64 values."""
     se = np.array([block.scale_exp], dtype=np.int8)
-    return _kernels.decode_blocks(
-        se, block.codes.reshape(1, BLOCK), fmt.value_set, fmt.sign_shift
-    )[0]
+    return _decode_blocks(se, block.codes.reshape(1, BLOCK), fmt)[0]
 
 
 def quantize_tensor(x, fmt: MxFormat) -> MxTensor:
     """Quantize a dense tensor block-wise along its innermost axis."""
     xb = _block_view(x)
     _check_finite(xb)
-    se, codes = _kernels.encode_blocks(xb, fmt.value_set, fmt.emax, fmt.sign_shift)
+    se, codes = _encode_blocks(xb, fmt)
     return MxTensor(tuple(np.asarray(x).shape), fmt, se, codes)
 
 
@@ -220,5 +261,5 @@ def quantize_dequantize_with_mask(x, fmt: MxFormat):
     x = np.asarray(x, dtype=np.float64)
     xb = _block_view(x)
     _check_finite(xb)
-    y, mask = _kernels.qdq_blocks(xb, fmt.value_set, fmt.emax)
+    y, mask = _qdq_blocks(xb, fmt)
     return y.reshape(x.shape), mask.reshape(x.shape)

@@ -1,4 +1,4 @@
-"""Desk-scale transformer block with transform placements at each linear.
+"""Desk-scale transformer block with a quantization site at each linear.
 
 Models where block transforms attach in an attention + MLP block:
 
@@ -9,38 +9,29 @@ Models where block transforms attach in an attention + MLP block:
   vit template: p_qkv, p_o, p_fc1, p_fc2; no KV sites because there is no
   autoregressive cache.
 
-Every quantized linear input passes through exactly one activation
-transform and one clip stage; normalization, attention scores and the
-online transforms themselves stay in full precision. K/V quantization is
-simulated as quantize-dequantize after the per-head transforms, with the
-matching inverse applied on the consumer side (queries for p_k, the
-attention output for p_v). RoPE is deliberately absent.
+Each linear site is a calib.Theta (one transform, an activation clip and a
+weight clip) and runs calibration's own forward, so the block, calibration
+and fusion share one transform -> clip -> qdq path. Normalization,
+attention scores and the online transforms themselves stay in full
+precision. K/V quantization is simulated as quantize-dequantize after the
+per-head transforms, with the matching inverse applied on the consumer side
+(queries for p_k, the attention output for p_v). RoPE is deliberately
+absent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
 
-from .calib import CalibConfig, calibrate_layer
-from .clipping import ClipParams, clip
+from .calib import CalibConfig, Theta, _forward, calibrate_layer
 from .errors import ShapeError
 from .formats import FormatConfig, quantize_dequantize
 from .transform import GpkTransform, gpk_forward, gpk_inverse_forward
 
 SATURATED_LOGIT = 40.0  # sigmoid is exactly 1.0 in float64
-
-TEXT_SITES = ("p_qkv", "p_o", "p_up", "p_down", "p_k", "p_v")
-VIT_SITES = ("p_qkv", "p_o", "p_fc1", "p_fc2")
-
-
-@dataclass(frozen=True)
-class TransformPlacement:
-    site: str
-    applies_to: tuple[str, ...]
-    per_head: bool = False
 
 
 @dataclass
@@ -61,37 +52,18 @@ class ToyBlockSpec:
 
 
 @dataclass
-class SiteTheta:
-    """Online pieces of one placement: transform(s) plus activation clip(s).
-
-    Per-head sites hold one entry per head; others hold a single entry.
-    """
-
-    transforms: list[GpkTransform]
-    act_clips: list[ClipParams]
-
-
-@dataclass
 class ToyBlock:
     spec: ToyBlockSpec
     weights: dict[str, np.ndarray]
-    placements: list[TransformPlacement]
-    site_theta: dict[str, SiteTheta]
-    weight_clips: dict[str, ClipParams] = field(default_factory=dict)
+    sites: dict[str, Theta]  # linear sites
+    kv: dict[str, list[GpkTransform]]  # per-head cache transforms, one per head
 
     @property
     def attn_dim(self) -> int:
         return self.spec.n_heads * self.spec.head_dim
 
 
-def _identity_site(n, g1, g2, copies=1):
-    return SiteTheta(
-        [GpkTransform.identity(n, g1, g2) for _ in range(copies)],
-        [ClipParams.init(n // (g1 * g2), SATURATED_LOGIT) for _ in range(copies)],
-    )
-
-
-def build_toy_block(spec: ToyBlockSpec, seed: int = 0, g1: int = 8, g2: int = 4) -> ToyBlock:
+def build_toy_block(spec: ToyBlockSpec, seed: int = 0) -> ToyBlock:
     """Random-weight block with identity transforms and saturated clips."""
     rng = np.random.default_rng(seed)
     h = spec.hidden
@@ -108,21 +80,10 @@ def build_toy_block(spec: ToyBlockSpec, seed: int = 0, g1: int = 8, g2: int = 4)
             "gate_proj": linear(spec.mlp_dim, h),
             "down_proj": linear(h, spec.mlp_dim),
         }
-        placements = [
-            TransformPlacement("p_qkv", ("qkv_proj",)),
-            TransformPlacement("p_o", ("o_proj",)),
-            TransformPlacement("p_up", ("up_proj", "gate_proj")),
-            TransformPlacement("p_down", ("down_proj",)),
-            TransformPlacement("p_k", ("k_cache",), per_head=True),
-            TransformPlacement("p_v", ("v_cache",), per_head=True),
-        ]
-        site_theta = {
-            "p_qkv": _identity_site(h, g1, g2),
-            "p_o": _identity_site(attn, g1, g2),
-            "p_up": _identity_site(h, g1, g2),
-            "p_down": _identity_site(spec.mlp_dim, g1, g2),
-            "p_k": _identity_site(spec.head_dim, g1, g2, copies=spec.n_heads),
-            "p_v": _identity_site(spec.head_dim, g1, g2, copies=spec.n_heads),
+        site_dims = {"p_qkv": h, "p_o": attn, "p_up": h, "p_down": spec.mlp_dim}
+        kv = {
+            site: [GpkTransform.identity(spec.head_dim) for _ in range(spec.n_heads)]
+            for site in ("p_k", "p_v")
         }
     else:
         weights = {
@@ -131,25 +92,10 @@ def build_toy_block(spec: ToyBlockSpec, seed: int = 0, g1: int = 8, g2: int = 4)
             "fc1": linear(spec.mlp_dim, h),
             "fc2": linear(h, spec.mlp_dim),
         }
-        placements = [
-            TransformPlacement("p_qkv", ("qkv_proj",)),
-            TransformPlacement("p_o", ("o_proj",)),
-            TransformPlacement("p_fc1", ("fc1",)),
-            TransformPlacement("p_fc2", ("fc2",)),
-        ]
-        site_theta = {
-            "p_qkv": _identity_site(h, g1, g2),
-            "p_o": _identity_site(attn, g1, g2),
-            "p_fc1": _identity_site(h, g1, g2),
-            "p_fc2": _identity_site(spec.mlp_dim, g1, g2),
-        }
-
-    weight_clips = {
-        p.site: ClipParams.init(weights[p.applies_to[0]].shape[1] // 32, SATURATED_LOGIT)
-        for p in placements
-        if not p.per_head
-    }
-    return ToyBlock(spec, weights, placements, site_theta, weight_clips)
+        site_dims = {"p_qkv": h, "p_o": attn, "p_fc1": h, "p_fc2": spec.mlp_dim}
+        kv = {}
+    sites = {site: Theta.init(n, clip_init=SATURATED_LOGIT) for site, n in site_dims.items()}
+    return ToyBlock(spec, weights, sites, kv)
 
 
 def _rmsnorm(x, eps=1e-6):
@@ -164,162 +110,99 @@ def _gelu(x):
     return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
 
 
-def _linear_site(block, site, x, w, formats: FormatConfig):
-    """One quantized matmul: activation and weight paths of a placement."""
-    st = block.site_theta[site]
-    t = st.transforms[0]
-    xt = gpk_forward(x, t)
-    xc = clip(xt, st.act_clips[0])
-    xq = quantize_dequantize(xc, formats.activations)
-    wt = gpk_forward(w, t.inverse_transpose())
-    wc = clip(wt, block.weight_clips[site])
-    wq = quantize_dequantize(wc, formats.weights)
-    return xq @ wq.T
-
-
 def _kv_site(block, site, per_head_vals, formats: FormatConfig):
     """Transform + quantize-dequantize each head's cache slice."""
-    st = block.site_theta[site]
-    out = []
-    for h, vals in enumerate(per_head_vals):
-        vt = gpk_forward(vals, st.transforms[h])
-        out.append(quantize_dequantize(vt, formats.kv))
-    return out
+    return [
+        quantize_dequantize(gpk_forward(vals, t), formats.kv)
+        for vals, t in zip(per_head_vals, block.kv[site])
+    ]
 
 
 def _block_forward(block: ToyBlock, x, formats: FormatConfig | None, record=None):
     """Run the block; formats None means the plain full-precision block.
 
-    record, when given, captures each linear's output under its site name.
+    record, when given, maps each linear site to its (input, weight, output).
     """
     spec = block.spec
     quant = formats is not None
 
-    def tap(site, val):
-        if record is not None:
-            record[site] = val
-        return val
-
     def lin(site, inp, w):
         if quant:
-            return _linear_site(block, site, inp, w, formats)
-        return inp @ w.T
+            theta = block.sites[site]
+            out = _forward(inp, w, theta, formats, theta.transform.g).y
+        else:
+            out = inp @ w.T
+        if record is not None:
+            record[site] = (inp, w, out)
+        return out
 
     h1 = _rmsnorm(x)
-    qkv = tap("p_qkv", lin("p_qkv", h1, block.weights["qkv_proj"]))
+    qkv = lin("p_qkv", h1, block.weights["qkv_proj"])
     attn = block.attn_dim
     q, k, v = (qkv[:, i * attn : (i + 1) * attn] for i in range(3))
     heads_q = [q[:, h * spec.head_dim : (h + 1) * spec.head_dim] for h in range(spec.n_heads)]
     heads_k = [k[:, h * spec.head_dim : (h + 1) * spec.head_dim] for h in range(spec.n_heads)]
     heads_v = [v[:, h * spec.head_dim : (h + 1) * spec.head_dim] for h in range(spec.n_heads)]
 
-    kv_active = quant and spec.template == "text"
+    kv_active = quant and bool(block.kv)
     if kv_active:
-        k_theta = block.site_theta["p_k"]
-        v_theta = block.site_theta["p_v"]
-        heads_k_q = _kv_site(block, "p_k", heads_k, formats)
-        heads_v_q = _kv_site(block, "p_v", heads_v, formats)
+        heads_k = _kv_site(block, "p_k", heads_k, formats)
+        heads_v = _kv_site(block, "p_v", heads_v, formats)
 
     outs = []
     for h in range(spec.n_heads):
+        qh = heads_q[h]
         if kv_active:
             # cache holds transformed K/V; compensate on the consumer side
-            qh = gpk_forward(heads_q[h], k_theta.transforms[h].inverse_transpose())
-            kh = heads_k_q[h]
-        else:
-            qh, kh = heads_q[h], heads_k[h]
-        scores = qh @ kh.T / np.sqrt(spec.head_dim)
+            qh = gpk_forward(qh, block.kv["p_k"][h].inverse_transpose())
+        scores = qh @ heads_k[h].T / np.sqrt(spec.head_dim)
         w_attn = np.exp(scores - scores.max(axis=-1, keepdims=True))
         w_attn /= w_attn.sum(axis=-1, keepdims=True)
-        vh = heads_v_q[h] if kv_active else heads_v[h]
-        oh = w_attn @ vh
+        oh = w_attn @ heads_v[h]
         if kv_active:
-            oh = gpk_inverse_forward(oh, v_theta.transforms[h])
+            oh = gpk_inverse_forward(oh, block.kv["p_v"][h])
         outs.append(oh)
     attn_out = np.concatenate(outs, axis=1)
-    o = tap("p_o", lin("p_o", attn_out, block.weights["o_proj"]))
-    x2 = x + o
+    x2 = x + lin("p_o", attn_out, block.weights["o_proj"])
 
     h2 = _rmsnorm(x2)
     if spec.template == "text":
         w_cat = np.vstack([block.weights["up_proj"], block.weights["gate_proj"]])
-        both = tap("p_up", lin("p_up", h2, w_cat))
+        both = lin("p_up", h2, w_cat)
         up, gate = both[:, : spec.mlp_dim], both[:, spec.mlp_dim :]
-        mid = _silu(gate) * up
-        down = tap("p_down", lin("p_down", mid, block.weights["down_proj"]))
+        down = lin("p_down", _silu(gate) * up, block.weights["down_proj"])
     else:
-        mid = tap("p_fc1", lin("p_fc1", h2, block.weights["fc1"]))
-        down = tap("p_fc2", lin("p_fc2", _gelu(mid), block.weights["fc2"]))
-    y = x2 + down
-    return y
+        mid = lin("p_fc1", h2, block.weights["fc1"])
+        down = lin("p_fc2", _gelu(mid), block.weights["fc2"])
+    return x2 + down
 
 
 def simulate_block(block: ToyBlock, x, formats: FormatConfig):
     """Quantized block forward plus per-site output MSE against full precision.
 
     The report maps each linear site to the MSE of its output versus the
-    same tap in the unquantized run, and "output" to the whole-block MSE.
+    same site in the unquantized run, and "output" to the whole-block MSE.
     """
     x = np.asarray(x, dtype=np.float64)
-    ref_taps: dict[str, np.ndarray] = {}
-    y_ref = _block_forward(block, x, None, ref_taps)
-    taps: dict[str, np.ndarray] = {}
+    ref: dict[str, tuple] = {}
+    y_ref = _block_forward(block, x, None, ref)
+    taps: dict[str, tuple] = {}
     y = _block_forward(block, x, formats, taps)
-    report = {site: float(np.mean((taps[site] - ref_taps[site]) ** 2)) for site in taps}
+    report = {site: float(np.mean((taps[site][2] - ref[site][2]) ** 2)) for site in taps}
     report["output"] = float(np.mean((y - y_ref) ** 2))
     return y, report
 
 
 def calibrate_block(block: ToyBlock, x, config: CalibConfig, formats: FormatConfig) -> ToyBlock:
-    """Calibrate every linear-feeding site on the block's own activations.
+    """Calibrate every linear site on the block's own activations.
 
-    Site inputs are collected from the full-precision forward, then each
-    site's (stacked) weight matrix is calibrated layer-wise. Per-head KV
+    One full-precision forward records each site's input and (stacked)
+    weight matrix, then each site is calibrated layer-wise. Per-head KV
     transforms are left as built (their sites carry no weight matrix).
     """
-    x = np.asarray(x, dtype=np.float64)
-    spec = block.spec
-
-    inputs: dict[str, np.ndarray] = {}
-    h1 = _rmsnorm(x)
-    inputs["p_qkv"] = h1
-    qkv = h1 @ block.weights["qkv_proj"].T
-    attn = block.attn_dim
-    q, k, v = (qkv[:, i * attn : (i + 1) * attn] for i in range(3))
-    outs = []
-    for h in range(spec.n_heads):
-        sl = slice(h * spec.head_dim, (h + 1) * spec.head_dim)
-        scores = q[:, sl] @ k[:, sl].T / np.sqrt(spec.head_dim)
-        w_attn = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        w_attn /= w_attn.sum(axis=-1, keepdims=True)
-        outs.append(w_attn @ v[:, sl])
-    attn_out = np.concatenate(outs, axis=1)
-    inputs["p_o"] = attn_out
-    x2 = x + attn_out @ block.weights["o_proj"].T
-    h2 = _rmsnorm(x2)
-    if spec.template == "text":
-        inputs["p_up"] = h2
-        up = h2 @ block.weights["up_proj"].T
-        gate = h2 @ block.weights["gate_proj"].T
-        inputs["p_down"] = _silu(gate) * up
-        site_weights = {
-            "p_qkv": block.weights["qkv_proj"],
-            "p_o": block.weights["o_proj"],
-            "p_up": np.vstack([block.weights["up_proj"], block.weights["gate_proj"]]),
-            "p_down": block.weights["down_proj"],
-        }
-    else:
-        inputs["p_fc1"] = h2
-        inputs["p_fc2"] = _gelu(h2 @ block.weights["fc1"].T)
-        site_weights = {
-            "p_qkv": block.weights["qkv_proj"],
-            "p_o": block.weights["o_proj"],
-            "p_fc1": block.weights["fc1"],
-            "p_fc2": block.weights["fc2"],
-        }
-
-    for site, w in site_weights.items():
-        run, _fused = calibrate_layer(w, inputs[site], config, formats)
-        block.site_theta[site] = SiteTheta([run.theta.transform], [run.theta.act_clip])
-        block.weight_clips[site] = run.theta.weight_clip
+    record: dict[str, tuple] = {}
+    _block_forward(block, np.asarray(x, dtype=np.float64), None, record)
+    for site, (inp, w, _) in record.items():
+        run, _fused = calibrate_layer(w, inp, config, formats)
+        block.sites[site] = run.theta
     return block

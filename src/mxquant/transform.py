@@ -7,8 +7,9 @@ a right-contraction with the shared global factor A followed by a
 left-contraction with the block's private factor B_i.
 
 Under row-vector application y = x @ P this is P_i = kron(B_i.T, A), which
-is what materialize() builds. The identity vec(V) @ kron(B, A) ==
-vec(B.T @ V @ A) (row-major vec) ties the two pictures together.
+is what oracle.dense_block_matrices() builds. The identity
+vec(V) @ kron(B, A) == vec(B.T @ V @ A) (row-major vec) ties the two
+pictures together.
 """
 
 from __future__ import annotations
@@ -95,37 +96,6 @@ class GpkTransform:
         return GpkTransform(
             np.linalg.inv(self.a).T, np.transpose(np.linalg.inv(self.b), (0, 2, 1))
         )
-
-    def materialize(self) -> "DenseBlockDiagonal":
-        """Dense per-block matrices for row-vector application y = x @ P_i.
-
-        Test/oracle use only; the forward pass never builds these.
-        """
-        blocks = np.stack([np.kron(self.b[i].T, self.a) for i in range(self.k)])
-        return DenseBlockDiagonal(blocks)
-
-
-@dataclass
-class DenseBlockDiagonal:
-    """k dense (g, g) blocks of a block-diagonal matrix."""
-
-    blocks: np.ndarray  # (k, g, g)
-
-    @property
-    def k(self) -> int:
-        return self.blocks.shape[0]
-
-    @property
-    def g(self) -> int:
-        return self.blocks.shape[1]
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Row-vector application per block slice: y_i = x_i @ P_i."""
-        x = np.asarray(x, dtype=np.float64)
-        lead = x.shape[:-1]
-        xb = x.reshape(-1, self.k, self.g)
-        y = np.einsum("rkg,kgh->rkh", xb, self.blocks)
-        return y.reshape(*lead, self.k * self.g)
 
 
 def _split_blocks(x: np.ndarray, t: GpkTransform) -> np.ndarray:

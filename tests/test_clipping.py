@@ -4,11 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mxquant as mq
-from mxquant.clipping import ClipParams, clip, clip_gradients, compute_bounds, sigmoid
+from mxquant.clipping import ClipParams, clip, clip_gradients, sigmoid
 from mxquant.errors import ShapeError
 from mxquant.oracle import finite_diff_oracle
 
 SAT = 40.0  # sigmoid(40) == 1.0 in float64
+
+
+def bounds(x, p, g=32):
+    """The documented bounds: sigmoid(alpha) times the block's own extremum."""
+    xb = x.reshape(-1, x.shape[-1] // g, g)
+    return sigmoid(p.alpha_min) * xb.min(axis=(0, 2)), sigmoid(p.alpha_max) * xb.max(axis=(0, 2))
 
 
 class TestClipForward:
@@ -27,20 +33,20 @@ class TestClipForward:
     def test_bounds_formula(self, rng):
         x = rng.normal(size=(4, 96))
         p = ClipParams(rng.normal(size=3), rng.normal(size=3))
-        b = compute_bounds(x, p)
-        xb = x.reshape(4, 3, 32)
-        assert np.allclose(b.beta_min, sigmoid(p.alpha_min) * xb.min(axis=(0, 2)))
-        assert np.allclose(b.beta_max, sigmoid(p.alpha_max) * xb.max(axis=(0, 2)))
+        lo, hi = bounds(x, p)
+        assert np.all(lo <= hi)  # gaussian blocks bracket zero
+        want = np.minimum(np.maximum(x.reshape(4, 3, 32), lo[:, None]), hi[:, None])
+        assert np.array_equal(clip(x, p), want.reshape(4, 96))
 
     def test_output_within_bounds(self, rng):
         x = rng.normal(size=(8, 64)) * 5
         p = ClipParams(rng.normal(size=2), rng.normal(size=2))
         y = clip(x, p)
-        b = compute_bounds(x, p)
+        lo, hi = bounds(x, p)
         yb = y.reshape(-1, 2, 32)
         for i in range(2):
-            assert yb[:, i, :].max() <= b.beta_max[i] + 1e-15
-            assert yb[:, i, :].min() >= b.beta_min[i] - 1e-15
+            assert yb[:, i, :].max() <= hi[i] + 1e-15
+            assert yb[:, i, :].min() >= lo[i] - 1e-15
 
     def test_never_increases_maxabs(self, rng):
         # hence never increases the downstream block scale exponent
@@ -55,19 +61,18 @@ class TestClipForward:
     def test_mixed_sign_block_brackets_zero(self, rng):
         x = rng.normal(size=(6, 64))  # gaussian blocks carry both signs
         p = ClipParams(rng.normal(size=2), rng.normal(size=2))
-        b = compute_bounds(x, p)
-        assert np.all(b.beta_min <= 0.0)
-        assert np.all(b.beta_max >= 0.0)
+        lo, hi = bounds(x, p)
+        assert np.all(lo <= 0.0)
+        assert np.all(hi >= 0.0)
+        y = clip(x, p)
+        assert np.all(y[x == 0.0] == 0.0) and np.all(np.sign(y) * np.sign(x) >= 0)
 
     def test_per_block_independence(self, rng):
         x = rng.normal(size=(4, 96))
         p = ClipParams(rng.normal(size=3), rng.normal(size=3))
-        b = compute_bounds(x, p)
         x2 = x.copy()
         x2[:, 64:] *= 7.0
-        b2 = compute_bounds(x2, p)
-        assert np.array_equal(b.beta_min[:2], b2.beta_min[:2])
-        assert np.array_equal(b.beta_max[:2], b2.beta_max[:2])
+        assert np.array_equal(clip(x, p)[:, :64], clip(x2, p)[:, :64])
 
     def test_block_count_mismatch(self, rng):
         with pytest.raises(ShapeError):
@@ -84,12 +89,12 @@ class TestClipForward:
         x = np.random.default_rng(seed).normal(size=(3, 64)) * scale
         p = ClipParams(np.full(2, amin), np.full(2, amax))
         y = clip(x, p)
-        b = compute_bounds(x, p)
+        lo, hi = bounds(x, p)
         yb = y.reshape(-1, 2, 32)
         for i in range(2):
-            hi = max(b.beta_max[i], b.beta_min[i])  # crossed bounds clamp at the upper stage
-            assert yb[:, i, :].max() <= hi + 1e-12
-            assert yb[:, i, :].min() >= min(b.beta_min[i], hi) - 1e-12
+            top = max(hi[i], lo[i])  # crossed bounds clamp at the upper stage
+            assert yb[:, i, :].max() <= top + 1e-12
+            assert yb[:, i, :].min() >= min(lo[i], top) - 1e-12
         assert np.abs(y).max() <= np.abs(x).max() + 1e-12
 
 

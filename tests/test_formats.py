@@ -130,6 +130,31 @@ class TestQuantizeTensor:
             direct = mq.quantize_dequantize(x, fmt)
             via_codes = mq.quantize_tensor(x, fmt).to_dense()
             assert np.array_equal(direct, via_codes)
+        # scales across 12 decades, zero blocks and both ends of the exponent clamp
+        x = rng.normal(size=(800, 32)) * 10.0 ** rng.uniform(-6, 6, size=(800, 1))
+        x[0] = 0.0
+        x[1, :16] = 0.0
+        x[2] = np.ldexp(rng.normal(size=32), 120)
+        x[3] = np.ldexp(rng.normal(size=32), -120)
+        for fmt in (mq.E2M1, mq.E4M3):
+            y, mask = mq.quantize_dequantize_with_mask(x, fmt)
+            t = mq.quantize_tensor(x, fmt)
+            assert y.tobytes() == t.to_dense().tobytes()
+            r = np.abs(np.ldexp(x, -t.scale_exps.astype(np.int64)[:, None]))
+            assert np.array_equal(mask, r <= fmt.max_value)
+
+    def test_tie_to_even(self):
+        # 0.75 is the exact midpoint of 0.5 and 1.0; index 1 vs 2 -> even wins
+        x = np.zeros(32)
+        x[0] = 6.0  # pins scale_exp at 0
+        x[1] = 0.75
+        x[2] = -0.75
+        x[3] = 1.25  # midpoint of 1.0 (idx 2) and 1.5 (idx 3): even wins -> 1.0
+        t = mq.quantize_tensor(x, mq.E2M1)
+        assert t.scale_exps[0] == 0
+        assert t.codes[0, 1] == 2  # 1.0
+        assert t.codes[0, 2] == 8 | 2  # -1.0
+        assert t.codes[0, 3] == 2  # 1.0
 
     def test_qdq_none_is_identity(self, rng):
         x = rng.normal(size=(4, 32))

@@ -15,40 +15,51 @@ from mxquant.harness import (
 )
 
 SPEC = ToyBlockSpec(hidden=128, head_dim=32, n_heads=4, mlp_dim=256)
+TEXT_SITES = {"p_qkv", "p_o", "p_up", "p_down"}
+VIT_SITES = {"p_qkv", "p_o", "p_fc1", "p_fc2"}
 
 
 class TestBuild:
     def test_text_has_six_placements(self):
         block = build_toy_block(SPEC)
-        assert len(block.placements) == 6
-        assert {p.site for p in block.placements} == {"p_qkv", "p_o", "p_up", "p_down", "p_k", "p_v"}
+        assert len(block.sites) + len(block.kv) == 6
+        assert set(block.sites) | set(block.kv) == TEXT_SITES | {"p_k", "p_v"}
 
     def test_vit_has_four_placements(self):
         block = build_toy_block(ToyBlockSpec(128, 32, 4, 256, template="vit"))
-        assert len(block.placements) == 4
-        assert {p.site for p in block.placements} == {"p_qkv", "p_o", "p_fc1", "p_fc2"}
+        assert len(block.sites) == 4 and block.kv == {}
+        assert set(block.sites) == VIT_SITES
 
     def test_per_head_flags(self):
         block = build_toy_block(SPEC)
-        per_head = {p.site for p in block.placements if p.per_head}
-        assert per_head == {"p_k", "p_v"}
+        assert set(block.kv) == {"p_k", "p_v"}
+        assert not set(block.kv) & set(block.sites)
 
     def test_kv_transform_is_one_block_per_head(self):
         block = build_toy_block(SPEC)
-        for t in block.site_theta["p_k"].transforms:
+        for t in block.kv["p_k"]:
             assert t.n == 32 and t.k == 1
-        assert len(block.site_theta["p_k"].transforms) == SPEC.n_heads
+        assert len(block.kv["p_k"]) == SPEC.n_heads
 
-    def test_every_linear_has_exactly_one_activation_placement(self):
-        for template in ("text", "vit"):
+    def test_every_linear_has_exactly_one_activation_placement(self, rng):
+        # a recorded forward: each weight matrix is a row block of exactly one site's weight
+        for template, sites in (("text", TEXT_SITES), ("vit", VIT_SITES)):
             block = build_toy_block(ToyBlockSpec(128, 32, 4, 256, template=template))
-            covered = [
-                name
-                for p in block.placements
-                if not p.per_head
-                for name in p.applies_to
-            ]
-            assert sorted(covered) == sorted(block.weights.keys())
+            record = {}
+            _block_forward(block, rng.normal(size=(4, 128)), None, record)
+            assert set(record) == set(block.sites) == sites
+            for w in block.weights.values():
+                feeds = [
+                    site
+                    for site, (_, site_w, _) in record.items()
+                    if any(
+                        np.array_equal(site_w[r : r + len(w)], w)
+                        for r in range(0, len(site_w) - len(w) + 1, len(w))
+                    )
+                ]
+                assert len(feeds) == 1
+            rows = sum(site_w.shape[0] for _, site_w, _ in record.values())
+            assert rows == sum(w.shape[0] for w in block.weights.values())
 
     def test_misaligned_dims_rejected(self):
         with pytest.raises(ShapeError):
@@ -83,7 +94,7 @@ class TestSimulate:
         block = build_toy_block(SPEC, seed=4)
         vals = [rng.normal(size=(8, 32)) for _ in range(4)]
         base = _kv_site(block, "p_k", vals, FormatConfig.from_name("W16A16KV4"))
-        block.site_theta["p_k"].transforms[0].a *= 1.3
+        block.kv["p_k"][0].a *= 1.3
         pert = _kv_site(block, "p_k", vals, FormatConfig.from_name("W16A16KV4"))
         assert not np.array_equal(base[0], pert[0])
         for h in range(1, 4):
@@ -107,5 +118,5 @@ class TestCalibrateBlock:
         x = rng.normal(size=(32, 128))
         x[:, 7] *= 30.0
         calibrate_block(block, x, CalibConfig(lr=0.02, epochs=2), W4A4KV16)
-        a = block.site_theta["p_qkv"].transforms[0].a
+        a = block.sites["p_qkv"].transform.a
         assert np.abs(a - np.eye(8)).max() > 1e-3

@@ -228,6 +228,24 @@ class TestCli:
         assert main(["stats", "--tensor", str(tmp_path / "x.mxbt"), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 1 + 256 // 32
 
+    @pytest.mark.parametrize("bad", ["nan-tensor", "inf-tensor", "nan-transform"])
+    def test_stats_nonfinite_input_is_data_error(self, tmp_path, rng, capsys, bad):
+        x = rng.normal(size=(16, 64))
+        if bad != "nan-transform":
+            x[3, 5] = np.nan if bad == "nan-tensor" else np.inf
+        io.write_tensor(tmp_path / "x.mxbt", x)
+        args = ["stats", "--tensor", str(tmp_path / "x.mxbt"), "--out", str(tmp_path / "s.csv")]
+        if bad == "nan-transform":
+            t = mq.GpkTransform.identity(64)
+            t.a[2, 3] = np.nan
+            io.write_transform_record(tmp_path / "t.gpkt", t)
+            args += ["--transform", str(tmp_path / "t.gpkt")]
+        capsys.readouterr()
+        assert main(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("mxquant: data:")
+        assert not (tmp_path / "s.csv").exists()
+
     def test_stats_missing_tensor(self, tmp_path):
         assert main(["stats", "--tensor", str(tmp_path / "no.mxbt"), "--out", "x.csv"]) == 2
 

@@ -81,12 +81,12 @@ class TestInverse:
         dense_inv = np.linalg.inv(np.kron(b, a))
         assert rel_err(np.kron(np.linalg.inv(b), np.linalg.inv(a)), dense_inv) <= 1e-9
 
-    def test_inverse_matches_materialized_inverse(self, rng):
+    def test_inverse_matches_dense_inverse(self, rng):
         t = random_transform(rng, 64)
-        inv_blocks = t.inverse().materialize().blocks
+        inv_blocks = dense_block_matrices(t.inverse())
+        dense = dense_block_matrices(t)
         for i in range(t.k):
-            dense = t.materialize().blocks[i]
-            assert rel_err(inv_blocks[i], np.linalg.inv(dense)) <= 1e-9
+            assert rel_err(inv_blocks[i], np.linalg.inv(dense[i])) <= 1e-9
 
     def test_singular_factor_reports_block_and_cond(self):
         t = mq.GpkTransform.identity(64)
@@ -115,7 +115,7 @@ class TestInverse:
 class TestMaterialize:
     def test_identity_blocks(self):
         t = mq.GpkTransform.identity(8, g1=2, g2=2)
-        blocks = t.materialize().blocks
+        blocks = dense_block_matrices(t)
         assert blocks.shape == (2, 4, 4)
         assert np.array_equal(blocks[0], np.eye(4))
 
@@ -133,9 +133,8 @@ class TestMaterialize:
 
     def test_dense_matrix_entries_definitional(self, rng):
         t = random_transform(rng, 32)
-        blocks = t.materialize().blocks
-        oracle_blocks = dense_block_matrices(t)
-        assert rel_err(blocks, oracle_blocks) == 0.0
+        blocks = dense_block_matrices(t)
+        assert rel_err(blocks[0], np.kron(t.b[0].T, t.a)) == 0.0  # P_i = kron(B_i.T, A)
         g1 = t.g1
         for p in range(t.g2):
             for q in range(g1):
@@ -144,9 +143,15 @@ class TestMaterialize:
                         assert blocks[0, p * g1 + q, r * g1 + s] == t.b[0, r, p] * t.a[q, s]
 
     def test_materialized_apply_equals_forward(self, rng):
+        # x @ blockdiag(P_0, ..., P_{k-1}) with the full dense matrix assembled
         t = random_transform(rng, 224)
         x = rng.normal(size=(6, 224))
-        assert rel_err(t.materialize().apply(x), mq.gpk_forward(x, t)) <= 1e-6
+        blocks = dense_block_matrices(t)
+        g = blocks.shape[1]
+        full = np.zeros((224, 224))
+        for i in range(t.k):
+            full[i * g:(i + 1) * g, i * g:(i + 1) * g] = blocks[i]
+        assert rel_err(x @ full, mq.gpk_forward(x, t)) <= 1e-6
 
 
 class TestParamCount:
