@@ -12,6 +12,19 @@ Element rule: each value is divided by the scale and mapped to the nearest
 magnitude in the format's value set, ties on exact midpoints going to the
 even code index. Magnitudes above the largest grid value saturate.
 
+The nearest index is computed arithmetically, not searched. The value sets
+are IEEE-like: binade e (from the smallest normal exponent emin up) holds
+2^mantissa_bits evenly spaced magnitudes with step 2^(e - mantissa_bits),
+and the subnormals below 2^emin continue that spacing down to zero. So for
+a scaled magnitude r in binade e (subnormals use e = emin),
+``n = rint(r * 2^(mantissa_bits - e))`` is the nearest grid multiple, and
+``n + ((e - emin) << mantissa_bits)`` is its value-set index; n = 2^(m+1)
+lands on the first entry of the next binade. Ties are exact midpoints,
+where rint picks the even n, and the binade offset is even, so an even n is
+an even index. Indices past the top entry (including the excluded E4M3 NaN
+slot) clamp to it, which is saturation. Magnitudes are still read from the
+value set by index.
+
 The codec works on a C-contiguous (n_blocks, 32) float64 view; scaling by
 2^e is done with ldexp, which is exact.
 """
@@ -166,25 +179,30 @@ def _scale_exps(xb, emax):
     return se
 
 
-def _nearest_idx(r, values):
-    hi = np.minimum(np.searchsorted(values, r, side="left"), len(values) - 1)
-    lo = np.maximum(hi - 1, 0)
-    d_lo = r - values[lo]
-    d_hi = values[hi] - r
-    take_hi = (d_hi < d_lo) | ((d_hi == d_lo) & (hi % 2 == 0))
-    return np.where(take_hi, hi, lo)
+def _nearest_idx(r, fmt: MxFormat):
+    """Value-set index (uint8) nearest to each magnitude r, ties to even."""
+    m = fmt.mantissa_bits
+    emin = 2 - 2 ** (fmt.exp_bits - 1)
+    e = np.frexp(np.maximum(r, 2.0**emin))[1]  # int32, floor(log2) + 1
+    e -= 1
+    n = np.ldexp(r, m - e)
+    np.rint(n, out=n)
+    e -= emin
+    e <<= m
+    e += n.astype(np.int32)
+    return np.minimum(e, len(fmt.value_set) - 1).astype(np.uint8)
 
 
 def _round_blocks(xb, fmt: MxFormat):
     """Block scale exponents, scaled magnitudes and nearest value-set indices."""
     se = _scale_exps(xb, fmt.emax)
     r = np.abs(np.ldexp(xb, -se[:, None]))
-    return se, r, _nearest_idx(r, fmt.value_set)
+    return se, r, _nearest_idx(r, fmt)
 
 
 def _encode_blocks(xb, fmt: MxFormat):
     se, _, idx = _round_blocks(xb, fmt)
-    codes = (np.signbit(xb).astype(np.uint8) << fmt.sign_shift) | idx.astype(np.uint8)
+    codes = (np.signbit(xb).astype(np.uint8) << fmt.sign_shift) | idx
     return se.astype(np.int8), codes
 
 
@@ -203,7 +221,7 @@ def _qdq_blocks(xb, fmt: MxFormat):
 
 def _check_finite(x):
     if not np.all(np.isfinite(x)):
-        raise NonFiniteError("non-finite values in quantizer input; calibration data is invalid")
+        raise NonFiniteError("non-finite values (NaN or inf) in quantizer input")
 
 
 def _block_view(x: np.ndarray) -> np.ndarray:

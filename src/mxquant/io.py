@@ -28,6 +28,7 @@ lines starting with # are ignored.
 from __future__ import annotations
 
 import glob
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,16 +49,9 @@ _DTYPE_TAGS = {"f32": 0, "mx4": 1, "mx8": 2}
 _TAG_FORMATS = {1: E2M1, 2: E4M3}
 
 
-def _pack_nibbles(codes: np.ndarray) -> bytes:
-    # two codes per byte, first code in the low nibble
-    c = codes.reshape(-1, 2)
-    return ((c[:, 0] & 0x0F) | (c[:, 1] << 4)).astype(np.uint8).tobytes()
-
-def _unpack_nibbles(raw: np.ndarray, n: int) -> np.ndarray:
-    out = np.empty(n, dtype=np.uint8)
-    out[0::2] = raw & 0x0F
-    out[1::2] = raw >> 4
-    return out
+def _block_dtype(tag: int) -> np.dtype:
+    # one record per block: scale_exp, then the (packed) codes
+    return np.dtype([("e", "i1"), ("c", "u1", BLOCK // 2 if tag == _DTYPE_TAGS["mx4"] else BLOCK)])
 
 
 def write_tensor(path, tensor) -> None:
@@ -71,28 +65,35 @@ def write_tensor(path, tensor) -> None:
         else:
             raise FileFormatError(f"no dtype tag for format {tensor.fmt.name}")
         shape = tensor.shape
+        if np.any(np.abs(tensor.scale_exps.astype(np.int64)) > 127):
+            raise FileFormatError("scale exponent outside [-127, 127]")
+        rec = np.empty(tensor.n_blocks, dtype=_block_dtype(tag))
+        rec["e"] = tensor.scale_exps
+        c = tensor.codes
+        if tag == _DTYPE_TAGS["mx4"]:
+            # two codes per byte, first code in the low nibble
+            c = (c[:, 0::2] & 0x0F) | (c[:, 1::2] << 4)
+        rec["c"] = c
+        payload = rec.tobytes()
     else:
         tag = _DTYPE_TAGS["f32"]
         tensor = np.asarray(tensor)
         shape = tensor.shape
+        payload = np.ascontiguousarray(tensor, dtype="<f4").tobytes()
 
     with open(path, "wb") as f:
         f.write(TENSOR_MAGIC)
         f.write(struct.pack("<HBB", VERSION, tag, len(shape)))
         f.write(struct.pack(f"<{len(shape)}I", *shape))
-        if tag == _DTYPE_TAGS["f32"]:
-            f.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
-        else:
-            for b in range(tensor.n_blocks):
-                f.write(struct.pack("<b", int(tensor.scale_exps[b])))
-                if tag == _DTYPE_TAGS["mx4"]:
-                    f.write(_pack_nibbles(tensor.codes[b]))
-                else:
-                    f.write(tensor.codes[b].astype(np.uint8).tobytes())
+        f.write(payload)
 
 
 def read_tensor(path):
-    """Read a .mxbt file; returns a float64 array or an MxTensor."""
+    """Read a .mxbt file; returns a float64 array or an MxTensor.
+
+    Sizes, scale exponents and code indices are checked against the layout
+    before the payload is decoded.
+    """
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < 8 or raw[:4] != TENSOR_MAGIC:
@@ -105,7 +106,7 @@ def read_tensor(path):
         raise FileFormatError(f"{path}: truncated header")
     dims = struct.unpack_from(f"<{rank}I", raw, off)
     off += 4 * rank
-    count = int(np.prod(dims)) if rank else 1
+    count = math.prod(dims)  # Python ints: no overflow
 
     if tag == _DTYPE_TAGS["f32"]:
         expect = count * 4
@@ -120,19 +121,23 @@ def read_tensor(path):
     if count % BLOCK:
         raise FileFormatError(f"{path}: element count {count} is not a multiple of {BLOCK}")
     n_blocks = count // BLOCK
-    code_bytes = BLOCK // 2 if tag == _DTYPE_TAGS["mx4"] else BLOCK
-    expect = n_blocks * (1 + code_bytes)
+    dt = _block_dtype(tag)
+    expect = n_blocks * dt.itemsize
     if len(raw) - off != expect:
         raise FileFormatError(f"{path}: payload is {len(raw) - off} bytes, expected {expect}")
 
-    scale_exps = np.empty(n_blocks, dtype=np.int8)
-    codes = np.empty((n_blocks, BLOCK), dtype=np.uint8)
-    for b in range(n_blocks):
-        scale_exps[b] = struct.unpack_from("<b", raw, off)[0]
-        off += 1
-        chunk = np.frombuffer(raw, dtype=np.uint8, count=code_bytes, offset=off)
-        off += code_bytes
-        codes[b] = _unpack_nibbles(chunk, BLOCK) if tag == _DTYPE_TAGS["mx4"] else chunk
+    rec = np.frombuffer(raw, dtype=dt, count=n_blocks, offset=off)
+    scale_exps = rec["e"].copy()
+    if np.any(scale_exps == -128):
+        raise FileFormatError(f"{path}: scale exponent -128 is outside [-127, 127]")
+    if tag == _DTYPE_TAGS["mx4"]:
+        codes = np.empty((n_blocks, BLOCK), dtype=np.uint8)
+        codes[:, 0::2] = rec["c"] & 0x0F
+        codes[:, 1::2] = rec["c"] >> 4
+    else:
+        codes = rec["c"].copy()
+    if np.any((codes & ((1 << fmt.sign_shift) - 1)) >= len(fmt.value_set)):
+        raise FileFormatError(f"{path}: code index outside the {fmt.name} value set")
     return MxTensor(tuple(dims), fmt, scale_exps, codes)
 
 
@@ -175,6 +180,8 @@ def read_transform_record(path):
     off += g1 * g1 * 4
     b = np.frombuffer(raw, dtype="<f4", count=k * g2 * g2, offset=off).astype(np.float64)
     off += k * g2 * g2 * 4
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise FileFormatError(f"{path}: non-finite transform factor")
     t = GpkTransform(a.reshape(g1, g1), b.reshape(k, g2, g2))
 
     rest = len(raw) - off
@@ -183,6 +190,8 @@ def read_transform_record(path):
     if rest != 4 * k * 4:
         raise FileFormatError(f"{path}: clip section is {rest} bytes, expected {4 * k * 4}")
     logits = np.frombuffer(raw, dtype="<f4", count=4 * k, offset=off).astype(np.float64)
+    if not np.all(np.isfinite(logits)):
+        raise FileFormatError(f"{path}: non-finite clip logit")
     act = ClipParams(logits[:k], logits[k : 2 * k])
     wgt = ClipParams(logits[2 * k : 3 * k], logits[3 * k :])
     return t, act, wgt

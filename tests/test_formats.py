@@ -85,6 +85,13 @@ class TestQuantizeBlock:
         with pytest.raises(NonFiniteError):
             mq.quantize_block(v, mq.E2M1)
 
+    def test_nonfinite_message_names_no_caller(self):
+        # the quantizer serves calibration, stats and export alike
+        with pytest.raises(NonFiniteError) as exc:
+            mq.quantize_tensor(np.full((1, 32), np.nan), mq.E2M1)
+        assert "calibration" not in str(exc.value)
+        assert "non-finite" in str(exc.value)
+
     def test_wrong_length(self):
         with pytest.raises(ShapeError):
             mq.quantize_block(np.zeros(31), mq.E2M1)
@@ -155,6 +162,27 @@ class TestQuantizeTensor:
         assert t.codes[0, 1] == 2  # 1.0
         assert t.codes[0, 2] == 8 | 2  # -1.0
         assert t.codes[0, 3] == 2  # 1.0
+
+    @pytest.mark.parametrize("fmt", [mq.E2M1, mq.E4M3], ids=lambda f: f.name)
+    def test_adversarial_rounding_matches_oracle(self, rng, fmt):
+        # grid points, midpoints, their float64 neighbours, values past the
+        # top magnitude and zeros, with random signs
+        vs = fmt.value_set
+        top = 2.0 ** (fmt.emax + 1)  # past it the block scale moves
+        pts = np.concatenate([vs, (vs[1:] + vs[:-1]) / 2, np.linspace(vs[-1], top, 9)[1:-1]])
+        pts = np.concatenate([pts, np.nextafter(pts, np.inf), np.nextafter(pts, 0.0), np.zeros(8)])
+        pts = pts[pts < top]
+        n = 4096
+        x = rng.choice(pts, size=(n, 32)) * rng.choice([-1.0, 1.0], size=(n, 32))
+        x[: n // 2, 0] = vs[-1]  # pin half the blocks at scale exponent 0
+        x[n // 4 : n // 2, 0] = np.nextafter(top, 0.0)  # largest value at scale 0
+        x = np.ldexp(x, rng.integers(-20, 21, size=(n, 1)))  # exact: shifts the scale only
+        x[-1] = 0.0
+        x[-2, :16] = -0.0
+        dec, codes = nearest_mx_oracle_batch(x, fmt)
+        t = mq.quantize_tensor(x, fmt)
+        assert np.array_equal(t.codes, codes)
+        assert mq.quantize_dequantize(x, fmt).tobytes() == dec.tobytes()
 
     def test_qdq_none_is_identity(self, rng):
         x = rng.normal(size=(4, 32))

@@ -1,4 +1,8 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +66,53 @@ class TestTensorFile:
         with pytest.raises(FileFormatError):
             io.read_tensor(p)
 
+    @pytest.mark.parametrize("tag", [0, 1, 2], ids=["f32", "mx4", "mx8"])
+    def test_dims_product_overflowing_u64_rejected(self, tmp_path, tag):
+        # 2^21 * 2^21 * 2^22 = 2^64 wraps to 0 in fixed-width integers
+        p = tmp_path / "huge.mxbt"
+        p.write_bytes(b"MXBT" + struct.pack("<HBB3I", 1, tag, 3, 1 << 21, 1 << 21, 1 << 22))
+        with pytest.raises(FileFormatError, match="payload"):
+            io.read_tensor(p)
+
+    @pytest.mark.parametrize("fmt", [mq.E2M1, mq.E4M3], ids=lambda f: f.name)
+    def test_scale_exp_minus_128_rejected(self, tmp_path, rng, fmt):
+        t = mq.quantize_tensor(rng.normal(size=(2, 64)), fmt)
+        p = tmp_path / "s.mxbt"
+        io.write_tensor(p, t)
+        raw = bytearray(p.read_bytes())
+        header = 8 + 4 * 2
+        assert raw[header] == t.scale_exps[0].tobytes()[0]
+        raw[header] = 0x80  # -128: outside the scale rule's [-127, 127]
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError, match="-128"):
+            io.read_tensor(p)
+
+    @pytest.mark.parametrize("code", [0x7F, 0xFF])
+    def test_mx8_nan_code_rejected(self, tmp_path, rng, code):
+        # index 127 is the E4M3 NaN slot, excluded from the value set
+        t = mq.quantize_tensor(rng.normal(size=(2, 64)), mq.E4M3)
+        p = tmp_path / "c.mxbt"
+        io.write_tensor(p, t)
+        raw = bytearray(p.read_bytes())
+        raw[8 + 4 * 2 + 33 + 5] = code  # block 1, element 4
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError, match="code index"):
+            io.read_tensor(p)
+
+    @pytest.mark.parametrize("se", [-128, 200])
+    def test_write_rejects_out_of_range_scale(self, tmp_path, se):
+        t = mq.MxTensor((1, 32), mq.E2M1, np.array([se]), np.zeros((1, 32), np.uint8))
+        with pytest.raises(FileFormatError, match="scale exponent"):
+            io.write_tensor(tmp_path / "w.mxbt", t)
+
+    def test_all_mx4_codes_accepted(self, tmp_path):
+        raw = b"MXBT" + struct.pack("<HBB2I", 1, 1, 2, 1, 32) + struct.pack("<b", -127)
+        p = tmp_path / "all.mxbt"
+        p.write_bytes(raw + bytes(range(0, 256, 17)))  # byte 17*b holds code b twice
+        r = io.read_tensor(p)
+        assert r.scale_exps.tolist() == [-127]
+        assert r.codes[0].tolist() == [c for b in range(16) for c in (b, b)]
+
 
 class TestTransformRecord:
     def test_round_trip_with_clips(self, tmp_path, rng):
@@ -94,6 +145,23 @@ class TestTransformRecord:
         struct.pack_into("<I", raw, 6, 999)  # corrupt N
         p.write_bytes(bytes(raw))
         with pytest.raises(FileFormatError):
+            io.read_transform_record(p)
+
+    @pytest.mark.parametrize("where", ["a", "b", "clip"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_nonfinite_record_rejected(self, tmp_path, rng, where, bad):
+        t = random_transform(rng, 64)
+        act = mq.ClipParams(rng.normal(size=2), rng.normal(size=2))
+        wgt = mq.ClipParams(rng.normal(size=2), rng.normal(size=2))
+        if where == "a":
+            t.a[1, 2] = bad
+        elif where == "b":
+            t.b[1, 0, 3] = bad
+        else:
+            wgt.alpha_max[1] = bad
+        p = tmp_path / "t.gpkt"
+        io.write_transform_record(p, t, act, wgt)
+        with pytest.raises(FileFormatError, match="non-finite"):
             io.read_transform_record(p)
 
 
@@ -246,6 +314,19 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("mxquant: data:")
         assert not (tmp_path / "s.csv").exists()
 
+    def test_stats_mx8_nan_code_is_data_error(self, tmp_path, rng, capsys):
+        t = mq.quantize_tensor(rng.normal(size=(16, 64)), mq.E4M3)
+        p = tmp_path / "q.mxbt"
+        io.write_tensor(p, t)
+        raw = bytearray(p.read_bytes())
+        raw[8 + 4 * 2 + 1] = 0x7F
+        p.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main(["stats", "--tensor", str(p), "--out", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("mxquant: data:")
+        assert not (tmp_path / "s.csv").exists()
+
     def test_stats_missing_tensor(self, tmp_path):
         assert main(["stats", "--tensor", str(tmp_path / "no.mxbt"), "--out", "x.csv"]) == 2
 
@@ -256,6 +337,15 @@ class TestCli:
 
     def test_verify_empty_files_dir_usage_error(self, tmp_path):
         assert main(["verify", "--files", str(tmp_path)]) == 1
+
+    def test_python_m_mxquant_runs_the_cli(self):
+        # an uninstalled checkout has no `mxquant` script; `python -m` must work
+        src = str(Path(mq.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "mxquant", "param-count", "--n", "32"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "80" in proc.stdout
 
     def test_simulate_writes_report(self, tmp_path):
         spec = tmp_path / "block.cfg"
