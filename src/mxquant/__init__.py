@@ -34,7 +34,6 @@ from .formats import (
     MxFormat,
     MxTensor,
     dequantize_block,
-    dequantize_tensor,
     format_for_bits,
     quantize_block,
     quantize_dequantize,

@@ -10,8 +10,9 @@ The pipeline per training step, for a linear layer Y = X @ W.T:
 The weight side uses the inverse-transpose factors so that with
 quantization and clipping disabled Y~ equals Y exactly for any invertible
 transform. Both sides run one transform -> clip -> qdq operand path
-(_site_operand); fused_forward and the toy block's linear sites in harness
-reuse it.
+(_site_operand); fuse, fused_forward and the toy block's linear sites in
+harness reuse it. Transform and clip blocks are the 32-element MX block
+(formats.BLOCK = g1 * g2), so no outlier moves across a quantization block.
 
 Gradients are a fixed-graph reverse pass hand-derived for this
 pipeline: the quantize-dequantize step is a clipped straight-through
@@ -29,12 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clipping import ClipParams, clip, clip_backward, clip_with_ctx
+from .clipping import ClipParams, clip_backward, clip_with_ctx
 from .errors import DivergenceError, ShapeError
-from .formats import FormatConfig, MxTensor, quantize_dequantize_with_mask, quantize_tensor
+from .formats import BLOCK, FormatConfig, MxTensor, quantize_dequantize_with_mask, quantize_tensor
 from .transform import GpkTransform, gpk_forward
-
-PARAM_NAMES = ("a", "b", "act_min", "act_max", "w_min", "w_max")
 
 
 @dataclass
@@ -80,34 +79,37 @@ class CalibConfig:
     betas: tuple[float, float] = (0.9, 0.999)
     eps: float = 1e-8
     weight_decay: float = 0.0
-    seed: int = 0
-    g: int = 32
-    g1: int = 8
-    g2: int = 4
+    g1: int = 8  # global factor size; g1 * g2 is the MX block, BLOCK
+    g2: int = 4  # private factor size
     clip_init: float = 4.0
 
     def __post_init__(self):
+        for name in ("lr", "weight_decay", "clip_init", "eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} = {getattr(self, name)} is not finite")
         if self.lr < 0:
             raise ValueError("learning rate must be non-negative")
+        if self.eps <= 0:
+            raise ValueError(f"eps = {self.eps} must be positive")
+        for name, b in zip(("beta1", "beta2"), self.betas):
+            if not 0 <= b < 1:
+                raise ValueError(f"{name} = {b} is outside [0, 1)")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be at least 1")
-        if self.g1 * self.g2 != self.g:
-            raise ShapeError(f"g1*g2 = {self.g1 * self.g2} must equal g = {self.g}")
+        if self.g1 * self.g2 != BLOCK:
+            raise ShapeError(f"g1*g2 = {self.g1 * self.g2} must equal the MX block size {BLOCK}")
         if self.schedule not in ("cosine", "constant"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
 
 
 @dataclass
 class CalibRun:
-    """State of a calibration job: data, parameters, trace, optimizer moments."""
+    """Result of a calibration job: weights, learned parameters, loss trace."""
 
     weights: np.ndarray
-    calib_set: list[np.ndarray]
     theta: Theta
-    config: CalibConfig
     formats: FormatConfig
     loss_trace: list[tuple[int, float, float]] = field(default_factory=list)
-    optimizer_state: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -137,23 +139,23 @@ class _StepCtx:
     y: np.ndarray
 
 
-def _site_operand(v, t: GpkTransform, clip_params: ClipParams, fmt, g: int):
+def _site_operand(v, t: GpkTransform, clip_params: ClipParams, fmt):
     """Transform -> clip -> qdq of one matmul operand; fmt None skips qdq.
 
     Returns (out, mask, clip_ctx); mask is None when qdq is skipped.
     """
-    vc, ctx = clip_with_ctx(gpk_forward(v, t), clip_params, g)
+    vc, ctx = clip_with_ctx(gpk_forward(v, t), clip_params)
     if fmt is None:
         return vc, None, ctx
     out, mask = quantize_dequantize_with_mask(vc, fmt)
     return out, mask, ctx
 
 
-def _forward(x, w, theta: Theta, formats: FormatConfig, g: int) -> _StepCtx:
+def _forward(x, w, theta: Theta, formats: FormatConfig) -> _StepCtx:
     t = theta.transform
     wt_factors = t.inverse_transpose()
-    xq, xmask, xctx = _site_operand(x, t, theta.act_clip, formats.activations, g)
-    wq, wmask, wctx = _site_operand(w, wt_factors, theta.weight_clip, formats.weights, g)
+    xq, xmask, xctx = _site_operand(x, t, theta.act_clip, formats.activations)
+    wq, wmask, wctx = _site_operand(w, wt_factors, theta.weight_clip, formats.weights)
     y = xq @ wq.T
     return _StepCtx(x, w, theta, wt_factors, xq, wq, xmask, wmask, xctx, wctx, y)
 
@@ -172,7 +174,7 @@ def _gpk_backward(x, a, b, grad_out):
     return da, db, dx.reshape(np.asarray(x).shape)
 
 
-def _backward(ctx: _StepCtx, y_ref, g: int) -> tuple[float, dict[str, np.ndarray]]:
+def _backward(ctx: _StepCtx, y_ref) -> tuple[float, dict[str, np.ndarray]]:
     diff = ctx.y - y_ref
     loss = float(np.sum(diff * diff))
 
@@ -207,12 +209,9 @@ def _backward(ctx: _StepCtx, y_ref, g: int) -> tuple[float, dict[str, np.ndarray
     return loss, grads
 
 
-def quantized_forward(x, run: CalibRun, formats: FormatConfig | None = None) -> np.ndarray:
+def quantized_forward(x, run: CalibRun) -> np.ndarray:
     """Simulated quantized layer output for a batch, under run.theta."""
-    fmts = formats if formats is not None else run.formats
-    return _forward(
-        np.asarray(x, dtype=np.float64), run.weights, run.theta, fmts, run.config.g
-    ).y
+    return _forward(np.asarray(x, dtype=np.float64), run.weights, run.theta, run.formats).y
 
 
 def loss(y_ref, y_q) -> float:
@@ -224,8 +223,8 @@ def loss(y_ref, y_q) -> float:
 def backward(run: CalibRun, batch) -> dict[str, np.ndarray]:
     """Gradients of the reconstruction loss for one batch under run.theta."""
     x = np.asarray(batch, dtype=np.float64)
-    ctx = _forward(x, run.weights, run.theta, run.formats, run.config.g)
-    _, grads = _backward(ctx, x @ run.weights.T, run.config.g)
+    ctx = _forward(x, run.weights, run.theta, run.formats)
+    _, grads = _backward(ctx, x @ run.weights.T)
     return grads
 
 
@@ -293,8 +292,8 @@ def calibrate_layer(w, calib_set, config: CalibConfig, formats: FormatConfig):
     if w.ndim != 2:
         raise ShapeError(f"weights must be 2-D (out, in), got shape {w.shape}")
     n = w.shape[1]
-    if n % config.g != 0:
-        raise ShapeError(f"input dimension {n} is not a multiple of g = {config.g}")
+    if n % BLOCK != 0:
+        raise ShapeError(f"input dimension {n} is not a multiple of {BLOCK}")
     batches = _as_batches(calib_set, config.batch_size)
     if not batches:
         raise ShapeError("calibration set is empty")
@@ -305,7 +304,7 @@ def calibrate_layer(w, calib_set, config: CalibConfig, formats: FormatConfig):
     theta = Theta.init(n, config.g1, config.g2, config.clip_init)
     params = theta.to_params()
     state = init_opt_state(params)
-    run = CalibRun(w, batches, theta, config, formats, [], state)
+    run = CalibRun(w, theta, formats)
 
     y_refs = [x @ w.T for x in batches]
     total_steps = config.epochs * len(batches)
@@ -313,8 +312,8 @@ def calibrate_layer(w, calib_set, config: CalibConfig, formats: FormatConfig):
     for _epoch in range(config.epochs):
         for x, y_ref in zip(batches, y_refs):
             theta = Theta.from_params(params)
-            ctx = _forward(x, w, theta, formats, config.g)
-            step_loss, grads = _backward(ctx, y_ref, config.g)
+            ctx = _forward(x, w, theta, formats)
+            step_loss, grads = _backward(ctx, y_ref)
             if not math.isfinite(step_loss):
                 raise DivergenceError("non-finite loss", step, run.loss_trace)
             if any(not np.all(np.isfinite(g)) for g in grads.values()):
@@ -324,7 +323,6 @@ def calibrate_layer(w, calib_set, config: CalibConfig, formats: FormatConfig):
             step += 1
 
     run.theta = Theta.from_params(params)
-    run.optimizer_state = state
     run.theta.transform.check_invertible()
     return run, fuse(run)
 
@@ -332,8 +330,7 @@ def calibrate_layer(w, calib_set, config: CalibConfig, formats: FormatConfig):
 def fuse(run: CalibRun) -> FusedLayer:
     """Offline fusion: bake the weight-side pipeline into stored weights."""
     t = run.theta.transform
-    wt = gpk_forward(run.weights, t.inverse_transpose())
-    wc = clip(wt, run.theta.weight_clip, run.config.g)
+    wc, _, _ = _site_operand(run.weights, t.inverse_transpose(), run.theta.weight_clip, None)
     if run.formats.weights is not None:
         w_q = quantize_tensor(wc, run.formats.weights)
     else:
@@ -341,8 +338,8 @@ def fuse(run: CalibRun) -> FusedLayer:
     return FusedLayer(w_q, t, run.theta.act_clip)
 
 
-def fused_forward(x, fused: FusedLayer, formats: FormatConfig, g: int = 32) -> np.ndarray:
+def fused_forward(x, fused: FusedLayer, formats: FormatConfig) -> np.ndarray:
     """Inference with pre-quantized weights and the online activation path."""
-    xq, _, _ = _site_operand(x, fused.transform, fused.act_clip, formats.activations, g)
+    xq, _, _ = _site_operand(x, fused.transform, fused.act_clip, formats.activations)
     w = fused.w_q.to_dense() if isinstance(fused.w_q, MxTensor) else fused.w_q
     return xq @ w.T

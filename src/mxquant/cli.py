@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .calib import calibrate_layer
+from .calib import CalibConfig, calibrate_layer
 from .errors import DataError, MxQuantError, NumericalError
 from .formats import BLOCK, E2M1, FormatConfig, MxTensor, quantize_tensor
 from .harness import build_toy_block, calibrate_block, simulate_block
@@ -42,9 +42,7 @@ def _build_parser() -> _Parser:
     c = sub.add_parser("calibrate", help="calibrate one layer and write its artifacts")
     c.add_argument("--config", required=True, help="flat key=value config file")
     c.add_argument("--out", help="output directory (overrides config)")
-    c.add_argument("--seed", type=int, help="override config seed")
     c.add_argument("--format", dest="format_name", help="override, e.g. W4A4KV16")
-    c.add_argument("--g", type=int, help="quantization block size override")
     c.add_argument("--g1", type=int, help="global factor size override")
     c.add_argument("--g2", type=int, help="private factor size override")
 
@@ -76,8 +74,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_calibrate(args) -> int:
-    overrides = {"seed": args.seed, "format": args.format_name,
-                 "g": args.g, "g1": args.g1, "g2": args.g2, "out": args.out}
+    overrides = {"format": args.format_name, "g1": args.g1, "g2": args.g2, "out": args.out}
     cfg = io.RunConfig.from_file(args.config, overrides)
     if cfg.weights_path is None:
         raise DataError("config is missing the 'weights' entry")
@@ -201,15 +198,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    config = CalibConfig(lr=args.lr) if args.calibrate else None
     spec, formats, seed = io.read_block_spec(args.spec)
     block = build_toy_block(spec, seed=seed)
     rng = np.random.default_rng(seed + 1)
     x = rng.normal(size=(args.rows, spec.hidden))
     _, before = simulate_block(block, x, formats)
-    if args.calibrate:
-        from .calib import CalibConfig
-
-        calibrate_block(block, x, CalibConfig(lr=args.lr), formats)
+    if config is not None:
+        calibrate_block(block, x, config, formats)
         _, after = simulate_block(block, x, formats)
     else:
         after = before

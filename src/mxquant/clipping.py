@@ -6,9 +6,11 @@ clip bounds are sigmoid(alpha) times the block's own extrema:
     lo_i = sigmoid(alpha_min_i) * min(block i)
     hi_i = sigmoid(alpha_max_i) * max(block i)
 
-Extrema are taken over all rows of the tensor for each block index, so a
-(rows, N) tensor yields k = N/g bound pairs. Elements exactly on a bound
-count as interior (the pass-through gradient branch).
+Blocks are the 32-element MX quantization blocks (formats.BLOCK), so a
+clip never straddles two quantization blocks. Extrema are taken over all
+rows of the tensor for each block index, so a (rows, N) tensor yields
+k = N/BLOCK bound pairs. Elements exactly on a bound count as interior (the
+pass-through gradient branch).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
+from .formats import BLOCK
 
 
 def sigmoid(z):
@@ -63,32 +66,31 @@ class ClipCtx:
     """Saved forward state for the backward pass."""
 
     shape: tuple
-    g: int
-    upper: np.ndarray  # bool (rows, k, g): clamped at beta_max
-    lower: np.ndarray  # bool (rows, k, g): clamped at beta_min
+    upper: np.ndarray  # bool (rows, k, BLOCK): clamped at beta_max
+    lower: np.ndarray  # bool (rows, k, BLOCK): clamped at beta_min
     x_min: np.ndarray  # (k,)
     x_max: np.ndarray  # (k,)
-    argmin: np.ndarray  # (k,) flat index into the (rows*g) slab of block i
+    argmin: np.ndarray  # (k,) flat index into the (rows*BLOCK) slab of block i
     argmax: np.ndarray
     params: ClipParams
 
 
-def _blocked(x, g):
+def _blocked(x):
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] % g != 0:
-        raise ShapeError(f"trailing dimension {x.shape[-1]} is not a multiple of g = {g}")
-    return x.reshape(-1, x.shape[-1] // g, g)
+    if x.shape[-1] % BLOCK != 0:
+        raise ShapeError(f"trailing dimension {x.shape[-1]} is not a multiple of {BLOCK}")
+    return x.reshape(-1, x.shape[-1] // BLOCK, BLOCK)
 
 
-def clip(x, params: ClipParams, g: int = 32) -> np.ndarray:
+def clip(x, params: ClipParams) -> np.ndarray:
     """Element-wise clamp of each block to its dynamic bounds."""
-    y, _ = clip_with_ctx(x, params, g)
+    y, _ = clip_with_ctx(x, params)
     return y
 
 
-def clip_with_ctx(x, params: ClipParams, g: int = 32):
+def clip_with_ctx(x, params: ClipParams):
     x = np.asarray(x, dtype=np.float64)
-    xb = _blocked(x, g)
+    xb = _blocked(x)
     if xb.shape[1] != params.k:
         raise ShapeError(f"{xb.shape[1]} blocks but {params.k} clip logit pairs")
     x_min = xb.min(axis=(0, 2))
@@ -104,7 +106,6 @@ def clip_with_ctx(x, params: ClipParams, g: int = 32):
     slabs = xb.transpose(1, 0, 2).reshape(params.k, -1)
     ctx = ClipCtx(
         shape=x.shape,
-        g=g,
         upper=upper,
         lower=lower,
         x_min=x_min,
@@ -125,7 +126,7 @@ def clip_backward(ctx: ClipCtx, grad):
     extremal element itself (bound ratio times the summed clamped grad).
     """
     p = ctx.params
-    gb = _blocked(np.asarray(grad, dtype=np.float64), ctx.g)
+    gb = _blocked(grad)
     interior = ~(ctx.upper | ctx.lower)
     dxb = np.where(interior, gb, 0.0)
 
@@ -141,16 +142,16 @@ def clip_backward(ctx: ClipCtx, grad):
     dslabs[karange, ctx.argmax] += g_up * sigmoid(p.alpha_max)
     dslabs[karange, ctx.argmin] += g_lo * sigmoid(p.alpha_min)
     rows = gb.shape[0]
-    dx = dslabs.reshape(p.k, rows, ctx.g).transpose(1, 0, 2).reshape(ctx.shape)
+    dx = dslabs.reshape(p.k, rows, BLOCK).transpose(1, 0, 2).reshape(ctx.shape)
     return dx, d_alpha_min, d_alpha_max
 
 
-def clip_gradients(x, params: ClipParams, g: int = 32, upstream=None):
+def clip_gradients(x, params: ClipParams, upstream=None):
     """Gradients of clip() w.r.t. x and both logit vectors.
 
     upstream defaults to all-ones, i.e. the gradient of sum(clip(x)).
     """
-    y, ctx = clip_with_ctx(x, params, g)
+    y, ctx = clip_with_ctx(x, params)
     if upstream is None:
         upstream = np.ones_like(y)
     return clip_backward(ctx, upstream)

@@ -258,10 +258,6 @@ def quantize_tensor(x, fmt: MxFormat) -> MxTensor:
     return MxTensor(tuple(np.asarray(x).shape), fmt, se, codes)
 
 
-def dequantize_tensor(t: MxTensor) -> np.ndarray:
-    return t.to_dense()
-
-
 def quantize_dequantize(x, fmt: MxFormat | None) -> np.ndarray:
     """Round-trip through the format (the RTN simulation). None is identity."""
     if fmt is None:

@@ -28,7 +28,7 @@ from scipy.special import erf
 
 from .calib import CalibConfig, Theta, _forward, calibrate_layer
 from .errors import ShapeError
-from .formats import FormatConfig, quantize_dequantize
+from .formats import BLOCK, FormatConfig, quantize_dequantize
 from .transform import GpkTransform, gpk_forward, gpk_inverse_forward
 
 SATURATED_LOGIT = 40.0  # sigmoid is exactly 1.0 in float64
@@ -45,8 +45,10 @@ class ToyBlockSpec:
     def __post_init__(self):
         for name in ("hidden", "head_dim", "mlp_dim"):
             v = getattr(self, name)
-            if v % 32 != 0:
-                raise ShapeError(f"{name} = {v} is not a multiple of 32")
+            if v < BLOCK or v % BLOCK != 0:
+                raise ShapeError(f"{name} = {v} is not a positive multiple of {BLOCK}")
+        if self.n_heads < 1:
+            raise ShapeError(f"n_heads = {self.n_heads} must be at least 1")
         if self.template not in ("text", "vit"):
             raise ValueError(f"unknown template {self.template!r}")
 
@@ -128,8 +130,7 @@ def _block_forward(block: ToyBlock, x, formats: FormatConfig | None, record=None
 
     def lin(site, inp, w):
         if quant:
-            theta = block.sites[site]
-            out = _forward(inp, w, theta, formats, theta.transform.g).y
+            out = _forward(inp, w, block.sites[site], formats).y
         else:
             out = inp @ w.T
         if record is not None:

@@ -15,14 +15,14 @@ Tensor file (.mxbt), little-endian throughout:
 Transform record (.gpkt):
     magic   4 bytes  b"GPKT"
     version u16      1
-    header  5 * u32  N, g, g1, g2, k
+    header  5 * u32  N, g, g1, g2, k   (g = g1 * g2, N = k * g)
     A       g1*g1 float32, row-major
     B       k*g2*g2 float32, row-major (block 0 first)
     optional clip section, 4*k float32: activation alpha_min, activation
     alpha_max, weight alpha_min, weight alpha_max
 
 Config files are flat text, one `key = value` per line; blank lines and
-lines starting with # are ignored.
+lines starting with # are ignored. Keys a reader does not use are ignored.
 """
 
 from __future__ import annotations
@@ -215,7 +215,11 @@ def read_kv_file(path) -> dict[str, str]:
 
 @dataclass
 class RunConfig:
-    """A calibration job parsed from a config file plus CLI overrides."""
+    """A calibration job parsed from a config file plus CLI overrides.
+
+    Transform and clip blocks are the MX block: g1 * g2 must equal BLOCK, and
+    a `g` key is accepted only when it equals BLOCK. No tensor is read here.
+    """
 
     formats: FormatConfig
     calib: CalibConfig
@@ -233,6 +237,9 @@ class RunConfig:
         def num(key, default, cast):
             return cast(kv[key]) if key in kv else default
 
+        if num("g", BLOCK, int) != BLOCK:
+            raise FileFormatError(f"{path}: g = {kv['g']}, but transform and clip blocks "
+                                  f"are the {BLOCK}-element MX block")
         calib = CalibConfig(
             lr=num("lr", 2e-3, float),
             epochs=num("epochs", 5, int),
@@ -241,8 +248,6 @@ class RunConfig:
             betas=(num("beta1", 0.9, float), num("beta2", 0.999, float)),
             eps=num("eps", 1e-8, float),
             weight_decay=num("weight_decay", 0.0, float),
-            seed=num("seed", 0, int),
-            g=num("g", 32, int),
             g1=num("g1", 8, int),
             g2=num("g2", 4, int),
             clip_init=num("clip_init", 4.0, float),

@@ -72,14 +72,17 @@ class GpkTransform:
         return cls(np.eye(g1), np.broadcast_to(np.eye(g2), (k, g2, g2)).copy())
 
     def check_invertible(self) -> None:
-        """Raise SingularTransformError if any factor is near-singular."""
-        ca = np.linalg.cond(self.a)
-        if not np.isfinite(ca) or ca > COND_LIMIT:
+        """Raise SingularTransformError if any factor is non-finite or near-singular."""
+        # np.linalg.cond raises on NaN (its SVD does not converge): test finiteness first
+        ca = np.linalg.cond(self.a) if np.all(np.isfinite(self.a)) else np.nan
+        if not ca <= COND_LIMIT:
             raise SingularTransformError(None, ca)
-        for i in range(self.k):
-            cb = np.linalg.cond(self.b[i])
-            if not np.isfinite(cb) or cb > COND_LIMIT:
-                raise SingularTransformError(i, cb)
+        finite = np.all(np.isfinite(self.b), axis=(1, 2))
+        cb = np.linalg.cond(np.where(finite[:, None, None], self.b, np.eye(self.g2)))
+        cb[~finite] = np.nan
+        bad = np.flatnonzero(~(cb <= COND_LIMIT))
+        if bad.size:
+            raise SingularTransformError(int(bad[0]), cb[bad[0]])
 
     def inverse(self) -> "GpkTransform":
         """Transform built from A^-1 and B_i^-1; undoes the forward pass."""

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle
-from .calib import CalibConfig, Theta, _backward, _forward
+from .calib import Theta, _backward, _forward
 from .formats import BLOCK, E2M1, E4M3, FormatConfig, MxFormat, quantize_tensor
 from .io import read_tensor, write_tensor
 from .oracle import OracleReport
@@ -114,10 +114,9 @@ def check_gradients(seed: int = 3) -> OracleReport:
     """Analytic pipeline gradients versus finite differences, quantization off."""
     rng = np.random.default_rng(seed)
     n, m = 64, 8
-    cfg = CalibConfig(g=32, g1=8, g2=4)
     x = rng.normal(size=(6, n))
     w = rng.normal(size=(m, n))
-    theta = Theta.init(n, cfg.g1, cfg.g2)
+    theta = Theta.init(n, 8, 4)
     params = theta.to_params()
     for key in ("a", "b"):
         params[key] = params[key] + 0.05 * rng.normal(size=params[key].shape)
@@ -125,11 +124,11 @@ def check_gradients(seed: int = 3) -> OracleReport:
     y_ref = x @ w.T + rng.normal(size=(6, m))
 
     def loss_fn(p):
-        ctx = _forward(x, w, Theta.from_params(p), fmts, cfg.g)
+        ctx = _forward(x, w, Theta.from_params(p), fmts)
         return float(np.sum((ctx.y - y_ref) ** 2))
 
-    ctx = _forward(x, w, Theta.from_params(params), fmts, cfg.g)
-    _, grads = _backward(ctx, y_ref, cfg.g)
+    ctx = _forward(x, w, Theta.from_params(params), fmts)
+    _, grads = _backward(ctx, y_ref)
     fd = oracle.finite_diff_oracle(loss_fn, params, h=1e-5)
     worst = max(_rel_err(grads[k], fd[k]) for k in params)
     return OracleReport("pipeline-gradients-vs-fd", 0.0, worst, worst, worst <= 1e-4)

@@ -107,11 +107,11 @@ def test_c05_gradients_match_finite_differences_20_seeds():
             params[key] = rng.normal(size=2) + 1.0
 
         def loss_fn(p):
-            ctx = _forward(x, w, Theta.from_params(p), NO_QUANT, 32)
+            ctx = _forward(x, w, Theta.from_params(p), NO_QUANT)
             return float(np.sum((ctx.y - y_ref) ** 2))
 
-        ctx = _forward(x, w, Theta.from_params(params), NO_QUANT, 32)
-        _, grads = _backward(ctx, y_ref, 32)
+        ctx = _forward(x, w, Theta.from_params(params), NO_QUANT)
+        _, grads = _backward(ctx, y_ref)
         fd = finite_diff_oracle(loss_fn, params, h=1e-5)
         for key in params:
             worst = max(worst, np.abs(grads[key] - fd[key]).max() / np.abs(fd[key]).max())

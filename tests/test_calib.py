@@ -35,14 +35,14 @@ class TestQuantizedForward:
     def test_identity_no_quant_exact(self, rng):
         x = rng.normal(size=(5, 64))
         w = rng.normal(size=(7, 64))
-        run = CalibRun(w, [x], saturated_theta(64), CalibConfig(), NO_QUANT)
+        run = CalibRun(w, saturated_theta(64), NO_QUANT)
         assert quantized_forward(x, run).tobytes() == (x @ w.T).tobytes()
 
     def test_identity_equals_plain_rtn(self, rng):
         # with identity transform and saturated clips the pipeline IS plain RTN
         x = rng.normal(size=(6, 96))
         w = rng.normal(size=(5, 96))
-        run = CalibRun(w, [x], saturated_theta(96), CalibConfig(), W4A4KV16)
+        run = CalibRun(w, saturated_theta(96), W4A4KV16)
         direct = mq.quantize_dequantize(x, mq.E2M1) @ mq.quantize_dequantize(w, mq.E2M1).T
         assert quantized_forward(x, run).tobytes() == direct.tobytes()
 
@@ -51,14 +51,14 @@ class TestQuantizedForward:
         theta.transform = random_transform(rng, 64)
         x = rng.normal(size=(4, 64))
         w = rng.normal(size=(3, 64))
-        run = CalibRun(w, [x], theta, CalibConfig(), NO_QUANT)
+        run = CalibRun(w, theta, NO_QUANT)
         err = np.abs(quantized_forward(x, run) - x @ w.T).max()
         assert err <= 1e-9 * np.abs(x @ w.T).max()
 
     def test_singular_transform_raises(self, rng):
         theta = saturated_theta(64)
         theta.transform.a[:] = 0.0
-        run = CalibRun(rng.normal(size=(3, 64)), [], theta, CalibConfig(), W4A4KV16)
+        run = CalibRun(rng.normal(size=(3, 64)), theta, W4A4KV16)
         with pytest.raises(SingularTransformError):
             quantized_forward(rng.normal(size=(2, 64)), run)
 
@@ -100,11 +100,11 @@ class TestBackward:
             params[key] = rng.normal(size=2) + 1.0
 
         def loss_fn(p):
-            ctx = _forward(x, w, Theta.from_params(p), NO_QUANT, 32)
+            ctx = _forward(x, w, Theta.from_params(p), NO_QUANT)
             return float(np.sum((ctx.y - y_ref) ** 2))
 
-        ctx = _forward(x, w, Theta.from_params(params), NO_QUANT, 32)
-        _, grads = _backward(ctx, y_ref, 32)
+        ctx = _forward(x, w, Theta.from_params(params), NO_QUANT)
+        _, grads = _backward(ctx, y_ref)
         fd = finite_diff_oracle(loss_fn, params, h=1e-5)
         for key in params:
             rel = np.abs(grads[key] - fd[key]).max() / np.abs(fd[key]).max()
@@ -113,8 +113,8 @@ class TestBackward:
     def test_zero_batch_zero_gradients(self, rng):
         n = 64
         w = rng.normal(size=(4, n))
-        ctx = _forward(np.zeros((3, n)), w, saturated_theta(n), W4A4KV16, 32)
-        _, grads = _backward(ctx, np.zeros((3, 4)), 32)
+        ctx = _forward(np.zeros((3, n)), w, saturated_theta(n), W4A4KV16)
+        _, grads = _backward(ctx, np.zeros((3, 4)))
         for g in grads.values():
             assert np.all(g == 0.0)
 
@@ -148,7 +148,7 @@ class TestBackward:
         n = 64
         w = rng.normal(size=(4, n))
         x = rng.normal(size=(6, n))
-        run = CalibRun(w, [x], saturated_theta(n), CalibConfig(), NO_QUANT)
+        run = CalibRun(w, saturated_theta(n), NO_QUANT)
         grads = mq.backward(run, x)
         for g in grads.values():
             assert np.abs(g).max() <= 1e-12

@@ -2,6 +2,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -177,16 +178,16 @@ class TestKvConfig:
         io.write_tensor(tmp_path / "act_1.mxbt", np.zeros((8, 64)))
         rc = io.RunConfig.from_file(cfg)
         assert rc.formats.name == "W4A8KV16"
-        assert rc.calib.lr == 0.01 and rc.calib.epochs == 2 and rc.calib.seed == 7
+        assert rc.calib.lr == 0.01 and rc.calib.epochs == 2
         assert rc.calib.batch_size == 4  # default
         assert len(rc.calib_paths) == 2
         assert rc.weights_path.endswith("w.mxbt")
 
     def test_overrides_win(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("format = W4A4KV16\nseed = 1\n")
-        rc = io.RunConfig.from_file(cfg, {"seed": 9, "format": "W4A8KV8"})
-        assert rc.calib.seed == 9
+        cfg.write_text("format = W4A4KV16\ng1 = 8\ng2 = 4\n")
+        rc = io.RunConfig.from_file(cfg, {"g1": 4, "g2": 8, "format": "W4A8KV8"})
+        assert (rc.calib.g1, rc.calib.g2) == (4, 8)
         assert rc.formats.name == "W4A8KV8"
 
     def test_malformed_line(self, tmp_path):
@@ -209,6 +210,17 @@ def _write_calib_bundle(tmp_path, seed=0, lr="0.02", clip_init="4.0", fmt="W4A4K
         f"weights = w.mxbt\ncalib = acts.mxbt\nout = out\n"
     )
     return cfg, x, w
+
+
+def _expect_one_data_error(argv, capsys, mention):
+    """main(argv) exits 2 with one `mxquant: data:` stderr line that mentions mention."""
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("mxquant: data:") and mention in err[0], err
+    assert not caught, [str(w.message) for w in caught]
 
 
 class TestCli:
@@ -266,6 +278,26 @@ class TestCli:
         cfg.write_text("weights = w.mxbt\ncalib = acts.mxbt\nlr = 1e-3\nepochs = 1\n")
         with np.errstate(all="ignore"):
             assert main(["calibrate", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("blocks", ["g = 64\ng1 = 8\ng2 = 8", "g = 16\ng1 = 4\ng2 = 4"],
+                             ids=["g64", "g16"])
+    def test_calibrate_block_other_than_mx_block_is_data_error(self, tmp_path, capsys, blocks):
+        # a transform or clip block that is not the 32-element MX block straddles
+        # quantization blocks
+        cfg, _, _ = _write_calib_bundle(tmp_path)
+        cfg.write_text(cfg.read_text() + blocks + "\n")
+        _expect_one_data_error(["calibrate", "--config", str(cfg)], capsys, "MX block")
+        assert not (tmp_path / "out" / "loss_trace.csv").exists()
+
+    @pytest.mark.parametrize("line", [
+        "beta1 = 2", "beta2 = 1", "beta1 = -0.1", "lr = nan", "lr = inf", "eps = 0",
+        "eps = nan", "weight_decay = inf", "clip_init = nan",
+    ], ids=lambda line: line.replace(" = ", "="))
+    def test_bad_hyperparameter_rejected_before_compute(self, tmp_path, capsys, line):
+        cfg, _, _ = _write_calib_bundle(tmp_path)
+        cfg.write_text(cfg.read_text() + line + "\n")
+        _expect_one_data_error(["calibrate", "--config", str(cfg)], capsys, line.split()[0])
+        assert not (tmp_path / "out" / "loss_trace.csv").exists()
 
     def test_param_count_table(self, capsys):
         assert main(["param-count", "--n", "4096", "--g", "32", "--g1", "8", "--g2", "4"]) == 0
@@ -359,6 +391,24 @@ class TestCli:
         assert lines[0] == "site,mse_before,mse_after"
         sites = {ln.split(",")[0] for ln in lines[1:]}
         assert sites == {"p_qkv", "p_o", "p_up", "p_down", "output"}
+
+    @pytest.mark.parametrize("bad", [
+        "hidden = 0", "head_dim = 0", "mlp_dim = -32", "n_heads = 0", "--lr inf", "--lr nan",
+    ], ids=lambda bad: bad.strip("-").replace(" = ", "=").replace(" ", "="))
+    def test_simulate_bad_size_or_lr_is_data_error(self, tmp_path, capsys, bad):
+        spec = {"hidden": "128", "head_dim": "32", "n_heads": "4", "mlp_dim": "256"}
+        argv = ["--calibrate"]
+        if bad.startswith("--"):
+            argv += bad.split()
+        else:
+            key, _, value = bad.partition(" = ")
+            spec[key] = value
+        (tmp_path / "block.cfg").write_text("".join(f"{k} = {v}\n" for k, v in spec.items()))
+        out = tmp_path / "report.csv"
+        _expect_one_data_error(["simulate", "--spec", str(tmp_path / "block.cfg"),
+                                "--out", str(out), "--rows", "16", *argv], capsys,
+                               bad.strip("-").split()[0])
+        assert not out.exists()
 
 
 class TestVerifyMutation:

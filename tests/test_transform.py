@@ -103,6 +103,19 @@ class TestInverse:
             t.inverse()
         assert e.value.block_index is None
 
+    @pytest.mark.parametrize("where, index", [("a", None), ("b2", 2)], ids=["a", "b2"])
+    def test_nonfinite_factor_is_singular(self, where, index):
+        # np.linalg.cond raises LinAlgError on NaN; the check must come first
+        t = mq.GpkTransform.identity(128)
+        t.b[3] = 0.0  # a later singular block must not mask the first bad one
+        if where == "a":
+            t.a[2, 5] = np.nan
+        else:
+            t.b[2, 1, 0] = np.nan
+        with pytest.raises(SingularTransformError) as e:
+            t.check_invertible()
+        assert e.value.block_index == index
+
     def test_inverse_transpose_pairing(self, rng):
         # x @ P paired with w @ P^-T preserves the product exactly
         t = random_transform(rng, 96)
