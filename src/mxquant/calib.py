@@ -161,17 +161,22 @@ def _forward(x, w, theta: Theta, formats: FormatConfig) -> _StepCtx:
 
 
 def _gpk_backward(x, a, b, grad_out):
-    """Adjoints of gpk_forward: returns (d_a, d_b, d_x)."""
+    """Adjoints of gpk_forward with respect to its factors: returns (d_a, d_b).
+
+    With V the (g2, g1) block slices of x, T1 = V @ A and gradient G at the
+    output B_i @ T1: d_b[i] = sum over rows of G @ T1.T, and
+    d_a = sum over rows and blocks of V.T @ (B_i.T @ G). Both sums run over
+    stacked slices, so d_a is one GEMM.
+    """
     k, g2 = b.shape[0], b.shape[1]
     g1 = a.shape[0]
-    v = np.asarray(x, dtype=np.float64).reshape(-1, k, g2, g1)
+    v = np.asarray(x, dtype=np.float64).reshape(-1, g1)
     go = np.asarray(grad_out, dtype=np.float64).reshape(-1, k, g2, g1)
-    t1 = np.matmul(v, a)
+    t1 = (v @ a).reshape(go.shape)
+    db = np.matmul(go, t1.transpose(0, 1, 3, 2)).sum(axis=0)
     dt1 = np.matmul(b.transpose(0, 2, 1), go)
-    db = np.einsum("rkil,rkjl->kij", go, t1)
-    da = np.einsum("rkij,rkil->jl", v, dt1)
-    dx = np.matmul(dt1, a.T)
-    return da, db, dx.reshape(np.asarray(x).shape)
+    da = v.T @ dt1.reshape(-1, g1)
+    return da, db
 
 
 def _backward(ctx: _StepCtx, y_ref) -> tuple[float, dict[str, np.ndarray]]:
@@ -189,8 +194,8 @@ def _backward(ctx: _StepCtx, y_ref) -> tuple[float, dict[str, np.ndarray]]:
     dwt, d_w_min, d_w_max = clip_backward(ctx.wclip_ctx, dwc)
 
     t = ctx.theta.transform
-    da_act, db_act, _ = _gpk_backward(ctx.x, t.a, t.b, dxt)
-    da_p, db_p, _ = _gpk_backward(ctx.w, ctx.wt_factors.a, ctx.wt_factors.b, dwt)
+    da_act, db_act = _gpk_backward(ctx.x, t.a, t.b, dxt)
+    da_p, db_p = _gpk_backward(ctx.w, ctx.wt_factors.a, ctx.wt_factors.b, dwt)
 
     # weight path runs through A' = A^-T, B' = B^-T; map those gradients back
     ait = ctx.wt_factors.a  # A^-T

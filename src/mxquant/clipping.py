@@ -88,30 +88,44 @@ def clip(x, params: ClipParams) -> np.ndarray:
     return y
 
 
+def _first_extremum(xb, row_ext, ext, arg):
+    """Flat (row * BLOCK + element) index of each block's first extremum.
+
+    row_ext holds the per-row block extrema (rows, k) and ext their
+    reduction (k,). The first row holding ext, then arg (np.argmin or
+    np.argmax) within that row, is the first occurrence in row-major
+    (row, element) order, without copying the (k, rows * BLOCK) slabs.
+    """
+    karange = np.arange(xb.shape[1])
+    row = np.argmax(row_ext == ext, axis=0)
+    return row * BLOCK + arg(xb[row, karange], axis=1)
+
+
 def clip_with_ctx(x, params: ClipParams):
     x = np.asarray(x, dtype=np.float64)
     xb = _blocked(x)
     if xb.shape[1] != params.k:
         raise ShapeError(f"{xb.shape[1]} blocks but {params.k} clip logit pairs")
-    x_min = xb.min(axis=(0, 2))
-    x_max = xb.max(axis=(0, 2))
+    row_min = xb.min(axis=2)
+    row_max = xb.max(axis=2)
+    x_min = row_min.min(axis=0)
+    x_max = row_max.max(axis=0)
     lo = sigmoid(params.alpha_min) * x_min
     hi = sigmoid(params.alpha_max) * x_max
 
-    y1 = np.maximum(xb, lo[None, :, None])
-    upper = y1 > hi[None, :, None]
+    y = np.maximum(xb, lo[None, :, None])
+    upper = y > hi[None, :, None]
     lower = (xb < lo[None, :, None]) & ~upper
-    y = np.where(upper, hi[None, :, None], y1)
+    np.copyto(y, hi[None, :, None], where=upper)
 
-    slabs = xb.transpose(1, 0, 2).reshape(params.k, -1)
     ctx = ClipCtx(
         shape=x.shape,
         upper=upper,
         lower=lower,
         x_min=x_min,
         x_max=x_max,
-        argmin=slabs.argmin(axis=1),
-        argmax=slabs.argmax(axis=1),
+        argmin=_first_extremum(xb, row_min, x_min, np.argmin),
+        argmax=_first_extremum(xb, row_max, x_max, np.argmax),
         params=params,
     )
     return y.reshape(x.shape), ctx
@@ -127,8 +141,7 @@ def clip_backward(ctx: ClipCtx, grad):
     """
     p = ctx.params
     gb = _blocked(grad)
-    interior = ~(ctx.upper | ctx.lower)
-    dxb = np.where(interior, gb, 0.0)
+    dxb = np.where(ctx.upper | ctx.lower, 0.0, gb)
 
     g_up = np.where(ctx.upper, gb, 0.0).sum(axis=(0, 2))  # (k,)
     g_lo = np.where(ctx.lower, gb, 0.0).sum(axis=(0, 2))
@@ -137,13 +150,10 @@ def clip_backward(ctx: ClipCtx, grad):
     d_alpha_min = g_lo * sigmoid_grad(p.alpha_min) * ctx.x_min
 
     # extremum path: d hi / d x[argmax] = sigmoid(alpha_max), same for min
-    dslabs = dxb.transpose(1, 0, 2).reshape(p.k, -1)
     karange = np.arange(p.k)
-    dslabs[karange, ctx.argmax] += g_up * sigmoid(p.alpha_max)
-    dslabs[karange, ctx.argmin] += g_lo * sigmoid(p.alpha_min)
-    rows = gb.shape[0]
-    dx = dslabs.reshape(p.k, rows, BLOCK).transpose(1, 0, 2).reshape(ctx.shape)
-    return dx, d_alpha_min, d_alpha_max
+    dxb[ctx.argmax // BLOCK, karange, ctx.argmax % BLOCK] += g_up * sigmoid(p.alpha_max)
+    dxb[ctx.argmin // BLOCK, karange, ctx.argmin % BLOCK] += g_lo * sigmoid(p.alpha_min)
+    return dxb.reshape(ctx.shape), d_alpha_min, d_alpha_max
 
 
 def clip_gradients(x, params: ClipParams, upstream=None):

@@ -12,21 +12,31 @@ Element rule: each value is divided by the scale and mapped to the nearest
 magnitude in the format's value set, ties on exact midpoints going to the
 even code index. Magnitudes above the largest grid value saturate.
 
-The nearest index is computed arithmetically, not searched. The value sets
-are IEEE-like: binade e (from the smallest normal exponent emin up) holds
-2^mantissa_bits evenly spaced magnitudes with step 2^(e - mantissa_bits),
-and the subnormals below 2^emin continue that spacing down to zero. So for
-a scaled magnitude r in binade e (subnormals use e = emin),
+Rounding is arithmetic, not a search. The value sets are IEEE-like:
+binade e (from the smallest normal exponent emin up) holds 2^mantissa_bits
+evenly spaced magnitudes with step 2^(e - mantissa_bits), and the
+subnormals below 2^emin continue that spacing down to zero. So for a scaled
+magnitude r in binade e (subnormals use e = emin),
 ``n = rint(r * 2^(mantissa_bits - e))`` is the nearest grid multiple, and
 ``n + ((e - emin) << mantissa_bits)`` is its value-set index; n = 2^(m+1)
 lands on the first entry of the next binade. Ties are exact midpoints,
 where rint picks the even n, and the binade offset is even, so an even n is
-an even index. Indices past the top entry (including the excluded E4M3 NaN
-slot) clamp to it, which is saturation. Magnitudes are still read from the
-value set by index.
+an even index.
+
+The binade step (e and n) is one float64 addition shared by encode and
+qdq: the unit u = 2^(e - m + 52) has a float64 ulp of exactly the grid step
+2^(e - m), and r < 2^(e+1) keeps r + u inside u's binade, so r + u rounds
+(to nearest, ties to even) to u + n * 2^(e - m). Subtracting u leaves the
+rounded magnitude n * 2^(e - m) exactly; the bits of r + u minus the bits
+of u are n. Encode turns (e, n) into the index above and clamps it to the
+top entry; qdq keeps the magnitude and clamps it to max_value. The two
+clamps agree: index -> magnitude is increasing, and the first index past
+the top entry (the excluded E4M3 NaN slot, or E2M1's n = 2^(m+1) in the top
+binade) already lies above max_value. Either clamp is saturation.
 
 The codec works on a C-contiguous (n_blocks, 32) float64 view; scaling by
-2^e is done with ldexp, which is exact.
+2^e is a product with an exact power of two, which rounds only where the
+result leaves the float64 normal range, exactly as ldexp would.
 """
 
 from __future__ import annotations
@@ -73,6 +83,11 @@ class MxFormat:
     @property
     def sign_shift(self) -> int:
         return self.bits - 1
+
+    @property
+    def emin(self) -> int:
+        """Smallest normal element exponent (IEEE bias rule)."""
+        return 2 - 2 ** (self.exp_bits - 1)
 
     @property
     def max_value(self) -> float:
@@ -171,38 +186,50 @@ class MxTensor:
 # -- block codec -----------------------------------------------------------
 
 
-def _scale_exps(xb, emax):
-    maxabs = np.max(np.abs(xb), axis=1)
+_EXP_FIELD = np.int64(0x7FF0000000000000)  # exponent bits of a float64
+
+
+def _scaled_magnitudes(xb, fmt: MxFormat):
+    """Block scale exponents and the magnitudes |v| / 2^scale, one per element.
+
+    Rejects non-finite input: a block maximum is finite only if its block is.
+    """
+    r = np.abs(xb)
+    maxabs = r.max(axis=1)
+    _check_finite(maxabs)
     _, ex = np.frexp(maxabs)  # maxabs = m * 2^ex, m in [0.5, 1)
-    se = np.clip(ex.astype(np.int64) - 1 - emax, -127, 127)
+    se = np.clip(ex.astype(np.int64) - 1 - fmt.emax, -127, 127)
     se[maxabs == 0.0] = 0
-    return se
+    r *= np.ldexp(1.0, -se)[:, None]  # a power-of-two product: rounds as ldexp does
+    return se, r
 
 
-def _nearest_idx(r, fmt: MxFormat):
-    """Value-set index (uint8) nearest to each magnitude r, ties to even."""
-    m = fmt.mantissa_bits
-    emin = 2 - 2 ** (fmt.exp_bits - 1)
-    e = np.frexp(np.maximum(r, 2.0**emin))[1]  # int32, floor(log2) + 1
-    e -= 1
-    n = np.ldexp(r, m - e)
-    np.rint(n, out=n)
-    e -= emin
-    e <<= m
-    e += n.astype(np.int32)
-    return np.minimum(e, len(fmt.value_set) - 1).astype(np.uint8)
+def _binade_round(r, fmt: MxFormat):
+    """The binade step, in place: r += u with u = 2^(e - m + 52) per element.
 
-
-def _round_blocks(xb, fmt: MxFormat):
-    """Block scale exponents, scaled magnitudes and nearest value-set indices."""
-    se = _scale_exps(xb, fmt.emax)
-    r = np.abs(np.ldexp(xb, -se[:, None]))
-    return se, r, _nearest_idx(r, fmt)
+    e is r's binade (emin for subnormals), so the sum rounds r to its grid,
+    ties to even (see the module docstring). Returns u.
+    """
+    u = np.maximum(r, 2.0**fmt.emin)
+    ui = u.view(np.int64)
+    ui &= _EXP_FIELD
+    ui += (52 - fmt.mantissa_bits) << 52
+    r += u
+    return u
 
 
 def _encode_blocks(xb, fmt: MxFormat):
-    se, _, idx = _round_blocks(xb, fmt)
-    codes = (np.signbit(xb).astype(np.uint8) << fmt.sign_shift) | idx
+    m = fmt.mantissa_bits
+    se, r = _scaled_magnitudes(xb, fmt)
+    ui = _binade_round(r, fmt).view(np.int64)
+    idx = r.view(np.int64)
+    idx -= ui  # n
+    ui >>= 52  # biased exponent of u: e - m + 52 + 1023
+    ui -= 1075 - m + fmt.emin
+    ui <<= m
+    idx += ui  # n + ((e - emin) << m)
+    np.minimum(idx, len(fmt.value_set) - 1, out=idx)
+    codes = (np.signbit(xb).astype(np.uint8) << fmt.sign_shift) | idx.astype(np.uint8)
     return se.astype(np.int8), codes
 
 
@@ -213,10 +240,12 @@ def _decode_blocks(scale_exps, codes, fmt: MxFormat):
 
 
 def _qdq_blocks(xb, fmt: MxFormat):
-    se, r, idx = _round_blocks(xb, fmt)
-    mag = fmt.value_set[idx]
-    y = np.ldexp(np.where(np.signbit(xb), -mag, mag), se[:, None])
-    return y, r <= fmt.value_set[-1]
+    se, r = _scaled_magnitudes(xb, fmt)
+    mask = r <= fmt.max_value
+    r -= _binade_round(r, fmt)  # n * 2^(e - m)
+    np.minimum(r, fmt.max_value, out=r)
+    r *= np.ldexp(1.0, se)[:, None]
+    return np.copysign(r, xb, out=r), mask
 
 
 def _check_finite(x):
@@ -239,7 +268,6 @@ def quantize_block(values, fmt: MxFormat) -> MxBlock:
     v = np.ascontiguousarray(values, dtype=np.float64)
     if v.shape != (BLOCK,):
         raise ShapeError(f"a block holds exactly {BLOCK} elements, got shape {v.shape}")
-    _check_finite(v)
     se, codes = _encode_blocks(v.reshape(1, BLOCK), fmt)
     return MxBlock(int(se[0]), codes[0])
 
@@ -252,9 +280,7 @@ def dequantize_block(block: MxBlock, fmt: MxFormat) -> np.ndarray:
 
 def quantize_tensor(x, fmt: MxFormat) -> MxTensor:
     """Quantize a dense tensor block-wise along its innermost axis."""
-    xb = _block_view(x)
-    _check_finite(xb)
-    se, codes = _encode_blocks(xb, fmt)
+    se, codes = _encode_blocks(_block_view(x), fmt)
     return MxTensor(tuple(np.asarray(x).shape), fmt, se, codes)
 
 
@@ -273,7 +299,5 @@ def quantize_dequantize_with_mask(x, fmt: MxFormat):
     i.e. where the element saturated.
     """
     x = np.asarray(x, dtype=np.float64)
-    xb = _block_view(x)
-    _check_finite(xb)
-    y, mask = _qdq_blocks(xb, fmt)
+    y, mask = _qdq_blocks(_block_view(x), fmt)
     return y.reshape(x.shape), mask.reshape(x.shape)

@@ -22,7 +22,8 @@ Transform record (.gpkt):
     alpha_max, weight alpha_min, weight alpha_max
 
 Config files are flat text, one `key = value` per line; blank lines and
-lines starting with # are ignored. Keys a reader does not use are ignored.
+lines starting with # are ignored. A key the reader does not know is an
+error, so a misspelt key cannot fall back to a default silently.
 """
 
 from __future__ import annotations
@@ -200,7 +201,8 @@ def read_transform_record(path):
 # -- flat key=value config files ------------------------------------------
 
 
-def read_kv_file(path) -> dict[str, str]:
+def read_kv_file(path, keys) -> dict[str, str]:
+    """Parse a config file; raises FileFormatError for a key not in keys."""
     out: dict[str, str] = {}
     for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
@@ -209,8 +211,18 @@ def read_kv_file(path) -> dict[str, str]:
         if "=" not in line:
             raise FileFormatError(f"{path}:{ln}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in keys:
+            raise FileFormatError(f"{path}:{ln}: unknown key {key!r}")
+        out[key] = value.strip()
     return out
+
+
+_RUN_KEYS = frozenset({
+    "format", "lr", "epochs", "batch_size", "schedule", "beta1", "beta2", "eps",
+    "weight_decay", "g1", "g2", "clip_init", "weights", "calib", "out", "g", "seed",
+})
+_SPEC_KEYS = frozenset({"hidden", "head_dim", "n_heads", "mlp_dim", "template", "format", "seed"})
 
 
 @dataclass
@@ -218,7 +230,10 @@ class RunConfig:
     """A calibration job parsed from a config file plus CLI overrides.
 
     Transform and clip blocks are the MX block: g1 * g2 must equal BLOCK, and
-    a `g` key is accepted only when it equals BLOCK. No tensor is read here.
+    a `g` key is accepted only when it equals BLOCK. A `seed` key is accepted
+    and ignored (calibration draws no random numbers); both keys stay so
+    that configs which name them still run. Any other key outside _RUN_KEYS is
+    an error. No tensor is read here.
     """
 
     formats: FormatConfig
@@ -229,7 +244,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "RunConfig":
-        kv = read_kv_file(path)
+        kv = read_kv_file(path, _RUN_KEYS)
         if overrides:
             kv.update({k: str(v) for k, v in overrides.items() if v is not None})
         base = Path(path).parent
@@ -305,7 +320,7 @@ def read_block_spec(path):
     """Parse a toy-block spec file into (ToyBlockSpec, FormatConfig, seed)."""
     from .harness import ToyBlockSpec
 
-    kv = read_kv_file(path)
+    kv = read_kv_file(path, _SPEC_KEYS)
     try:
         spec = ToyBlockSpec(
             hidden=int(kv["hidden"]),

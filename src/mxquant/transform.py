@@ -114,13 +114,14 @@ def _split_blocks(x: np.ndarray, t: GpkTransform) -> np.ndarray:
 def gpk_forward(x: np.ndarray, t: GpkTransform) -> np.ndarray:
     """Apply the factored transform to the trailing axis of x.
 
-    Two batched contractions: V @ A then B_i @ (V @ A), per block.
+    Two contractions: V @ A for every block at once (A is shared, so one
+    GEMM over all (rows * k * g2, g1) slices), then B_i @ (V @ A) per block.
     Cost is rows * N * (g1 + g2) multiply-adds.
     """
     lead = np.asarray(x).shape[:-1]
     v = _split_blocks(x, t)
-    out = np.matmul(t.b, np.matmul(v, t.a))
-    return out.reshape(*lead, t.n)
+    va = (v.reshape(-1, t.g1) @ t.a).reshape(v.shape)
+    return np.matmul(t.b, va).reshape(*lead, t.n)
 
 
 def gpk_inverse_forward(x: np.ndarray, t: GpkTransform) -> np.ndarray:

@@ -130,18 +130,58 @@ class TestBackward:
 
         y = mq.gpk_forward(x, t)
         go_full = 2.0 * y
-        da_full, _, _ = _gpk_backward(x, t.a, t.b, go_full)
+        da_full, _ = _gpk_backward(x, t.a, t.b, go_full)
 
         total = np.zeros_like(t.a)
         for i in range(3):
             go = np.zeros_like(y).reshape(4, 3, 32)
             go[:, i, :] = 2.0 * y.reshape(4, 3, 32)[:, i, :]
-            da_i, _, _ = _gpk_backward(x, t.a, t.b, go.reshape(4, 96))
+            da_i, _ = _gpk_backward(x, t.a, t.b, go.reshape(4, 96))
             fd = finite_diff_oracle(lambda d, i=i: block_loss(d, i), {"a": t.a.copy()}, h=1e-5)
             assert np.abs(da_i - fd["a"]).max() / np.abs(fd["a"]).max() <= 1e-4
             assert np.abs(da_i).max() > 0
             total += da_i
         assert np.allclose(total, da_full, rtol=1e-12, atol=1e-12)
+
+    def test_factor_adjoints_match_einsum_at_scale(self, rng):
+        # 512 rows, W4A4, active clipping and saturation: the GEMM-shaped
+        # adjoints equal the direct einsum contractions
+        n, m, rows = 256, 96, 512
+        x = rng.normal(size=(rows, n))
+        x[:, [5, 77, 200]] *= 40.0
+        w = rng.normal(size=(m, n)) / 16.0
+        w[:, 130] *= 30.0
+        params = Theta.init(n).to_params()
+        params["a"] += 0.1 * rng.normal(size=params["a"].shape)
+        params["b"] += 0.1 * rng.normal(size=params["b"].shape)
+        for key in ("act_min", "act_max", "w_min", "w_max"):
+            params[key] = rng.normal(size=n // 32)
+        theta = Theta.from_params(params)
+        ctx = _forward(x, w, theta, W4A4KV16)
+        assert not ctx.xmask.all() and not ctx.wmask.all()  # some saturation
+        assert ctx.wclip_ctx.upper.any() and ctx.wclip_ctx.lower.any()
+        _, grads = _backward(ctx, x @ w.T)
+
+        def old_adjoints(v, a, b, go):
+            # the einsum form of the gpk_forward adjoints
+            k, g2, g1 = b.shape[0], b.shape[1], a.shape[0]
+            v = v.reshape(-1, k, g2, g1)
+            go = go.reshape(-1, k, g2, g1)
+            t1 = np.matmul(v, a)
+            dt1 = np.matmul(b.transpose(0, 2, 1), go)
+            return np.einsum("rkij,rkil->jl", v, dt1), np.einsum("rkil,rkjl->kij", go, t1)
+
+        dy = 2.0 * (ctx.y - x @ w.T)
+        dxt, _, _ = mq.clipping.clip_backward(ctx.xclip_ctx, (dy @ ctx.wq) * ctx.xmask)
+        dwt, _, _ = mq.clipping.clip_backward(ctx.wclip_ctx, (dy.T @ ctx.xq) * ctx.wmask)
+        t = theta.transform
+        da_x, db_x = old_adjoints(x, t.a, t.b, dxt)
+        da_p, db_p = old_adjoints(w, ctx.wt_factors.a, ctx.wt_factors.b, dwt)
+        ait, bit = ctx.wt_factors.a, ctx.wt_factors.b
+        want_a = da_x - ait @ da_p.T @ ait
+        want_b = db_x - np.matmul(bit, np.matmul(db_p.transpose(0, 2, 1), bit))
+        for got, want in ((grads["a"], want_a), (grads["b"], want_b)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_backward_api_zero_at_perfect_fit(self, rng):
         # identity pipeline without quantization reproduces y exactly: grads vanish

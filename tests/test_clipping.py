@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mxquant as mq
-from mxquant.clipping import ClipParams, clip, clip_gradients, sigmoid
+from mxquant.clipping import ClipParams, clip, clip_gradients, clip_with_ctx, sigmoid
 from mxquant.errors import ShapeError
 from mxquant.oracle import finite_diff_oracle
 
@@ -162,6 +162,42 @@ class TestClipGradients:
             down = np.sum(weights * clip(xp, p))
             fd[i] = (up - down) / (2 * h)
         assert np.max(np.abs(dx - fd)) / np.abs(fd).max() <= 1e-4
+
+    def test_tied_extrema_take_first_occurrence(self, rng):
+        # small integers: each block's max and min repeat within a row and
+        # across rows; in blocks 1 and 2 they first appear below row 0
+        x = rng.integers(-3, 4, size=(6, 96)).astype(np.float64)
+        x[:2, 32:64] = np.clip(x[:2, 32:64], -2, 2)
+        x[:4, 64:] = np.clip(x[:4, 64:], -2, 2)
+        xb = x.reshape(6, 3, 32)
+        for ext in (3.0, -3.0):
+            hits = xb == ext
+            assert np.all(hits.any(axis=2).sum(axis=0) > 1)  # in several rows
+            first = hits.any(axis=2).argmax(axis=0)
+            assert np.all(hits[first, np.arange(3)].sum(axis=1) > 1)  # twice in that row
+        slabs = xb.transpose(1, 0, 2).reshape(3, -1)
+        want_max, want_min = slabs.argmax(axis=1), slabs.argmin(axis=1)
+        assert want_max[2] >= 4 * 32 and want_min[2] >= 4 * 32
+
+        p = ClipParams(np.array([0.0, 0.3, -0.2]), np.array([0.0, -0.4, 0.5]))
+        _, ctx = clip_with_ctx(x, p)
+        assert np.array_equal(ctx.argmax, want_max)
+        assert np.array_equal(ctx.argmin, want_min)
+
+        # the extremum term lands on exactly that element and nowhere else
+        up = rng.uniform(0.5, 1.5, size=x.shape)
+        dx, _, _ = clip_gradients(x, p, upstream=up)
+        upb = up.reshape(xb.shape)
+        term = dx.reshape(xb.shape) - np.where(ctx.upper | ctx.lower, 0.0, upb)
+        expect = np.zeros_like(term)
+        karange = np.arange(3)
+        g_up = np.where(ctx.upper, upb, 0.0).sum(axis=(0, 2))
+        g_lo = np.where(ctx.lower, upb, 0.0).sum(axis=(0, 2))
+        assert np.all(g_up > 0) and np.all(g_lo > 0)
+        expect[want_max // 32, karange, want_max % 32] += g_up * sigmoid(p.alpha_max)
+        expect[want_min // 32, karange, want_min % 32] += g_lo * sigmoid(p.alpha_min)
+        assert np.array_equal(term != 0, expect != 0)
+        assert np.allclose(term, expect, rtol=1e-14, atol=0)
 
     def test_saturated_gradient_bound(self, rng):
         # |d/d_alpha| <= sigmoid'(alpha) * max|x| and vanishes as alpha grows

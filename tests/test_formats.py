@@ -183,6 +183,16 @@ class TestQuantizeTensor:
         t = mq.quantize_tensor(x, fmt)
         assert np.array_equal(t.codes, codes)
         assert mq.quantize_dequantize(x, fmt).tobytes() == dec.tobytes()
+        # the straight-through mask is the documented r <= max_value, with the
+        # block scale written out here rather than taken from the codec
+        maxabs = np.abs(x).max(axis=1)
+        se = np.clip(np.frexp(maxabs)[1].astype(np.int64) - 1 - fmt.emax, -127, 127)
+        se[maxabs == 0.0] = 0
+        r = np.abs(np.ldexp(x, -se[:, None]))
+        y, mask = mq.quantize_dequantize_with_mask(x, fmt)
+        assert np.array_equal(mask, r <= fmt.max_value)
+        assert not mask[n // 4 : n // 2, 0].any()  # just below 2**(emax+1) saturates
+        assert mask[-2, :16].all() and np.signbit(y[-2, :16]).all()  # -0.0 stays -0.0
 
     def test_qdq_none_is_identity(self, rng):
         x = rng.normal(size=(4, 32))

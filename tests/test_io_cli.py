@@ -221,6 +221,7 @@ def _expect_one_data_error(argv, capsys, mention):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("mxquant: data:") and mention in err[0], err
     assert not caught, [str(w.message) for w in caught]
+    return err[0]
 
 
 class TestCli:
@@ -288,6 +289,28 @@ class TestCli:
         cfg.write_text(cfg.read_text() + blocks + "\n")
         _expect_one_data_error(["calibrate", "--config", str(cfg)], capsys, "MX block")
         assert not (tmp_path / "out" / "loss_trace.csv").exists()
+
+    @pytest.mark.parametrize("line", ["epoch = 1", "learning_rate = 0.5", "g_1 = 4"],
+                             ids=lambda line: line.split()[0])
+    def test_calibrate_unknown_key_is_data_error(self, tmp_path, capsys, line):
+        # a misspelt key (epoch for epochs) used to calibrate with the default
+        cfg, _, _ = _write_calib_bundle(tmp_path)
+        cfg.write_text(cfg.read_text() + line + "\n")
+        key = line.split()[0]
+        err = _expect_one_data_error(["calibrate", "--config", str(cfg)], capsys,
+                                     f"unknown key {key!r}")
+        assert str(cfg) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_calibrate_accepts_g32_and_seed(self, tmp_path):
+        # configs that name the MX block and a seed keep running; seed is a no-op
+        cfg, _, _ = _write_calib_bundle(tmp_path)
+        base = cfg.read_text()
+        assert main(["calibrate", "--config", str(cfg)]) == 0
+        plain = (tmp_path / "out" / "loss_trace.csv").read_bytes()
+        cfg.write_text(base + "g = 32\nseed = 123\n")
+        assert main(["calibrate", "--config", str(cfg)]) == 0
+        assert (tmp_path / "out" / "loss_trace.csv").read_bytes() == plain
 
     @pytest.mark.parametrize("line", [
         "beta1 = 2", "beta2 = 1", "beta1 = -0.1", "lr = nan", "lr = inf", "eps = 0",
@@ -391,6 +414,19 @@ class TestCli:
         assert lines[0] == "site,mse_before,mse_after"
         sites = {ln.split(",")[0] for ln in lines[1:]}
         assert sites == {"p_qkv", "p_o", "p_up", "p_down", "output"}
+
+    @pytest.mark.parametrize("line", ["heads = 4", "mlp = 256", "seeed = 3"],
+                             ids=lambda line: line.split()[0])
+    def test_simulate_unknown_spec_key_is_data_error(self, tmp_path, capsys, line):
+        spec = tmp_path / "block.cfg"
+        spec.write_text("hidden = 128\nhead_dim = 32\nn_heads = 4\nmlp_dim = 256\n"
+                        "template = text\nformat = W4A4KV16\nseed = 3\n" + line + "\n")
+        out = tmp_path / "report.csv"
+        key = line.split()[0]
+        err = _expect_one_data_error(["simulate", "--spec", str(spec), "--out", str(out),
+                                      "--rows", "16"], capsys, f"unknown key {key!r}")
+        assert str(spec) in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("bad", [
         "hidden = 0", "head_dim = 0", "mlp_dim = -32", "n_heads = 0", "--lr inf", "--lr nan",
