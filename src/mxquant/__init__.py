@@ -14,7 +14,7 @@ from .calib import (
     loss,
     quantized_forward,
 )
-from .clipping import ClipParams, clip, clip_gradients
+from .clipping import ClipParams, clip_gradients
 from .errors import (
     DataError,
     DivergenceError,
@@ -46,7 +46,6 @@ from .transform import (
     block_hadamard,
     gpk_forward,
     gpk_inverse_forward,
-    madd_count,
     param_count,
 )
 

@@ -12,7 +12,8 @@ quantization and clipping disabled Y~ equals Y exactly for any invertible
 transform. Both sides run one transform -> clip -> qdq operand path
 (_site_operand); fuse, fused_forward and the toy block's linear sites in
 harness reuse it. Transform and clip blocks are the 32-element MX block
-(formats.BLOCK = g1 * g2), so no outlier moves across a quantization block.
+(formats.BLOCK, split as transform.G1 x transform.G2), so no outlier moves
+across a quantization block.
 
 Gradients are a fixed-graph reverse pass hand-derived for this
 pipeline: the quantize-dequantize step is a clipped straight-through
@@ -33,7 +34,7 @@ import numpy as np
 from .clipping import ClipParams, clip_backward, clip_with_ctx
 from .errors import DivergenceError, ShapeError
 from .formats import BLOCK, FormatConfig, MxTensor, quantize_dequantize_with_mask, quantize_tensor
-from .transform import GpkTransform, gpk_forward
+from .transform import G1, G2, GpkTransform, gpk_forward
 
 
 @dataclass
@@ -45,8 +46,8 @@ class Theta:
     weight_clip: ClipParams
 
     @classmethod
-    def init(cls, n: int, g1: int = 8, g2: int = 4, clip_init: float = 4.0) -> "Theta":
-        t = GpkTransform.identity(n, g1, g2)
+    def init(cls, n: int, clip_init: float = 4.0) -> "Theta":
+        t = GpkTransform.identity(n)
         return cls(t, ClipParams.init(t.k, clip_init), ClipParams.init(t.k, clip_init))
 
     def to_params(self) -> dict[str, np.ndarray]:
@@ -79,8 +80,6 @@ class CalibConfig:
     betas: tuple[float, float] = (0.9, 0.999)
     eps: float = 1e-8
     weight_decay: float = 0.0
-    g1: int = 8  # global factor size; g1 * g2 is the MX block, BLOCK
-    g2: int = 4  # private factor size
     clip_init: float = 4.0
 
     def __post_init__(self):
@@ -96,8 +95,6 @@ class CalibConfig:
                 raise ValueError(f"{name} = {b} is outside [0, 1)")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be at least 1")
-        if self.g1 * self.g2 != BLOCK:
-            raise ShapeError(f"g1*g2 = {self.g1 * self.g2} must equal the MX block size {BLOCK}")
         if self.schedule not in ("cosine", "constant"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
 
@@ -163,19 +160,17 @@ def _forward(x, w, theta: Theta, formats: FormatConfig) -> _StepCtx:
 def _gpk_backward(x, a, b, grad_out):
     """Adjoints of gpk_forward with respect to its factors: returns (d_a, d_b).
 
-    With V the (g2, g1) block slices of x, T1 = V @ A and gradient G at the
+    With V the (G2, G1) block slices of x, T1 = V @ A and gradient G at the
     output B_i @ T1: d_b[i] = sum over rows of G @ T1.T, and
     d_a = sum over rows and blocks of V.T @ (B_i.T @ G). Both sums run over
     stacked slices, so d_a is one GEMM.
     """
-    k, g2 = b.shape[0], b.shape[1]
-    g1 = a.shape[0]
-    v = np.asarray(x, dtype=np.float64).reshape(-1, g1)
-    go = np.asarray(grad_out, dtype=np.float64).reshape(-1, k, g2, g1)
+    v = np.asarray(x, dtype=np.float64).reshape(-1, G1)
+    go = np.asarray(grad_out, dtype=np.float64).reshape(-1, b.shape[0], G2, G1)
     t1 = (v @ a).reshape(go.shape)
     db = np.matmul(go, t1.transpose(0, 1, 3, 2)).sum(axis=0)
     dt1 = np.matmul(b.transpose(0, 2, 1), go)
-    da = v.T @ dt1.reshape(-1, g1)
+    da = v.T @ dt1.reshape(-1, G1)
     return da, db
 
 
@@ -306,7 +301,7 @@ def calibrate_layer(w, calib_set, config: CalibConfig, formats: FormatConfig):
         if x.ndim != 2 or x.shape[1] != n:
             raise ShapeError(f"batch {bi} has shape {x.shape}, expected (*, {n})")
 
-    theta = Theta.init(n, config.g1, config.g2, config.clip_init)
+    theta = Theta.init(n, config.clip_init)
     params = theta.to_params()
     state = init_opt_state(params)
     run = CalibRun(w, theta, formats)

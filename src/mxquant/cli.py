@@ -43,8 +43,6 @@ def _build_parser() -> _Parser:
     c.add_argument("--config", required=True, help="flat key=value config file")
     c.add_argument("--out", help="output directory (overrides config)")
     c.add_argument("--format", dest="format_name", help="override, e.g. W4A4KV16")
-    c.add_argument("--g1", type=int, help="global factor size override")
-    c.add_argument("--g2", type=int, help="private factor size override")
 
     s = sub.add_parser("stats", help="per-block histograms before/after a transform")
     s.add_argument("--tensor", required=True, help="input .mxbt tensor (f32)")
@@ -74,7 +72,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_calibrate(args) -> int:
-    overrides = {"format": args.format_name, "g1": args.g1, "g2": args.g2, "out": args.out}
+    overrides = {"format": args.format_name, "out": args.out}
     cfg = io.RunConfig.from_file(args.config, overrides)
     if cfg.weights_path is None:
         raise DataError("config is missing the 'weights' entry")

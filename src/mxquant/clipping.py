@@ -82,12 +82,6 @@ def _blocked(x):
     return x.reshape(-1, x.shape[-1] // BLOCK, BLOCK)
 
 
-def clip(x, params: ClipParams) -> np.ndarray:
-    """Element-wise clamp of each block to its dynamic bounds."""
-    y, _ = clip_with_ctx(x, params)
-    return y
-
-
 def _first_extremum(xb, row_ext, ext, arg):
     """Flat (row * BLOCK + element) index of each block's first extremum.
 
@@ -102,6 +96,10 @@ def _first_extremum(xb, row_ext, ext, arg):
 
 
 def clip_with_ctx(x, params: ClipParams):
+    """Element-wise clamp of each block to its dynamic bounds.
+
+    Returns (clipped, ClipCtx); the context feeds clip_backward.
+    """
     x = np.asarray(x, dtype=np.float64)
     xb = _blocked(x)
     if xb.shape[1] != params.k:
@@ -157,7 +155,7 @@ def clip_backward(ctx: ClipCtx, grad):
 
 
 def clip_gradients(x, params: ClipParams, upstream=None):
-    """Gradients of clip() w.r.t. x and both logit vectors.
+    """Gradients of the clip w.r.t. x and both logit vectors.
 
     upstream defaults to all-ones, i.e. the gradient of sum(clip(x)).
     """

@@ -4,19 +4,18 @@ Models where block transforms attach in an attention + MLP block:
 
   text template: p_qkv (input of the fused qkv projection), p_o (input of
   the output projection), p_up (shared input of up/gate), p_down (input of
-  the down projection), plus per-head p_k / p_v on the key and value cache.
+  the down projection), plus the key and value cache, quantized per head.
 
-  vit template: p_qkv, p_o, p_fc1, p_fc2; no KV sites because there is no
-  autoregressive cache.
+  vit template: p_qkv, p_o, p_fc1, p_fc2; no KV cache because there is no
+  autoregressive decoding.
 
 Each linear site is a calib.Theta (one transform, an activation clip and a
 weight clip) and runs calibration's own forward, so the block, calibration
-and fusion share one transform -> clip -> qdq path. Normalization,
-attention scores and the online transforms themselves stay in full
-precision. K/V quantization is simulated as quantize-dequantize after the
-per-head transforms, with the matching inverse applied on the consumer side
-(queries for p_k, the attention output for p_v). RoPE is deliberately
-absent.
+and fusion share one transform -> clip -> qdq path. Normalization and
+attention scores stay in full precision. K/V quantization is simulated as
+one quantize-dequantize of each head's key and value slice; the cache
+carries no transform, because calibration learns only the linear sites.
+RoPE is deliberately absent.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from scipy.special import erf
 from .calib import CalibConfig, Theta, _forward, calibrate_layer
 from .errors import ShapeError
 from .formats import BLOCK, FormatConfig, quantize_dequantize
-from .transform import GpkTransform, gpk_forward, gpk_inverse_forward
 
 SATURATED_LOGIT = 40.0  # sigmoid is exactly 1.0 in float64
 
@@ -58,7 +56,6 @@ class ToyBlock:
     spec: ToyBlockSpec
     weights: dict[str, np.ndarray]
     sites: dict[str, Theta]  # linear sites
-    kv: dict[str, list[GpkTransform]]  # per-head cache transforms, one per head
 
     @property
     def attn_dim(self) -> int:
@@ -66,7 +63,7 @@ class ToyBlock:
 
 
 def build_toy_block(spec: ToyBlockSpec, seed: int = 0) -> ToyBlock:
-    """Random-weight block with identity transforms and saturated clips."""
+    """Random-weight block with identity site transforms and saturated clips."""
     rng = np.random.default_rng(seed)
     h = spec.hidden
     attn = spec.n_heads * spec.head_dim
@@ -83,10 +80,6 @@ def build_toy_block(spec: ToyBlockSpec, seed: int = 0) -> ToyBlock:
             "down_proj": linear(h, spec.mlp_dim),
         }
         site_dims = {"p_qkv": h, "p_o": attn, "p_up": h, "p_down": spec.mlp_dim}
-        kv = {
-            site: [GpkTransform.identity(spec.head_dim) for _ in range(spec.n_heads)]
-            for site in ("p_k", "p_v")
-        }
     else:
         weights = {
             "qkv_proj": linear(3 * attn, h),
@@ -95,9 +88,8 @@ def build_toy_block(spec: ToyBlockSpec, seed: int = 0) -> ToyBlock:
             "fc2": linear(h, spec.mlp_dim),
         }
         site_dims = {"p_qkv": h, "p_o": attn, "p_fc1": h, "p_fc2": spec.mlp_dim}
-        kv = {}
     sites = {site: Theta.init(n, clip_init=SATURATED_LOGIT) for site, n in site_dims.items()}
-    return ToyBlock(spec, weights, sites, kv)
+    return ToyBlock(spec, weights, sites)
 
 
 def _rmsnorm(x, eps=1e-6):
@@ -112,12 +104,9 @@ def _gelu(x):
     return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
 
 
-def _kv_site(block, site, per_head_vals, formats: FormatConfig):
-    """Transform + quantize-dequantize each head's cache slice."""
-    return [
-        quantize_dequantize(gpk_forward(vals, t), formats.kv)
-        for vals, t in zip(per_head_vals, block.kv[site])
-    ]
+def _kv_site(per_head_vals, fmt):
+    """Quantize-dequantize each head's cache slice on its own."""
+    return [quantize_dequantize(vals, fmt) for vals in per_head_vals]
 
 
 def _block_forward(block: ToyBlock, x, formats: FormatConfig | None, record=None):
@@ -145,24 +134,16 @@ def _block_forward(block: ToyBlock, x, formats: FormatConfig | None, record=None
     heads_k = [k[:, h * spec.head_dim : (h + 1) * spec.head_dim] for h in range(spec.n_heads)]
     heads_v = [v[:, h * spec.head_dim : (h + 1) * spec.head_dim] for h in range(spec.n_heads)]
 
-    kv_active = quant and bool(block.kv)
-    if kv_active:
-        heads_k = _kv_site(block, "p_k", heads_k, formats)
-        heads_v = _kv_site(block, "p_v", heads_v, formats)
+    if quant and spec.template == "text":
+        heads_k = _kv_site(heads_k, formats.kv)
+        heads_v = _kv_site(heads_v, formats.kv)
 
     outs = []
     for h in range(spec.n_heads):
-        qh = heads_q[h]
-        if kv_active:
-            # cache holds transformed K/V; compensate on the consumer side
-            qh = gpk_forward(qh, block.kv["p_k"][h].inverse_transpose())
-        scores = qh @ heads_k[h].T / np.sqrt(spec.head_dim)
+        scores = heads_q[h] @ heads_k[h].T / np.sqrt(spec.head_dim)
         w_attn = np.exp(scores - scores.max(axis=-1, keepdims=True))
         w_attn /= w_attn.sum(axis=-1, keepdims=True)
-        oh = w_attn @ heads_v[h]
-        if kv_active:
-            oh = gpk_inverse_forward(oh, block.kv["p_v"][h])
-        outs.append(oh)
+        outs.append(w_attn @ heads_v[h])
     attn_out = np.concatenate(outs, axis=1)
     x2 = x + lin("p_o", attn_out, block.weights["o_proj"])
 
@@ -198,8 +179,7 @@ def calibrate_block(block: ToyBlock, x, config: CalibConfig, formats: FormatConf
     """Calibrate every linear site on the block's own activations.
 
     One full-precision forward records each site's input and (stacked)
-    weight matrix, then each site is calibrated layer-wise. Per-head KV
-    transforms are left as built (their sites carry no weight matrix).
+    weight matrix, then each site is calibrated layer-wise.
     """
     record: dict[str, tuple] = {}
     _block_forward(block, np.asarray(x, dtype=np.float64), None, record)

@@ -15,7 +15,8 @@ Tensor file (.mxbt), little-endian throughout:
 Transform record (.gpkt):
     magic   4 bytes  b"GPKT"
     version u16      1
-    header  5 * u32  N, g, g1, g2, k   (g = g1 * g2, N = k * g)
+    header  5 * u32  N, g, g1, g2, k   must be (32k, 32, 8, 4, k): the MX
+                     block and the fixed split transform.G1 x transform.G2
     A       g1*g1 float32, row-major
     B       k*g2*g2 float32, row-major (block 0 first)
     optional clip section, 4*k float32: activation alpha_min, activation
@@ -40,7 +41,7 @@ from .calib import CalibConfig
 from .clipping import ClipParams
 from .errors import FileFormatError
 from .formats import BLOCK, E2M1, E4M3, FormatConfig, MxTensor
-from .transform import GpkTransform
+from .transform import G1, G2, GpkTransform
 
 TENSOR_MAGIC = b"MXBT"
 RECORD_MAGIC = b"GPKT"
@@ -148,7 +149,7 @@ def write_transform_record(path, t: GpkTransform, act_clip=None, weight_clip=Non
     with open(path, "wb") as f:
         f.write(RECORD_MAGIC)
         f.write(struct.pack("<H", VERSION))
-        f.write(struct.pack("<5I", t.n, t.g, t.g1, t.g2, t.k))
+        f.write(struct.pack("<5I", t.n, BLOCK, G1, G2, t.k))
         f.write(np.ascontiguousarray(t.a, dtype="<f4").tobytes())
         f.write(np.ascontiguousarray(t.b, dtype="<f4").tobytes())
         if act_clip is not None:
@@ -170,20 +171,26 @@ def read_transform_record(path):
     version = struct.unpack_from("<H", raw, 4)[0]
     if version != VERSION:
         raise FileFormatError(f"{path}: unsupported version {version}")
-    n, g, g1, g2, k = struct.unpack_from("<5I", raw, 6)
-    if g1 * g2 != g or k * g != n:
-        raise FileFormatError(f"{path}: inconsistent header (N={n}, g={g}, g1={g1}, g2={g2}, k={k})")
+    header = struct.unpack_from("<5I", raw, 6)
+    k = header[4]
+    if header != (k * BLOCK, BLOCK, G1, G2, k):
+        n, g, g1, g2, _ = header
+        raise FileFormatError(
+            f"{path}: header (N={n}, g={g}, g1={g1}, g2={g2}, k={k}) is not "
+            f"(N={k * BLOCK}, g={BLOCK}, g1={G1}, g2={G2}, k={k}): transforms act on the "
+            f"{BLOCK}-element MX block split {G1}x{G2}"
+        )
     off = 26
-    need = (g1 * g1 + k * g2 * g2) * 4
+    need = (G1 * G1 + k * G2 * G2) * 4
     if len(raw) - off < need:
         raise FileFormatError(f"{path}: truncated factor payload")
-    a = np.frombuffer(raw, dtype="<f4", count=g1 * g1, offset=off).astype(np.float64)
-    off += g1 * g1 * 4
-    b = np.frombuffer(raw, dtype="<f4", count=k * g2 * g2, offset=off).astype(np.float64)
-    off += k * g2 * g2 * 4
+    a = np.frombuffer(raw, dtype="<f4", count=G1 * G1, offset=off).astype(np.float64)
+    off += G1 * G1 * 4
+    b = np.frombuffer(raw, dtype="<f4", count=k * G2 * G2, offset=off).astype(np.float64)
+    off += k * G2 * G2 * 4
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise FileFormatError(f"{path}: non-finite transform factor")
-    t = GpkTransform(a.reshape(g1, g1), b.reshape(k, g2, g2))
+    t = GpkTransform(a.reshape(G1, G1), b.reshape(k, G2, G2))
 
     rest = len(raw) - off
     if rest == 0:
@@ -222,6 +229,14 @@ _RUN_KEYS = frozenset({
     "format", "lr", "epochs", "batch_size", "schedule", "beta1", "beta2", "eps",
     "weight_decay", "g1", "g2", "clip_init", "weights", "calib", "out", "g", "seed",
 })
+# config keys that set a CalibConfig field of the same name, with their types;
+# beta1 and beta2 set CalibConfig.betas, and every absent key keeps its default
+_CALIB_CASTS = {
+    "lr": float, "epochs": int, "batch_size": int, "schedule": str, "eps": float,
+    "weight_decay": float, "clip_init": float,
+}
+# keys fixed by the MX block, accepted so that configs which name them still run
+_FIXED_KEYS = {"g": BLOCK, "g1": G1, "g2": G2}
 _SPEC_KEYS = frozenset({"hidden", "head_dim", "n_heads", "mlp_dim", "template", "format", "seed"})
 
 
@@ -229,11 +244,12 @@ _SPEC_KEYS = frozenset({"hidden", "head_dim", "n_heads", "mlp_dim", "template", 
 class RunConfig:
     """A calibration job parsed from a config file plus CLI overrides.
 
-    Transform and clip blocks are the MX block: g1 * g2 must equal BLOCK, and
-    a `g` key is accepted only when it equals BLOCK. A `seed` key is accepted
-    and ignored (calibration draws no random numbers); both keys stay so
-    that configs which name them still run. Any other key outside _RUN_KEYS is
-    an error. No tensor is read here.
+    Transform and clip blocks are the MX block, split G1 x G2: the keys `g`,
+    `g1` and `g2` are accepted only with the values BLOCK, G1 and G2. A
+    `seed` key is accepted and ignored (calibration draws no random numbers).
+    These keys stay so that configs which name them still run. Any other key
+    outside _RUN_KEYS is an error. Absent hyperparameters take CalibConfig's
+    defaults. No tensor is read here.
     """
 
     formats: FormatConfig
@@ -249,23 +265,16 @@ class RunConfig:
             kv.update({k: str(v) for k, v in overrides.items() if v is not None})
         base = Path(path).parent
 
-        def num(key, default, cast):
-            return cast(kv[key]) if key in kv else default
-
-        if num("g", BLOCK, int) != BLOCK:
-            raise FileFormatError(f"{path}: g = {kv['g']}, but transform and clip blocks "
-                                  f"are the {BLOCK}-element MX block")
+        for key, want in _FIXED_KEYS.items():
+            if key in kv and int(kv[key]) != want:
+                raise FileFormatError(
+                    f"{path}: {key} = {kv[key]}, but transform and clip blocks are the "
+                    f"{BLOCK}-element MX block, split g1 x g2 = {G1} x {G2}"
+                )
+        b1, b2 = CalibConfig.betas
         calib = CalibConfig(
-            lr=num("lr", 2e-3, float),
-            epochs=num("epochs", 5, int),
-            batch_size=num("batch_size", 4, int),
-            schedule=kv.get("schedule", "cosine"),
-            betas=(num("beta1", 0.9, float), num("beta2", 0.999, float)),
-            eps=num("eps", 1e-8, float),
-            weight_decay=num("weight_decay", 0.0, float),
-            g1=num("g1", 8, int),
-            g2=num("g2", 4, int),
-            clip_init=num("clip_init", 4.0, float),
+            betas=(float(kv.get("beta1", b1)), float(kv.get("beta2", b2))),
+            **{key: cast(kv[key]) for key, cast in _CALIB_CASTS.items() if key in kv},
         )
         formats = FormatConfig.from_name(kv.get("format", "W4A4KV16"))
 

@@ -1,10 +1,11 @@
 """Block-diagonal affine transforms factored as shared x private Kronecker products.
 
-A transform acts on the trailing axis of size N = k * g, independently on
-each g-sized block (g = g1 * g2). Block i's map, in matrix form, sends the
-block reshaped to a (g2, g1) slice V (g1 fastest-varying) to B_i @ V @ A:
-a right-contraction with the shared global factor A followed by a
-left-contraction with the block's private factor B_i.
+A transform acts on the trailing axis of size N = k * BLOCK, independently
+on each 32-element MX block. The split of the block is fixed: G1 = 8 and
+G2 = 4, G1 * G2 == BLOCK. Block i's map, in matrix form, sends the block
+reshaped to a (G2, G1) slice V (G1 fastest-varying) to B_i @ V @ A: a
+right-contraction with the shared global factor A (G1 x G1) followed by a
+left-contraction with the block's private factor B_i (G2 x G2).
 
 Under row-vector application y = x @ P this is P_i = kron(B_i.T, A), which
 is what oracle.dense_block_matrices() builds. The identity
@@ -21,7 +22,11 @@ import numpy as np
 from scipy.linalg import hadamard
 
 from .errors import ShapeError, SingularTransformError
+from .formats import BLOCK
 
+G1 = 8  # global factor size
+G2 = 4  # private factor size
+assert G1 * G2 == BLOCK
 COND_LIMIT = 1e8  # factors beyond this are treated as singular
 
 
@@ -29,7 +34,7 @@ COND_LIMIT = 1e8  # factors beyond this are treated as singular
 class GpkTransform:
     """Factored block-diagonal transform: one global A, k private B_i.
 
-    a: (g1, g1) shared factor; b: (k, g2, g2) private factors.
+    a: (G1, G1) shared factor; b: (k, G2, G2) private factors.
     """
 
     a: np.ndarray
@@ -38,22 +43,14 @@ class GpkTransform:
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=np.float64)
         self.b = np.asarray(self.b, dtype=np.float64)
-        if self.a.ndim != 2 or self.a.shape[0] != self.a.shape[1]:
-            raise ShapeError(f"global factor must be square, got {self.a.shape}")
-        if self.b.ndim != 3 or self.b.shape[1] != self.b.shape[2]:
-            raise ShapeError(f"private factors must be (k, g2, g2), got {self.b.shape}")
+        if self.a.shape != (G1, G1):
+            raise ShapeError(f"global factor must be ({G1}, {G1}), got {self.a.shape}")
+        if self.b.ndim != 3 or self.b.shape[1:] != (G2, G2):
+            raise ShapeError(f"private factors must be (k, {G2}, {G2}), got {self.b.shape}")
 
-    @property
-    def g1(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def g2(self) -> int:
-        return self.b.shape[1]
-
-    @property
-    def g(self) -> int:
-        return self.g1 * self.g2
+    # the fixed split, readable from an instance (not dataclass fields)
+    g1 = G1
+    g2 = G2
 
     @property
     def k(self) -> int:
@@ -61,15 +58,13 @@ class GpkTransform:
 
     @property
     def n(self) -> int:
-        return self.k * self.g
+        return self.k * BLOCK
 
     @classmethod
-    def identity(cls, n: int, g1: int = 8, g2: int = 4) -> "GpkTransform":
-        g = g1 * g2
-        if n % g != 0:
-            raise ShapeError(f"feature dimension {n} is not a multiple of g = {g}")
-        k = n // g
-        return cls(np.eye(g1), np.broadcast_to(np.eye(g2), (k, g2, g2)).copy())
+    def identity(cls, n: int) -> "GpkTransform":
+        if n % BLOCK != 0:
+            raise ShapeError(f"feature dimension {n} is not a multiple of {BLOCK}")
+        return cls(np.eye(G1), np.broadcast_to(np.eye(G2), (n // BLOCK, G2, G2)).copy())
 
     def check_invertible(self) -> None:
         """Raise SingularTransformError if any factor is non-finite or near-singular."""
@@ -78,7 +73,7 @@ class GpkTransform:
         if not ca <= COND_LIMIT:
             raise SingularTransformError(None, ca)
         finite = np.all(np.isfinite(self.b), axis=(1, 2))
-        cb = np.linalg.cond(np.where(finite[:, None, None], self.b, np.eye(self.g2)))
+        cb = np.linalg.cond(np.where(finite[:, None, None], self.b, np.eye(G2)))
         cb[~finite] = np.nan
         bad = np.flatnonzero(~(cb <= COND_LIMIT))
         if bad.size:
@@ -106,32 +101,27 @@ def _split_blocks(x: np.ndarray, t: GpkTransform) -> np.ndarray:
     if x.shape[-1] != t.n:
         raise ShapeError(
             f"trailing dimension {x.shape[-1]} does not match transform size {t.n} "
-            f"(k={t.k}, g={t.g})"
+            f"(k={t.k} blocks of {BLOCK})"
         )
-    return x.reshape(-1, t.k, t.g2, t.g1)
+    return x.reshape(-1, t.k, G2, G1)
 
 
 def gpk_forward(x: np.ndarray, t: GpkTransform) -> np.ndarray:
     """Apply the factored transform to the trailing axis of x.
 
     Two contractions: V @ A for every block at once (A is shared, so one
-    GEMM over all (rows * k * g2, g1) slices), then B_i @ (V @ A) per block.
-    Cost is rows * N * (g1 + g2) multiply-adds.
+    GEMM over all (rows * k * G2, G1) slices), then B_i @ (V @ A) per block.
+    Cost is rows * N * (G1 + G2) multiply-adds.
     """
     lead = np.asarray(x).shape[:-1]
     v = _split_blocks(x, t)
-    va = (v.reshape(-1, t.g1) @ t.a).reshape(v.shape)
+    va = (v.reshape(-1, G1) @ t.a).reshape(v.shape)
     return np.matmul(t.b, va).reshape(*lead, t.n)
 
 
 def gpk_inverse_forward(x: np.ndarray, t: GpkTransform) -> np.ndarray:
     """Apply the transform built from A^-1 and B_i^-1; inverts gpk_forward."""
     return gpk_forward(x, t.inverse())
-
-
-def madd_count(rows: int, t: GpkTransform) -> int:
-    """Exact multiply-add count of gpk_forward on a (rows, N) input."""
-    return rows * t.n * (t.g1 + t.g2)
 
 
 class DecompositionKind(Enum):
@@ -161,18 +151,16 @@ def param_count(kind: DecompositionKind, n: int, g: int, g1: int, g2: int) -> in
     raise ValueError(f"unknown decomposition kind {kind!r}")
 
 
-def block_hadamard(x: np.ndarray, g: int) -> np.ndarray:
-    """Apply a normalized g x g Sylvester-Hadamard matrix to each g-slice.
+def block_hadamard(x: np.ndarray) -> np.ndarray:
+    """Apply a normalized BLOCK x BLOCK Sylvester-Hadamard matrix to each MX block.
 
-    Entries are +-1/sqrt(g); the matrix is symmetric and orthogonal, so it
-    is its own inverse and preserves per-block L2 norms.
+    Entries are +-1/sqrt(BLOCK); the matrix is symmetric and orthogonal, so
+    it is its own inverse and preserves per-block L2 norms.
     """
-    if g <= 0 or g & (g - 1):
-        raise ShapeError(f"block size {g} is not a power of two")
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] % g != 0:
-        raise ShapeError(f"trailing dimension {x.shape[-1]} is not a multiple of {g}")
-    h = hadamard(g).astype(np.float64) / np.sqrt(g)
+    if x.shape[-1] % BLOCK != 0:
+        raise ShapeError(f"trailing dimension {x.shape[-1]} is not a multiple of {BLOCK}")
+    h = hadamard(BLOCK).astype(np.float64) / np.sqrt(BLOCK)
     lead = x.shape[:-1]
-    y = x.reshape(-1, x.shape[-1] // g, g) @ h
+    y = x.reshape(-1, x.shape[-1] // BLOCK, BLOCK) @ h
     return y.reshape(*lead, x.shape[-1])

@@ -13,6 +13,8 @@ from .formats import BLOCK, E2M1, E4M3, FormatConfig, MxFormat, quantize_tensor
 from .io import read_tensor, write_tensor
 from .oracle import OracleReport
 from .transform import (
+    G1,
+    G2,
     DecompositionKind,
     GpkTransform,
     block_hadamard,
@@ -30,11 +32,10 @@ def well_conditioned(rng, n: int, cond_max: float = 10.0) -> np.ndarray:
     return q1 @ np.diag(sv) @ q2
 
 
-def random_transform(rng, n: int, g1: int = 8, g2: int = 4, cond_max: float = 10.0) -> GpkTransform:
-    k = n // (g1 * g2)
+def random_transform(rng, n: int, cond_max: float = 10.0) -> GpkTransform:
     return GpkTransform(
-        well_conditioned(rng, g1, cond_max),
-        np.stack([well_conditioned(rng, g2, cond_max) for _ in range(k)]),
+        well_conditioned(rng, G1, cond_max),
+        np.stack([well_conditioned(rng, G2, cond_max) for _ in range(n // BLOCK)]),
     )
 
 
@@ -98,12 +99,11 @@ def check_round_trip(seed: int = 1, cases: int = 25) -> OracleReport:
 
 def check_vec_identity(seed: int = 2, cases: int = 100) -> OracleReport:
     rng = np.random.default_rng(seed)
-    g1, g2 = 8, 4
     worst = 0.0
     for _ in range(cases):
-        a = rng.normal(size=(g1, g1))
-        b = rng.normal(size=(g2, g2))
-        v = rng.normal(size=(g2, g1))
+        a = rng.normal(size=(G1, G1))
+        b = rng.normal(size=(G2, G2))
+        v = rng.normal(size=(G2, G1))
         lhs = v.reshape(-1) @ np.kron(b, a)
         rhs = (b.T @ v @ a).reshape(-1)
         worst = max(worst, _rel_err(lhs, rhs))
@@ -116,7 +116,7 @@ def check_gradients(seed: int = 3) -> OracleReport:
     n, m = 64, 8
     x = rng.normal(size=(6, n))
     w = rng.normal(size=(m, n))
-    theta = Theta.init(n, 8, 4)
+    theta = Theta.init(n)
     params = theta.to_params()
     for key in ("a", "b"):
         params[key] = params[key] + 0.05 * rng.normal(size=params[key].shape)
@@ -149,14 +149,13 @@ def check_param_counts() -> OracleReport:
 def check_hadamard() -> OracleReport:
     from scipy.linalg import hadamard
 
-    g = 32
-    h = hadamard(g) / np.sqrt(g)
-    err = _rel_err(h @ h.T, np.eye(g))
+    h = hadamard(BLOCK) / np.sqrt(BLOCK)
+    err = _rel_err(h @ h.T, np.eye(BLOCK))
     rng = np.random.default_rng(4)
     x = rng.normal(size=(8, 128))
-    y = block_hadamard(x, g)
-    norms_in = np.linalg.norm(x.reshape(-1, g), axis=1)
-    norms_out = np.linalg.norm(y.reshape(-1, g), axis=1)
+    y = block_hadamard(x)
+    norms_in = np.linalg.norm(x.reshape(-1, BLOCK), axis=1)
+    norms_out = np.linalg.norm(y.reshape(-1, BLOCK), axis=1)
     err = max(err, _rel_err(norms_out, norms_in))
     return OracleReport("hadamard-orthogonality", 0.0, err, err, err <= 1e-6)
 

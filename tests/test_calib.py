@@ -27,8 +27,8 @@ from mxquant.verify import random_transform
 SAT = 40.0
 
 
-def saturated_theta(n, g1=8, g2=4):
-    return Theta.init(n, g1, g2, clip_init=SAT)
+def saturated_theta(n):
+    return Theta.init(n, clip_init=SAT)
 
 
 class TestQuantizedForward:
@@ -243,7 +243,7 @@ class TestCalibrateLayer:
         w = rng.normal(size=(8, 64))
         cfg = CalibConfig(lr=0.0, epochs=2, clip_init=SAT)
         run, fused = calibrate_layer(w, x, cfg, W4A4KV16)
-        init = Theta.init(64, 8, 4, SAT)
+        init = Theta.init(64, SAT)
         assert np.array_equal(run.theta.transform.a, init.transform.a)
         assert np.array_equal(run.theta.transform.b, init.transform.b)
         assert np.array_equal(run.theta.act_clip.alpha_min, init.act_clip.alpha_min)

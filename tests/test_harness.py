@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import NO_QUANT, W4A4KV16
+from mxquant import harness
 from mxquant.calib import CalibConfig
 from mxquant.errors import ShapeError
 from mxquant.formats import FormatConfig
@@ -17,29 +18,41 @@ from mxquant.harness import (
 SPEC = ToyBlockSpec(hidden=128, head_dim=32, n_heads=4, mlp_dim=256)
 TEXT_SITES = {"p_qkv", "p_o", "p_up", "p_down"}
 VIT_SITES = {"p_qkv", "p_o", "p_fc1", "p_fc2"}
+KV4 = FormatConfig.from_name("W16A16KV4")
+
+
+def _kv_calls(monkeypatch, block, x, record):
+    """Arrays a KV4 forward hands to harness.quantize_dequantize, in call order."""
+    calls = []
+    real = harness.quantize_dequantize
+
+    def spy(vals, fmt):
+        calls.append(np.array(vals))
+        return real(vals, fmt)
+
+    monkeypatch.setattr(harness, "quantize_dequantize", spy)
+    _block_forward(block, x, KV4, record)
+    return calls
 
 
 class TestBuild:
-    def test_text_has_six_placements(self):
+    def test_text_has_six_placements(self, rng, monkeypatch):
+        # four linear sites, plus the key and the value cache: one qdq per head each
         block = build_toy_block(SPEC)
-        assert len(block.sites) + len(block.kv) == 6
-        assert set(block.sites) | set(block.kv) == TEXT_SITES | {"p_k", "p_v"}
+        assert set(block.sites) == TEXT_SITES
+        record = {}
+        calls = _kv_calls(monkeypatch, block, rng.normal(size=(4, 128)), record)
+        d, attn = SPEC.head_dim, SPEC.n_heads * SPEC.head_dim
+        k, v = (record["p_qkv"][2][:, i * attn : (i + 1) * attn] for i in (1, 2))
+        heads = [c[:, h * d : (h + 1) * d] for c in (k, v) for h in range(SPEC.n_heads)]
+        assert len(calls) == len(heads) == 2 * SPEC.n_heads
+        assert all(np.array_equal(c, want) for c, want in zip(calls, heads))
 
-    def test_vit_has_four_placements(self):
+    def test_vit_has_four_placements(self, rng, monkeypatch):
         block = build_toy_block(ToyBlockSpec(128, 32, 4, 256, template="vit"))
-        assert len(block.sites) == 4 and block.kv == {}
+        assert len(block.sites) == 4
         assert set(block.sites) == VIT_SITES
-
-    def test_per_head_flags(self):
-        block = build_toy_block(SPEC)
-        assert set(block.kv) == {"p_k", "p_v"}
-        assert not set(block.kv) & set(block.sites)
-
-    def test_kv_transform_is_one_block_per_head(self):
-        block = build_toy_block(SPEC)
-        for t in block.kv["p_k"]:
-            assert t.n == 32 and t.k == 1
-        assert len(block.kv["p_k"]) == SPEC.n_heads
+        assert _kv_calls(monkeypatch, block, rng.normal(size=(4, 128)), {}) == []
 
     def test_every_linear_has_exactly_one_activation_placement(self, rng):
         # a recorded forward: each weight matrix is a row block of exactly one site's weight
@@ -91,11 +104,12 @@ class TestSimulate:
         assert kv4["output"] > kv16["output"]
 
     def test_per_head_independence(self, rng):
-        block = build_toy_block(SPEC, seed=4)
+        # perturbing head 0's K slice changes only head 0's qdq output
         vals = [rng.normal(size=(8, 32)) for _ in range(4)]
-        base = _kv_site(block, "p_k", vals, FormatConfig.from_name("W16A16KV4"))
-        block.kv["p_k"][0].a *= 1.3
-        pert = _kv_site(block, "p_k", vals, FormatConfig.from_name("W16A16KV4"))
+        base = _kv_site(vals, KV4.kv)
+        vals[0] = vals[0].copy()
+        vals[0][3, 5] += 10.0
+        pert = _kv_site(vals, KV4.kv)
         assert not np.array_equal(base[0], pert[0])
         for h in range(1, 4):
             assert np.array_equal(base[h], pert[h])

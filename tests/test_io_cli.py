@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -122,8 +123,9 @@ class TestTransformRecord:
         wgt = mq.ClipParams(rng.normal(size=4), rng.normal(size=4))
         p = tmp_path / "t.gpkt"
         io.write_transform_record(p, t, act, wgt)
+        assert struct.unpack_from("<5I", p.read_bytes(), 6) == (128, 32, 8, 4, 4)
         t2, act2, wgt2 = io.read_transform_record(p)
-        assert (t2.n, t2.g, t2.g1, t2.g2, t2.k) == (128, 32, 8, 4, 4)
+        assert (t2.n, t2.k) == (128, 4)
         # storage is float32: compare against the f32-rounded originals
         assert np.array_equal(t2.a, t.a.astype(np.float32).astype(np.float64))
         assert np.array_equal(t2.b, t.b.astype(np.float32).astype(np.float64))
@@ -185,10 +187,30 @@ class TestKvConfig:
 
     def test_overrides_win(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("format = W4A4KV16\ng1 = 8\ng2 = 4\n")
-        rc = io.RunConfig.from_file(cfg, {"g1": 4, "g2": 8, "format": "W4A8KV8"})
-        assert (rc.calib.g1, rc.calib.g2) == (4, 8)
+        cfg.write_text("format = W4A4KV16\nout = a\n")
+        rc = io.RunConfig.from_file(cfg, {"format": "W4A8KV8", "out": str(tmp_path / "b")})
         assert rc.formats.name == "W4A8KV8"
+        assert rc.out_dir == str(tmp_path / "b")
+
+    def test_readme_examples_parse(self, tmp_path):
+        # both bare fenced blocks of README.md, read verbatim
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = [body for lang, body in re.findall(r"^```(\w*)\n(.*?)^```$", readme, re.M | re.S)
+                  if not lang]
+        (run_cfg,) = [b for b in blocks if "weights =" in b]
+        (spec_cfg,) = [b for b in blocks if "hidden =" in b]
+        (tmp_path / "run.cfg").write_text(run_cfg)
+        (tmp_path / "block.cfg").write_text(spec_cfg)
+        io.write_tensor(tmp_path / "layer.mxbt", np.zeros((4, 64)))
+        for i in range(2):
+            io.write_tensor(tmp_path / f"acts_{i}.mxbt", np.zeros((8, 64)))
+        rc = io.RunConfig.from_file(tmp_path / "run.cfg")
+        assert rc.formats.name == "W4A4KV16" and rc.calib.lr == 0.02
+        assert rc.weights_path == str(tmp_path / "layer.mxbt")
+        assert len(rc.calib_paths) == 2
+        assert rc.out_dir == str(tmp_path / "artifacts")
+        spec, formats, seed = io.read_block_spec(tmp_path / "block.cfg")
+        assert (spec.hidden, spec.template, formats.name, seed) == (128, "text", "W4A4KV16", 3)
 
     def test_malformed_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -280,15 +302,26 @@ class TestCli:
         with np.errstate(all="ignore"):
             assert main(["calibrate", "--config", str(cfg)]) == 2
 
-    @pytest.mark.parametrize("blocks", ["g = 64\ng1 = 8\ng2 = 8", "g = 16\ng1 = 4\ng2 = 4"],
-                             ids=["g64", "g16"])
+    @pytest.mark.parametrize("blocks", ["g = 64\ng1 = 8\ng2 = 8", "g = 16\ng1 = 4\ng2 = 4",
+                                        "g1 = 4", "g = 32\ng1 = 8\ng2 = 2"],
+                             ids=["g64", "g16", "g1-4", "g2-2"])
     def test_calibrate_block_other_than_mx_block_is_data_error(self, tmp_path, capsys, blocks):
-        # a transform or clip block that is not the 32-element MX block straddles
-        # quantization blocks
+        # a transform or clip block that is not the 32-element MX block split 8 x 4
+        # straddles quantization blocks
         cfg, _, _ = _write_calib_bundle(tmp_path)
         cfg.write_text(cfg.read_text() + blocks + "\n")
-        _expect_one_data_error(["calibrate", "--config", str(cfg)], capsys, "MX block")
+        err = _expect_one_data_error(["calibrate", "--config", str(cfg)], capsys, "MX block")
+        bad = next(line for line in blocks.splitlines() if line not in ("g = 32", "g1 = 8"))
+        assert bad in err
         assert not (tmp_path / "out" / "loss_trace.csv").exists()
+
+    def test_calibrate_g1_flag_is_usage_error(self, tmp_path, capsys):
+        cfg, _, _ = _write_calib_bundle(tmp_path)
+        with pytest.raises(SystemExit) as e:
+            main(["calibrate", "--config", str(cfg), "--g1", "8"])
+        assert e.value.code == 1
+        assert capsys.readouterr().err.startswith("mxquant: usage:")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line", ["epoch = 1", "learning_rate = 0.5", "g_1 = 4"],
                              ids=lambda line: line.split()[0])
@@ -368,6 +401,23 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("mxquant: data:")
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("header, a_size, b_size", [
+        ((64, 64, 8, 8, 1), 8, 8),  # one transform straddles two MX blocks
+        ((64, 32, 4, 8, 2), 4, 8),  # the MX block split 4 x 8
+    ], ids=["g64", "split-4x8"])
+    def test_stats_transform_header_other_than_mx_block_is_data_error(
+            self, tmp_path, rng, capsys, header, a_size, b_size):
+        io.write_tensor(tmp_path / "x.mxbt", rng.normal(size=(16, 64)))
+        k = header[4]
+        a = np.eye(a_size, dtype="<f4")
+        b = np.broadcast_to(np.eye(b_size, dtype="<f4"), (k, b_size, b_size))
+        (tmp_path / "t.gpkt").write_bytes(
+            b"GPKT" + struct.pack("<H5I", 1, *header) + a.tobytes() + b.tobytes())
+        out = tmp_path / "s.csv"
+        _expect_one_data_error(["stats", "--tensor", str(tmp_path / "x.mxbt"), "--transform",
+                                str(tmp_path / "t.gpkt"), "--out", str(out)], capsys, "header")
+        assert not out.exists()
 
     def test_stats_mx8_nan_code_is_data_error(self, tmp_path, rng, capsys):
         t = mq.quantize_tensor(rng.normal(size=(16, 64)), mq.E4M3)

@@ -4,7 +4,7 @@ import pytest
 import mxquant as mq
 from mxquant.errors import ShapeError, SingularTransformError
 from mxquant.oracle import counted_gpk_forward, dense_block_matrices, dense_transform_oracle
-from mxquant.transform import COND_LIMIT, DecompositionKind
+from mxquant.transform import COND_LIMIT, G1, G2, DecompositionKind
 from mxquant.verify import random_transform, well_conditioned
 
 
@@ -54,11 +54,17 @@ class TestForward:
         with pytest.raises(ShapeError, match="96"):
             mq.gpk_forward(rng.normal(size=(2, 96)), t)
 
+    @pytest.mark.parametrize("g1, g2", [(4, 4), (8, 8)], ids=["4x4-A", "8x8-B"])
+    def test_other_split_rejected(self, g1, g2):
+        # the split of the 32-element MX block is fixed at G1 x G2 = 8 x 4
+        with pytest.raises(ShapeError):
+            mq.GpkTransform(np.eye(g1), np.stack([np.eye(g2)] * 2))
+
     def test_madd_count_exact(self, rng):
         t = random_transform(rng, 128)
         x = rng.normal(size=(3, 128))
         y, count = counted_gpk_forward(x, t)
-        assert count == mq.madd_count(3, t) == 3 * 128 * (8 + 4)
+        assert count == 3 * 128 * (G1 + G2) == 3 * 128 * (8 + 4)
         assert rel_err(y, mq.gpk_forward(x, t)) <= 1e-12
 
 
@@ -127,10 +133,10 @@ class TestInverse:
 
 class TestMaterialize:
     def test_identity_blocks(self):
-        t = mq.GpkTransform.identity(8, g1=2, g2=2)
+        t = mq.GpkTransform.identity(64)
         blocks = dense_block_matrices(t)
-        assert blocks.shape == (2, 4, 4)
-        assert np.array_equal(blocks[0], np.eye(4))
+        assert blocks.shape == (2, 32, 32)
+        assert all(np.array_equal(b, np.eye(32)) for b in blocks)
 
     def test_kron_index_convention(self, rng):
         # definitional: kron(B, A)[p*g1+q, r*g1+s] == B[p,r] * A[q,s]
@@ -209,7 +215,7 @@ class TestBlockHadamard:
 
     def test_norm_preserved(self, rng):
         x = rng.normal(size=(10, 128))
-        y = mq.block_hadamard(x, 32)
+        y = mq.block_hadamard(x)
         n_in = np.linalg.norm(x.reshape(-1, 32), axis=1)
         n_out = np.linalg.norm(y.reshape(-1, 32), axis=1)
         assert rel_err(n_out, n_in) <= 1e-6
@@ -218,15 +224,15 @@ class TestBlockHadamard:
         # a lone spike spreads to +-magnitude/sqrt(g): exactly two values
         x = np.zeros(32)
         x[7] = 50.0
-        y = mq.block_hadamard(x, 32)
+        y = mq.block_hadamard(x)
         vals = np.unique(y)
         assert len(vals) == 2
         assert np.allclose(np.abs(vals), 50.0 / np.sqrt(32))
 
-    def test_non_power_of_two(self):
-        with pytest.raises(ShapeError):
-            mq.block_hadamard(np.zeros(48), 24)
+    def test_not_a_multiple_of_block(self):
+        with pytest.raises(ShapeError, match="48"):
+            mq.block_hadamard(np.zeros(48))
 
     def test_involution(self, rng):
         x = rng.normal(size=(4, 64))
-        assert rel_err(mq.block_hadamard(mq.block_hadamard(x, 32), 32), x) <= 1e-12
+        assert rel_err(mq.block_hadamard(mq.block_hadamard(x)), x) <= 1e-12
