@@ -11,7 +11,6 @@ from .calib import (
     cosine_lr,
     fuse,
     fused_forward,
-    loss,
     quantized_forward,
 )
 from .clipping import ClipParams, clip_gradients

@@ -20,8 +20,9 @@ pipeline: the quantize-dequantize step is a clipped straight-through
 estimator (identity inside the representable range, zero where an element
 saturated), clip and the transform contractions use exact adjoints.
 
-Updates are decoupled-weight-decay Adam with bias correction and a cosine
-learning-rate schedule.
+The optimizer recipe is fixed: Adam with bias correction (BETAS, EPS), no
+weight decay, and the learning rate decayed from CalibConfig.lr to 0 along
+a half cosine over the run's steps.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ from .clipping import ClipParams, clip_backward, clip_with_ctx
 from .errors import DivergenceError, ShapeError
 from .formats import BLOCK, FormatConfig, MxTensor, quantize_dequantize_with_mask, quantize_tensor
 from .transform import G1, G2, GpkTransform, gpk_forward
+
+BETAS = (0.9, 0.999)  # Adam moment decay rates
+EPS = 1e-8  # Adam denominator guard
 
 
 @dataclass
@@ -71,32 +75,21 @@ class Theta:
 
 @dataclass
 class CalibConfig:
-    """Hyperparameters of one calibration run."""
+    """Hyperparameters of one calibration run (the optimizer recipe is fixed)."""
 
     lr: float = 2e-3
     epochs: int = 5
     batch_size: int = 4
-    schedule: str = "cosine"  # "cosine" or "constant"
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
-    weight_decay: float = 0.0
     clip_init: float = 4.0
 
     def __post_init__(self):
-        for name in ("lr", "weight_decay", "clip_init", "eps"):
+        for name in ("lr", "clip_init"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} = {getattr(self, name)} is not finite")
         if self.lr < 0:
             raise ValueError("learning rate must be non-negative")
-        if self.eps <= 0:
-            raise ValueError(f"eps = {self.eps} must be positive")
-        for name, b in zip(("beta1", "beta2"), self.betas):
-            if not 0 <= b < 1:
-                raise ValueError(f"{name} = {b} is outside [0, 1)")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be at least 1")
-        if self.schedule not in ("cosine", "constant"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
 
 
 @dataclass
@@ -214,12 +207,6 @@ def quantized_forward(x, run: CalibRun) -> np.ndarray:
     return _forward(np.asarray(x, dtype=np.float64), run.weights, run.theta, run.formats).y
 
 
-def loss(y_ref, y_q) -> float:
-    """Sum of squared differences (squared Frobenius norm)."""
-    d = np.asarray(y_ref, dtype=np.float64) - np.asarray(y_q, dtype=np.float64)
-    return float(np.sum(d * d))
-
-
 def backward(run: CalibRun, batch) -> dict[str, np.ndarray]:
     """Gradients of the reconstruction loss for one batch under run.theta."""
     x = np.asarray(batch, dtype=np.float64)
@@ -243,16 +230,13 @@ def init_opt_state(params: dict[str, np.ndarray]) -> dict:
 
 
 def adamw_step(params, grads, state, config: CalibConfig, step_index: int, total_steps: int):
-    """One decoupled-weight-decay Adam update.
+    """One Adam update (BETAS, EPS, no weight decay) at the cosine-decayed rate.
 
-    step_index is the 0-based optimizer step; the schedule is evaluated at
-    it and bias correction uses step_index + 1. Returns (params, state, lr).
+    step_index is the 0-based optimizer step; cosine_lr is evaluated at it
+    and bias correction uses step_index + 1. Returns (params, state, lr).
     """
-    if config.schedule == "cosine":
-        lr = cosine_lr(step_index, total_steps, config.lr)
-    else:
-        lr = config.lr
-    b1, b2 = config.betas
+    lr = cosine_lr(step_index, total_steps, config.lr)
+    b1, b2 = BETAS
     t = step_index + 1
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
@@ -262,8 +246,8 @@ def adamw_step(params, grads, state, config: CalibConfig, step_index: int, total
         m, v = state[name]
         m = b1 * m + (1.0 - b1) * gr
         v = b2 * v + (1.0 - b2) * gr * gr
-        update = (m / c1) / (np.sqrt(v / c2) + config.eps)
-        new_params[name] = p - lr * update - lr * config.weight_decay * p
+        update = (m / c1) / (np.sqrt(v / c2) + EPS)
+        new_params[name] = p - lr * update
         new_state[name] = (m, v)
     return new_params, new_state, lr
 
@@ -271,22 +255,11 @@ def adamw_step(params, grads, state, config: CalibConfig, step_index: int, total
 # -- training loop ---------------------------------------------------------
 
 
-def _as_batches(calib_set, batch_size: int) -> list[np.ndarray]:
-    if isinstance(calib_set, np.ndarray):
-        if calib_set.ndim != 2:
-            raise ShapeError("a single calibration array must be 2-D (rows, features)")
-        return [
-            np.ascontiguousarray(calib_set[i : i + batch_size], dtype=np.float64)
-            for i in range(0, calib_set.shape[0], batch_size)
-        ]
-    return [np.asarray(b, dtype=np.float64) for b in calib_set]
-
-
 def calibrate_layer(w, calib_set, config: CalibConfig, formats: FormatConfig):
     """Run the full calibration loop for one linear layer.
 
-    calib_set is a list of (rows, N) batches, or a single 2-D array that is
-    split into config.batch_size chunks. Returns (CalibRun, FusedLayer).
+    calib_set is one (rows, N) array, split into config.batch_size chunks of
+    rows. Returns (CalibRun, FusedLayer).
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
@@ -294,12 +267,13 @@ def calibrate_layer(w, calib_set, config: CalibConfig, formats: FormatConfig):
     n = w.shape[1]
     if n % BLOCK != 0:
         raise ShapeError(f"input dimension {n} is not a multiple of {BLOCK}")
-    batches = _as_batches(calib_set, config.batch_size)
-    if not batches:
-        raise ShapeError("calibration set is empty")
-    for bi, x in enumerate(batches):
-        if x.ndim != 2 or x.shape[1] != n:
-            raise ShapeError(f"batch {bi} has shape {x.shape}, expected (*, {n})")
+    calib_set = np.asarray(calib_set, dtype=np.float64)
+    if calib_set.ndim != 2 or calib_set.shape[0] == 0 or calib_set.shape[1] != n:
+        raise ShapeError(f"calibration set has shape {calib_set.shape}, expected (rows > 0, {n})")
+    batches = [
+        np.ascontiguousarray(calib_set[i : i + config.batch_size])
+        for i in range(0, calib_set.shape[0], config.batch_size)
+    ]
 
     theta = Theta.init(n, config.clip_init)
     params = theta.to_params()

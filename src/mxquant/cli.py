@@ -16,11 +16,11 @@ import numpy as np
 
 from . import io
 from .calib import CalibConfig, calibrate_layer
-from .errors import DataError, MxQuantError, NumericalError
+from .errors import DataError, MxQuantError, NumericalError, ShapeError
 from .formats import BLOCK, E2M1, FormatConfig, MxTensor, quantize_tensor
 from .harness import build_toy_block, calibrate_block, simulate_block
 from .oracle import bimodality_score
-from .transform import DecompositionKind, GpkTransform, gpk_forward, param_count
+from .transform import G1, G2, DecompositionKind, GpkTransform, gpk_forward, param_count
 from .verify import run_all
 
 HIST_BINS = 64
@@ -53,9 +53,6 @@ def _build_parser() -> _Parser:
 
     pc = sub.add_parser("param-count", help="decomposition parameter-count table")
     pc.add_argument("--n", type=int, required=True, help="feature dimension N")
-    pc.add_argument("--g", type=int, default=32)
-    pc.add_argument("--g1", type=int, default=8)
-    pc.add_argument("--g2", type=int, default=4)
 
     v = sub.add_parser("verify", help="run the oracle cross-check suite")
     v.add_argument("--files", help="optional directory of .mxbt files to round-trip")
@@ -84,6 +81,8 @@ def _cmd_calibrate(args) -> int:
     w = io.read_tensor(cfg.weights_path)
     if isinstance(w, MxTensor):
         raise DataError(f"{cfg.weights_path}: calibration needs full-precision weights")
+    if w.ndim != 2:
+        raise ShapeError(f"{cfg.weights_path}: weights must be 2-D (out, in), got shape {w.shape}")
     rows = []
     for p in cfg.calib_paths:
         x = io.read_tensor(p)
@@ -163,10 +162,10 @@ def _cmd_param_count(args) -> int:
         "naive-kronecker": "S*N*(g1+g2)",
         "global+private-kronecker": "S*N*(g1+g2)",
     }
-    print(f"N={args.n} g={args.g} g1={args.g1} g2={args.g2} k={args.n // args.g}")
+    counts = [(name, param_count(kind, args.n)) for name, kind in kinds]
+    print(f"N={args.n} g={BLOCK} g1={G1} g2={G2} k={args.n // BLOCK}")
     print(f"{'decomposition':<26} {'matmul cost':<14} {'params':>10}")
-    for name, kind in kinds:
-        count = param_count(kind, args.n, args.g, args.g1, args.g2)
+    for name, count in counts:
         print(f"{name:<26} {complexity[name]:<14} {count:>10}")
     return EXIT_OK
 

@@ -226,15 +226,12 @@ def read_kv_file(path, keys) -> dict[str, str]:
 
 
 _RUN_KEYS = frozenset({
-    "format", "lr", "epochs", "batch_size", "schedule", "beta1", "beta2", "eps",
-    "weight_decay", "g1", "g2", "clip_init", "weights", "calib", "out", "g", "seed",
+    "format", "lr", "epochs", "batch_size", "g1", "g2", "clip_init", "weights", "calib",
+    "out", "g", "seed",
 })
 # config keys that set a CalibConfig field of the same name, with their types;
-# beta1 and beta2 set CalibConfig.betas, and every absent key keeps its default
-_CALIB_CASTS = {
-    "lr": float, "epochs": int, "batch_size": int, "schedule": str, "eps": float,
-    "weight_decay": float, "clip_init": float,
-}
+# every absent key keeps its default
+_CALIB_CASTS = {"lr": float, "epochs": int, "batch_size": int, "clip_init": float}
 # keys fixed by the MX block, accepted so that configs which name them still run
 _FIXED_KEYS = {"g": BLOCK, "g1": G1, "g2": G2}
 _SPEC_KEYS = frozenset({"hidden", "head_dim", "n_heads", "mlp_dim", "template", "format", "seed"})
@@ -271,11 +268,7 @@ class RunConfig:
                     f"{path}: {key} = {kv[key]}, but transform and clip blocks are the "
                     f"{BLOCK}-element MX block, split g1 x g2 = {G1} x {G2}"
                 )
-        b1, b2 = CalibConfig.betas
-        calib = CalibConfig(
-            betas=(float(kv.get("beta1", b1)), float(kv.get("beta2", b2))),
-            **{key: cast(kv[key]) for key, cast in _CALIB_CASTS.items() if key in kv},
-        )
+        calib = CalibConfig(**{k: cast(kv[k]) for k, cast in _CALIB_CASTS.items() if k in kv})
         formats = FormatConfig.from_name(kv.get("format", "W4A4KV16"))
 
         weights = kv.get("weights")

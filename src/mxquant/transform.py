@@ -133,19 +133,21 @@ class DecompositionKind(Enum):
     GLOBAL_KRONECKER = "global-kronecker"  # one N x N map as two sqrt(N) factors
 
 
-def param_count(kind: DecompositionKind, n: int, g: int, g1: int, g2: int) -> int:
-    """Learnable parameter count of each decomposition at the given sizes."""
-    if g1 * g2 != g:
-        raise ShapeError(f"factor sizes g1*g2 = {g1 * g2} must equal g = {g}")
-    if n % g != 0:
-        raise ShapeError(f"feature dimension {n} is not a multiple of g = {g}")
-    k = n // g
+def param_count(kind: DecompositionKind, n: int) -> int:
+    """Learnable parameter count of each decomposition of a size-n transform.
+
+    Blocks are the MX block (BLOCK), split G1 x G2 for the Kronecker kinds;
+    n must be a positive multiple of BLOCK.
+    """
+    if n <= 0 or n % BLOCK != 0:
+        raise ShapeError(f"feature dimension {n} is not a positive multiple of {BLOCK}")
+    k = n // BLOCK
     if kind is DecompositionKind.FULL:
-        return n * g
+        return n * BLOCK
     if kind is DecompositionKind.NAIVE_KRONECKER:
-        return k * (g1 * g1 + g2 * g2)
+        return k * (G1 * G1 + G2 * G2)
     if kind is DecompositionKind.GPK:
-        return g1 * g1 + k * g2 * g2
+        return G1 * G1 + k * G2 * G2
     if kind is DecompositionKind.GLOBAL_KRONECKER:
         return 2 * n  # balanced sqrt(N) x sqrt(N) factor pair
     raise ValueError(f"unknown decomposition kind {kind!r}")

@@ -26,12 +26,11 @@ def report(num, desc, ok, elapsed):
 
 def test_c01_param_count_table_exact():
     t0 = time.perf_counter()
-    args = (4096, 32, 8, 4)
     got = (
-        param_count(DecompositionKind.GLOBAL_KRONECKER, *args),
-        param_count(DecompositionKind.FULL, *args),
-        param_count(DecompositionKind.NAIVE_KRONECKER, *args),
-        param_count(DecompositionKind.GPK, *args),
+        param_count(DecompositionKind.GLOBAL_KRONECKER, 4096),
+        param_count(DecompositionKind.FULL, 4096),
+        param_count(DecompositionKind.NAIVE_KRONECKER, 4096),
+        param_count(DecompositionKind.GPK, 4096),
     )
     elapsed = time.perf_counter() - t0
     ok = got == (8192, 131072, 10240, 2112) and elapsed < 1e-3

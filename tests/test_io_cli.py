@@ -278,9 +278,11 @@ class TestCli:
         assert main(["calibrate", "--config", str(tmp_path / "nope.cfg")]) == 2
 
     def test_usage_error_exit_code(self):
-        with pytest.raises(SystemExit) as e:
-            main(["calibrate"])  # missing --config
-        assert e.value.code == 1
+        # missing --config; a block-size flag param-count does not take
+        for argv in (["calibrate"], ["param-count", "--n", "4096", "--g", "32"]):
+            with pytest.raises(SystemExit) as e:
+                main(argv)
+            assert e.value.code == 1
 
     def test_numeric_failure_exit_code(self, tmp_path):
         # absurd learning rate: the transform factors blow up mid-training
@@ -323,7 +325,8 @@ class TestCli:
         assert capsys.readouterr().err.startswith("mxquant: usage:")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("line", ["epoch = 1", "learning_rate = 0.5", "g_1 = 4"],
+    @pytest.mark.parametrize("line", ["epoch = 1", "learning_rate = 0.5", "g_1 = 4",
+                                      "schedule = cosine", "weight_decay = 0.0"],
                              ids=lambda line: line.split()[0])
     def test_calibrate_unknown_key_is_data_error(self, tmp_path, capsys, line):
         # a misspelt key (epoch for epochs) used to calibrate with the default
@@ -355,11 +358,24 @@ class TestCli:
         _expect_one_data_error(["calibrate", "--config", str(cfg)], capsys, line.split()[0])
         assert not (tmp_path / "out" / "loss_trace.csv").exists()
 
+    @pytest.mark.parametrize("shape", [(64,), (2, 4, 64)], ids=["1d", "3d"])
+    def test_calibrate_non_2d_weights_is_data_error(self, tmp_path, capsys, shape):
+        cfg, _, _ = _write_calib_bundle(tmp_path)
+        io.write_tensor(tmp_path / "w.mxbt", np.ones(shape))
+        _expect_one_data_error(["calibrate", "--config", str(cfg)], capsys, "2-D")
+        assert not any((tmp_path / "out").glob("*"))
+
     def test_param_count_table(self, capsys):
-        assert main(["param-count", "--n", "4096", "--g", "32", "--g1", "8", "--g2", "4"]) == 0
+        assert main(["param-count", "--n", "4096"]) == 0
         out = capsys.readouterr().out
+        assert out.startswith("N=4096 g=32 g1=8 g2=4 k=128\n")
         for value in ("8192", "131072", "10240", "2112"):
             assert value in out
+
+    @pytest.mark.parametrize("n", ["0", "-32", "33"])
+    def test_param_count_bad_n_is_data_error(self, capsys, n):
+        _expect_one_data_error(["param-count", "--n", n], capsys, "multiple of 32")
+        assert capsys.readouterr().out == ""
 
     def test_param_count_single_block(self, capsys):
         assert main(["param-count", "--n", "32"]) == 0
@@ -498,11 +514,13 @@ class TestCli:
 
 
 class TestVerifyMutation:
-    def test_broken_value_set_fails_quantizer_check(self):
+    def test_broken_value_set_fails_quantizer_check(self, monkeypatch):
         # off-by-one in the top magnitude, injected into the implementation
         # side only; the oracle keeps the true grid and disagrees
         bad = mq.MxFormat("e2m1-bad", 2, 1, 2, np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 7.0]))
-        report = check_quantizer(mq.E2M1, n_blocks=300, impl_fmt=bad)
+        monkeypatch.setattr("mxquant.verify.quantize_tensor",
+                            lambda v, _fmt: mq.quantize_tensor(v, bad))
+        report = check_quantizer(mq.E2M1, n_blocks=300)
         assert not report.passed
 
     def test_fresh_build_passes(self):

@@ -175,35 +175,26 @@ class TestMaterialize:
 
 class TestParamCount:
     def test_table_values(self):
-        args = (4096, 32, 8, 4)
-        assert mq.param_count(DecompositionKind.GLOBAL_KRONECKER, *args) == 8192
-        assert mq.param_count(DecompositionKind.FULL, *args) == 131072
-        assert mq.param_count(DecompositionKind.NAIVE_KRONECKER, *args) == 10240
-        assert mq.param_count(DecompositionKind.GPK, *args) == 2112
+        assert mq.param_count(DecompositionKind.GLOBAL_KRONECKER, 4096) == 8192
+        assert mq.param_count(DecompositionKind.FULL, 4096) == 131072
+        assert mq.param_count(DecompositionKind.NAIVE_KRONECKER, 4096) == 10240
+        assert mq.param_count(DecompositionKind.GPK, 4096) == 2112
 
     def test_single_block(self):
-        assert mq.param_count(DecompositionKind.GPK, 32, 32, 8, 4) == 64 + 16
+        assert mq.param_count(DecompositionKind.GPK, 32) == 64 + 16
 
     def test_full_dominates_gpk(self):
-        # holds everywhere except the degenerate single-block corner with a
-        # trivial 1x1 factor, where GPK = FULL + 1
         for n in (32, 64, 128, 512, 4096):
-            for g1, g2 in ((8, 4), (4, 8), (16, 2), (2, 16), (32, 1), (1, 32)):
-                full = mq.param_count(DecompositionKind.FULL, n, 32, g1, g2)
-                gpk = mq.param_count(DecompositionKind.GPK, n, 32, g1, g2)
-                naive = mq.param_count(DecompositionKind.NAIVE_KRONECKER, n, 32, g1, g2)
-                assert naive >= gpk  # sharing A saves (k-1) * g1^2
-                k = n // 32
-                if g1 == 1 or (g2 == 1 and k == 1):
-                    assert gpk == full + 1  # trivial factor is pure overhead
-                else:
-                    assert full >= gpk
+            full = mq.param_count(DecompositionKind.FULL, n)
+            gpk = mq.param_count(DecompositionKind.GPK, n)
+            naive = mq.param_count(DecompositionKind.NAIVE_KRONECKER, n)
+            assert naive >= gpk  # sharing A saves (k-1) * g1^2
+            assert full >= gpk
 
     def test_inconsistent_dims(self):
-        with pytest.raises(ShapeError):
-            mq.param_count(DecompositionKind.GPK, 4096, 32, 8, 8)
-        with pytest.raises(ShapeError):
-            mq.param_count(DecompositionKind.GPK, 100, 32, 8, 4)
+        for n in (100, 33, 0, -32):
+            with pytest.raises(ShapeError):
+                mq.param_count(DecompositionKind.GPK, n)
 
 
 class TestBlockHadamard:
