@@ -2,7 +2,6 @@
 
 from .calib import (
     CalibConfig,
-    CalibRun,
     FusedLayer,
     Theta,
     adamw_step,

@@ -10,10 +10,10 @@ The pipeline per training step, for a linear layer Y = X @ W.T:
 The weight side uses the inverse-transpose factors so that with
 quantization and clipping disabled Y~ equals Y exactly for any invertible
 transform. Both sides run one transform -> clip -> qdq operand path
-(_site_operand); fuse, fused_forward and the toy block's linear sites in
-harness reuse it. Transform and clip blocks are the 32-element MX block
-(formats.BLOCK, split as transform.G1 x transform.G2), so no outlier moves
-across a quantization block.
+(_site_operand); quantized_forward (which the toy block's linear sites in
+harness call), fuse and fused_forward reuse it. Transform and clip blocks
+are the 32-element MX block (formats.BLOCK, split as transform.G1 x
+transform.G2), so no outlier moves across a quantization block.
 
 Gradients are a fixed-graph reverse pass hand-derived for this
 pipeline: the quantize-dequantize step is a clipped straight-through
@@ -22,13 +22,16 @@ saturated), clip and the transform contractions use exact adjoints.
 
 The optimizer recipe is fixed: Adam with bias correction (BETAS, EPS), no
 weight decay, and the learning rate decayed from CalibConfig.lr to 0 along
-a half cosine over the run's steps.
+a half cosine over the run's steps. It updates Theta's own arrays in place
+(Theta.params), so the learned parameters have one home; calibrate_layer
+returns that Theta with its loss trace, and fuse bakes the weight side
+only where a caller stores the result.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,23 +57,16 @@ class Theta:
         t = GpkTransform.identity(n)
         return cls(t, ClipParams.init(t.k, clip_init), ClipParams.init(t.k, clip_init))
 
-    def to_params(self) -> dict[str, np.ndarray]:
+    def params(self) -> dict[str, np.ndarray]:
+        """The live parameter arrays by name; writing into them updates self."""
         return {
-            "a": self.transform.a.copy(),
-            "b": self.transform.b.copy(),
-            "act_min": self.act_clip.alpha_min.copy(),
-            "act_max": self.act_clip.alpha_max.copy(),
-            "w_min": self.weight_clip.alpha_min.copy(),
-            "w_max": self.weight_clip.alpha_max.copy(),
+            "a": self.transform.a,
+            "b": self.transform.b,
+            "act_min": self.act_clip.alpha_min,
+            "act_max": self.act_clip.alpha_max,
+            "w_min": self.weight_clip.alpha_min,
+            "w_max": self.weight_clip.alpha_max,
         }
-
-    @classmethod
-    def from_params(cls, params: dict[str, np.ndarray]) -> "Theta":
-        return cls(
-            GpkTransform(params["a"], params["b"]),
-            ClipParams(params["act_min"], params["act_max"]),
-            ClipParams(params["w_min"], params["w_max"]),
-        )
 
 
 @dataclass
@@ -90,16 +86,6 @@ class CalibConfig:
             raise ValueError("learning rate must be non-negative")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be at least 1")
-
-
-@dataclass
-class CalibRun:
-    """Result of a calibration job: weights, learned parameters, loss trace."""
-
-    weights: np.ndarray
-    theta: Theta
-    formats: FormatConfig
-    loss_trace: list[tuple[int, float, float]] = field(default_factory=list)
 
 
 @dataclass
@@ -202,16 +188,16 @@ def _backward(ctx: _StepCtx, y_ref) -> tuple[float, dict[str, np.ndarray]]:
     return loss, grads
 
 
-def quantized_forward(x, run: CalibRun) -> np.ndarray:
-    """Simulated quantized layer output for a batch, under run.theta."""
-    return _forward(np.asarray(x, dtype=np.float64), run.weights, run.theta, run.formats).y
+def quantized_forward(x, w, theta: Theta, formats: FormatConfig) -> np.ndarray:
+    """Simulated quantized output of the layer x @ w.T under theta."""
+    return _forward(np.asarray(x, dtype=np.float64), w, theta, formats).y
 
 
-def backward(run: CalibRun, batch) -> dict[str, np.ndarray]:
-    """Gradients of the reconstruction loss for one batch under run.theta."""
-    x = np.asarray(batch, dtype=np.float64)
-    ctx = _forward(x, run.weights, run.theta, run.formats)
-    _, grads = _backward(ctx, x @ run.weights.T)
+def backward(x, w, theta: Theta, formats: FormatConfig) -> dict[str, np.ndarray]:
+    """Gradients of the reconstruction loss for one batch under theta."""
+    x = np.asarray(x, dtype=np.float64)
+    ctx = _forward(x, w, theta, formats)
+    _, grads = _backward(ctx, x @ w.T)
     return grads
 
 
@@ -225,31 +211,28 @@ def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
     return lr0 * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
 
 
-def init_opt_state(params: dict[str, np.ndarray]) -> dict:
-    return {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in params.items()}
-
-
 def adamw_step(params, grads, state, config: CalibConfig, step_index: int, total_steps: int):
     """One Adam update (BETAS, EPS, no weight decay) at the cosine-decayed rate.
 
-    step_index is the 0-based optimizer step; cosine_lr is evaluated at it
-    and bias correction uses step_index + 1. Returns (params, state, lr).
+    Updates the arrays of params (e.g. Theta.params()) and the (m, v)
+    moment pairs of state in place. step_index is the 0-based optimizer
+    step; cosine_lr is evaluated at it and bias correction uses
+    step_index + 1. Returns the learning rate used.
     """
     lr = cosine_lr(step_index, total_steps, config.lr)
     b1, b2 = BETAS
     t = step_index + 1
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
-    new_params, new_state = {}, {}
     for name, p in params.items():
         gr = grads[name]
         m, v = state[name]
-        m = b1 * m + (1.0 - b1) * gr
-        v = b2 * v + (1.0 - b2) * gr * gr
-        update = (m / c1) / (np.sqrt(v / c2) + EPS)
-        new_params[name] = p - lr * update
-        new_state[name] = (m, v)
-    return new_params, new_state, lr
+        m *= b1
+        m += (1.0 - b1) * gr
+        v *= b2
+        v += (1.0 - b2) * gr * gr
+        p -= lr * ((m / c1) / (np.sqrt(v / c2) + EPS))
+    return lr
 
 
 # -- training loop ---------------------------------------------------------
@@ -259,7 +242,9 @@ def calibrate_layer(w, calib_set, config: CalibConfig, formats: FormatConfig):
     """Run the full calibration loop for one linear layer.
 
     calib_set is one (rows, N) array, split into config.batch_size chunks of
-    rows. Returns (CalibRun, FusedLayer).
+    rows. Returns (theta, loss_trace): the learned Theta and one
+    (step, lr, loss) row per optimizer step. A non-finite loss or gradient
+    raises DivergenceError carrying the trace up to that step.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
@@ -276,40 +261,35 @@ def calibrate_layer(w, calib_set, config: CalibConfig, formats: FormatConfig):
     ]
 
     theta = Theta.init(n, config.clip_init)
-    params = theta.to_params()
-    state = init_opt_state(params)
-    run = CalibRun(w, theta, formats)
+    params = theta.params()
+    state = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in params.items()}
+    loss_trace: list[tuple[int, float, float]] = []
 
     y_refs = [x @ w.T for x in batches]
     total_steps = config.epochs * len(batches)
     step = 0
     for _epoch in range(config.epochs):
         for x, y_ref in zip(batches, y_refs):
-            theta = Theta.from_params(params)
             ctx = _forward(x, w, theta, formats)
             step_loss, grads = _backward(ctx, y_ref)
             if not math.isfinite(step_loss):
-                raise DivergenceError("non-finite loss", step, run.loss_trace)
+                raise DivergenceError("non-finite loss", step, loss_trace)
             if any(not np.all(np.isfinite(g)) for g in grads.values()):
-                raise DivergenceError("non-finite gradient", step, run.loss_trace)
-            params, state, lr = adamw_step(params, grads, state, config, step, total_steps)
-            run.loss_trace.append((step, lr, step_loss))
+                raise DivergenceError("non-finite gradient", step, loss_trace)
+            lr = adamw_step(params, grads, state, config, step, total_steps)
+            loss_trace.append((step, lr, step_loss))
             step += 1
 
-    run.theta = Theta.from_params(params)
-    run.theta.transform.check_invertible()
-    return run, fuse(run)
+    theta.transform.check_invertible()
+    return theta, loss_trace
 
 
-def fuse(run: CalibRun) -> FusedLayer:
+def fuse(w, theta: Theta, formats: FormatConfig) -> FusedLayer:
     """Offline fusion: bake the weight-side pipeline into stored weights."""
-    t = run.theta.transform
-    wc, _, _ = _site_operand(run.weights, t.inverse_transpose(), run.theta.weight_clip, None)
-    if run.formats.weights is not None:
-        w_q = quantize_tensor(wc, run.formats.weights)
-    else:
-        w_q = wc
-    return FusedLayer(w_q, t, run.theta.act_clip)
+    t = theta.transform
+    wc, _, _ = _site_operand(w, t.inverse_transpose(), theta.weight_clip, None)
+    w_q = quantize_tensor(wc, formats.weights) if formats.weights is not None else wc
+    return FusedLayer(w_q, t, theta.act_clip)
 
 
 def fused_forward(x, fused: FusedLayer, formats: FormatConfig) -> np.ndarray:

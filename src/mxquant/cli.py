@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .calib import CalibConfig, calibrate_layer
+from .calib import CalibConfig, calibrate_layer, fuse
 from .errors import DataError, MxQuantError, NumericalError, ShapeError
 from .formats import BLOCK, E2M1, FormatConfig, MxTensor, quantize_tensor
 from .harness import build_toy_block, calibrate_block, simulate_block
@@ -76,7 +76,6 @@ def _cmd_calibrate(args) -> int:
     if not cfg.calib_paths:
         raise DataError("config names no calibration files ('calib' entry)")
     out_dir = Path(cfg.out_dir or Path(args.config).parent)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     w = io.read_tensor(cfg.weights_path)
     if isinstance(w, MxTensor):
@@ -88,18 +87,22 @@ def _cmd_calibrate(args) -> int:
         x = io.read_tensor(p)
         if isinstance(x, MxTensor):
             raise DataError(f"{p}: calibration activations must be f32 tensors")
+        if x.shape[-1:] != (w.shape[1],):
+            raise ShapeError(f"{p}: activations of shape {x.shape} do not end in the "
+                             f"weights' input width {w.shape[1]}")
         rows.append(np.asarray(x, dtype=np.float64).reshape(-1, w.shape[1]))
     calib_data = np.vstack(rows)
 
-    run, fused = calibrate_layer(w, calib_data, cfg.calib, cfg.formats)
+    theta, trace = calibrate_layer(w, calib_data, cfg.calib, cfg.formats)
 
-    io.write_transform_record(out_dir / "transform.gpkt", run.theta.transform,
-                              run.theta.act_clip, run.theta.weight_clip)
-    io.write_tensor(out_dir / "fused_weights.mxbt", fused.w_q)
-    io.write_loss_csv(out_dir / "loss_trace.csv", run.loss_trace)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    io.write_transform_record(out_dir / "transform.gpkt", theta.transform,
+                              theta.act_clip, theta.weight_clip)
+    io.write_tensor(out_dir / "fused_weights.mxbt", fuse(w, theta, cfg.formats).w_q)
+    io.write_loss_csv(out_dir / "loss_trace.csv", trace)
 
-    first, last = run.loss_trace[0][2], run.loss_trace[-1][2]
-    print(f"calibrated {cfg.formats.name}: {len(run.loss_trace)} steps, "
+    first, last = trace[0][2], trace[-1][2]
+    print(f"calibrated {cfg.formats.name}: {len(trace)} steps, "
           f"loss {first:.6g} -> {last:.6g}")
     print(f"artifacts written to {out_dir}")
     return EXIT_OK
@@ -149,24 +152,22 @@ def _cmd_stats(args) -> int:
     return EXIT_OK
 
 
+# param-count rows: (display name, decomposition, matmul cost)
+_DECOMPOSITIONS = (
+    ("global-kronecker", DecompositionKind.GLOBAL_KRONECKER, "S*N^(3/2)"),
+    ("full-block", DecompositionKind.FULL, "S*N*g"),
+    ("naive-kronecker", DecompositionKind.NAIVE_KRONECKER, "S*N*(g1+g2)"),
+    ("global+private-kronecker", DecompositionKind.GPK, "S*N*(g1+g2)"),
+)
+
+
 def _cmd_param_count(args) -> int:
-    kinds = (
-        ("global-kronecker", DecompositionKind.GLOBAL_KRONECKER),
-        ("full-block", DecompositionKind.FULL),
-        ("naive-kronecker", DecompositionKind.NAIVE_KRONECKER),
-        ("global+private-kronecker", DecompositionKind.GPK),
-    )
-    complexity = {
-        "global-kronecker": "S*N^(3/2)",
-        "full-block": "S*N*g",
-        "naive-kronecker": "S*N*(g1+g2)",
-        "global+private-kronecker": "S*N*(g1+g2)",
-    }
-    counts = [(name, param_count(kind, args.n)) for name, kind in kinds]
+    # every count first, so a bad --n prints nothing to stdout
+    counts = [(name, cost, param_count(kind, args.n)) for name, kind, cost in _DECOMPOSITIONS]
     print(f"N={args.n} g={BLOCK} g1={G1} g2={G2} k={args.n // BLOCK}")
     print(f"{'decomposition':<26} {'matmul cost':<14} {'params':>10}")
-    for name, count in counts:
-        print(f"{name:<26} {complexity[name]:<14} {count:>10}")
+    for name, cost, count in counts:
+        print(f"{name:<26} {cost:<14} {count:>10}")
     return EXIT_OK
 
 
@@ -226,7 +227,7 @@ def main(argv=None) -> int:
     except NumericalError as e:
         print(f"mxquant: numeric: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataError, MxQuantError, OSError, ValueError) as e:
+    except (MxQuantError, OSError, ValueError) as e:
         print(f"mxquant: data: {e}", file=sys.stderr)
         return EXIT_DATA
 

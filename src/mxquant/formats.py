@@ -111,8 +111,6 @@ def _e4m3_value_set() -> np.ndarray:
 E2M1 = MxFormat("e2m1", 2, 1, 2, np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0]))
 E4M3 = MxFormat("e4m3", 4, 3, 8, _e4m3_value_set())
 
-FORMATS = {"e2m1": E2M1, "e4m3": E4M3}
-
 
 def format_for_bits(bits: int) -> MxFormat | None:
     """Map a site bit-width to its element format; 16 disables quantization."""

@@ -10,12 +10,12 @@ Models where block transforms attach in an attention + MLP block:
   autoregressive decoding.
 
 Each linear site is a calib.Theta (one transform, an activation clip and a
-weight clip) and runs calibration's own forward, so the block, calibration
-and fusion share one transform -> clip -> qdq path. Normalization and
-attention scores stay in full precision. K/V quantization is simulated as
-one quantize-dequantize of each head's key and value slice; the cache
-carries no transform, because calibration learns only the linear sites.
-RoPE is deliberately absent.
+weight clip) and runs calib.quantized_forward, calibration's own forward,
+so the block, calibration and fusion share one transform -> clip -> qdq
+path. Normalization and attention scores stay in full precision. K/V
+quantization is simulated as one quantize-dequantize of each head's key
+and value slice; the cache carries no transform, because calibration
+learns only the linear sites. RoPE is deliberately absent.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .calib import CalibConfig, Theta, _forward, calibrate_layer
+from .calib import CalibConfig, Theta, calibrate_layer, quantized_forward
 from .errors import ShapeError
 from .formats import BLOCK, FormatConfig, quantize_dequantize
 
@@ -119,7 +119,7 @@ def _block_forward(block: ToyBlock, x, formats: FormatConfig | None, record=None
 
     def lin(site, inp, w):
         if quant:
-            out = _forward(inp, w, block.sites[site], formats).y
+            out = quantized_forward(inp, w, block.sites[site], formats)
         else:
             out = inp @ w.T
         if record is not None:
@@ -184,6 +184,5 @@ def calibrate_block(block: ToyBlock, x, config: CalibConfig, formats: FormatConf
     record: dict[str, tuple] = {}
     _block_forward(block, np.asarray(x, dtype=np.float64), None, record)
     for site, (inp, w, _) in record.items():
-        run, _fused = calibrate_layer(w, inp, config, formats)
-        block.sites[site] = run.theta
+        block.sites[site], _ = calibrate_layer(w, inp, config, formats)
     return block

@@ -110,17 +110,18 @@ def check_gradients(seed: int = 3) -> OracleReport:
     x = rng.normal(size=(6, n))
     w = rng.normal(size=(m, n))
     theta = Theta.init(n)
-    params = theta.to_params()
+    params = theta.params()
     for key in ("a", "b"):
-        params[key] = params[key] + 0.05 * rng.normal(size=params[key].shape)
+        params[key] += 0.05 * rng.normal(size=params[key].shape)
     fmts = FormatConfig(None, None)
     y_ref = x @ w.T + rng.normal(size=(6, m))
 
-    def loss_fn(p):
-        ctx = _forward(x, w, Theta.from_params(p), fmts)
+    def loss_fn(_params):
+        # finite_diff_oracle perturbs theta's own arrays in place
+        ctx = _forward(x, w, theta, fmts)
         return float(np.sum((ctx.y - y_ref) ** 2))
 
-    ctx = _forward(x, w, Theta.from_params(params), fmts)
+    ctx = _forward(x, w, theta, fmts)
     _, grads = _backward(ctx, y_ref)
     fd = oracle.finite_diff_oracle(loss_fn, params, h=1e-5)
     worst = max(_rel_err(grads[k], fd[k]) for k in params)

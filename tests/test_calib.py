@@ -9,7 +9,6 @@ from mxquant.calib import (
     BETAS,
     EPS,
     CalibConfig,
-    CalibRun,
     Theta,
     _backward,
     _forward,
@@ -17,8 +16,8 @@ from mxquant.calib import (
     adamw_step,
     calibrate_layer,
     cosine_lr,
+    fuse,
     fused_forward,
-    init_opt_state,
     quantized_forward,
 )
 from mxquant.errors import DivergenceError, SingularTransformError
@@ -37,32 +36,30 @@ class TestQuantizedForward:
     def test_identity_no_quant_exact(self, rng):
         x = rng.normal(size=(5, 64))
         w = rng.normal(size=(7, 64))
-        run = CalibRun(w, saturated_theta(64), NO_QUANT)
-        assert quantized_forward(x, run).tobytes() == (x @ w.T).tobytes()
+        out = quantized_forward(x, w, saturated_theta(64), NO_QUANT)
+        assert out.tobytes() == (x @ w.T).tobytes()
 
     def test_identity_equals_plain_rtn(self, rng):
         # with identity transform and saturated clips the pipeline IS plain RTN
         x = rng.normal(size=(6, 96))
         w = rng.normal(size=(5, 96))
-        run = CalibRun(w, saturated_theta(96), W4A4KV16)
         direct = mq.quantize_dequantize(x, mq.E2M1) @ mq.quantize_dequantize(w, mq.E2M1).T
-        assert quantized_forward(x, run).tobytes() == direct.tobytes()
+        assert quantized_forward(x, w, saturated_theta(96), W4A4KV16).tobytes() == direct.tobytes()
 
     def test_general_transform_exact_when_quant_off(self, rng):
         theta = saturated_theta(64)
         theta.transform = random_transform(rng, 64)
         x = rng.normal(size=(4, 64))
         w = rng.normal(size=(3, 64))
-        run = CalibRun(w, theta, NO_QUANT)
-        err = np.abs(quantized_forward(x, run) - x @ w.T).max()
+        err = np.abs(quantized_forward(x, w, theta, NO_QUANT) - x @ w.T).max()
         assert err <= 1e-9 * np.abs(x @ w.T).max()
 
     def test_singular_transform_raises(self, rng):
         theta = saturated_theta(64)
         theta.transform.a[:] = 0.0
-        run = CalibRun(rng.normal(size=(3, 64)), theta, W4A4KV16)
+        w = rng.normal(size=(3, 64))
         with pytest.raises(SingularTransformError):
-            quantized_forward(rng.normal(size=(2, 64)), run)
+            quantized_forward(rng.normal(size=(2, 64)), w, theta, W4A4KV16)
 
 
 class TestLoss:
@@ -102,17 +99,19 @@ class TestBackward:
         x[:, 3] *= 20  # make clipping active
         w = rng.normal(size=(m, n))
         y_ref = x @ w.T + rng.normal(size=(5, m))
-        params = saturated_theta(n).to_params()
+        theta = saturated_theta(n)
+        params = theta.params()
         params["a"] += 0.05 * rng.normal(size=params["a"].shape)
         params["b"] += 0.05 * rng.normal(size=params["b"].shape)
         for key in ("act_min", "act_max", "w_min", "w_max"):
-            params[key] = rng.normal(size=2) + 1.0
+            params[key][:] = rng.normal(size=2) + 1.0
 
-        def loss_fn(p):
-            ctx = _forward(x, w, Theta.from_params(p), NO_QUANT)
+        def loss_fn(_params):
+            # finite_diff_oracle perturbs theta's own arrays in place
+            ctx = _forward(x, w, theta, NO_QUANT)
             return float(np.sum((ctx.y - y_ref) ** 2))
 
-        ctx = _forward(x, w, Theta.from_params(params), NO_QUANT)
+        ctx = _forward(x, w, theta, NO_QUANT)
         _, grads = _backward(ctx, y_ref)
         fd = finite_diff_oracle(loss_fn, params, h=1e-5)
         for key in params:
@@ -160,12 +159,12 @@ class TestBackward:
         x[:, [5, 77, 200]] *= 40.0
         w = rng.normal(size=(m, n)) / 16.0
         w[:, 130] *= 30.0
-        params = Theta.init(n).to_params()
+        theta = Theta.init(n)
+        params = theta.params()
         params["a"] += 0.1 * rng.normal(size=params["a"].shape)
         params["b"] += 0.1 * rng.normal(size=params["b"].shape)
         for key in ("act_min", "act_max", "w_min", "w_max"):
-            params[key] = rng.normal(size=n // 32)
-        theta = Theta.from_params(params)
+            params[key][:] = rng.normal(size=n // 32)
         ctx = _forward(x, w, theta, W4A4KV16)
         assert not ctx.xmask.all() and not ctx.wmask.all()  # some saturation
         assert ctx.wclip_ctx.upper.any() and ctx.wclip_ctx.lower.any()
@@ -197,39 +196,64 @@ class TestBackward:
         n = 64
         w = rng.normal(size=(4, n))
         x = rng.normal(size=(6, n))
-        run = CalibRun(w, saturated_theta(n), NO_QUANT)
-        grads = mq.backward(run, x)
+        grads = mq.backward(x, w, saturated_theta(n), NO_QUANT)
         for g in grads.values():
             assert np.abs(g).max() <= 1e-12
 
 
+def zero_state(params):
+    return {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in params.items()}
+
+
 class TestAdamW:
+    # adamw_step updates in place: each test steps a copy of its inputs
     def test_zero_grad_no_decay_unchanged(self):
         params = {"p": np.array([1.0, -2.0])}
-        state = init_opt_state(params)
+        state = zero_state(params)
         cfg = CalibConfig(lr=0.1)
-        new, _, _ = adamw_step(params, {"p": np.zeros(2)}, state, cfg, 0, 10)
+        new = {k: v.copy() for k, v in params.items()}
+        adamw_step(new, {"p": np.zeros(2)}, state, cfg, 0, 10)
         assert np.array_equal(new["p"], params["p"])
 
     def test_first_step_closed_form(self, rng):
         g = rng.normal(size=5)
         params = {"p": rng.normal(size=5)}
-        state = init_opt_state(params)
+        state = zero_state(params)
         cfg = CalibConfig(lr=0.01)
-        new, _, _ = adamw_step(params, {"p": g}, state, cfg, 0, 10)
+        new = {k: v.copy() for k, v in params.items()}
+        adamw_step(new, {"p": g}, state, cfg, 0, 10)
         # bias-corrected first step at cosine_lr(0) == lr: -lr * g / (|g| + eps)
         want = params["p"] - cfg.lr * g / (np.abs(g) + EPS)
         assert np.allclose(new["p"], want, rtol=1e-12)
 
     def test_moments_update(self, rng):
         params = {"p": np.zeros(3)}
-        state = init_opt_state(params)
+        state = zero_state(params)
         cfg = CalibConfig(lr=0.0)
         g = rng.normal(size=3)
-        _, state, _ = adamw_step(params, {"p": g}, state, cfg, 0, 10)
+        adamw_step(params, {"p": g}, state, cfg, 0, 10)
         m, v = state["p"]
         assert np.allclose(m, (1 - BETAS[0]) * g)
         assert np.allclose(v, (1 - BETAS[1]) * g * g)
+
+    def test_steps_theta_arrays_and_returns_cosine_lr(self, rng):
+        theta = Theta.init(64)
+        params = theta.params()
+        before = {k: v.copy() for k, v in params.items()}
+        grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
+        lr = adamw_step(params, grads, zero_state(params), CalibConfig(lr=0.1), 3, 10)
+        assert lr == cosine_lr(3, 10, 0.1)
+        live = {"a": theta.transform.a, "b": theta.transform.b,
+                "act_min": theta.act_clip.alpha_min, "act_max": theta.act_clip.alpha_max,
+                "w_min": theta.weight_clip.alpha_min, "w_max": theta.weight_clip.alpha_max}
+        for name, arr in live.items():
+            assert not np.array_equal(arr, before[name]), name
+            # zero moments at step_index 3: bias correction uses t = 4
+            g = grads[name]
+            m_hat = (1 - BETAS[0]) * g / (1 - BETAS[0] ** 4)
+            v_hat = (1 - BETAS[1]) * g * g / (1 - BETAS[1] ** 4)
+            want = before[name] - lr * m_hat / (np.sqrt(v_hat) + EPS)
+            assert np.allclose(arr, want, rtol=1e-12), name
 
 
 class TestCosineLr:
@@ -244,11 +268,12 @@ class TestCalibrateLayer:
         x = rng.normal(size=(16, 64))
         w = rng.normal(size=(8, 64))
         cfg = CalibConfig(lr=0.0, epochs=2, clip_init=SAT)
-        run, fused = calibrate_layer(w, x, cfg, W4A4KV16)
+        theta, _ = calibrate_layer(w, x, cfg, W4A4KV16)
+        fused = fuse(w, theta, W4A4KV16)
         init = Theta.init(64, SAT)
-        assert np.array_equal(run.theta.transform.a, init.transform.a)
-        assert np.array_equal(run.theta.transform.b, init.transform.b)
-        assert np.array_equal(run.theta.act_clip.alpha_min, init.act_clip.alpha_min)
+        assert np.array_equal(theta.transform.a, init.transform.a)
+        assert np.array_equal(theta.transform.b, init.transform.b)
+        assert np.array_equal(theta.act_clip.alpha_min, init.act_clip.alpha_min)
         # fused weights equal straight RTN of the raw weights
         rtn = mq.quantize_tensor(w, mq.E2M1)
         assert np.array_equal(fused.w_q.codes, rtn.codes)
@@ -258,11 +283,11 @@ class TestCalibrateLayer:
         x = rng.normal(size=(8, 64))
         w = rng.normal(size=(4, 64))
         cfg = CalibConfig(lr=1e-3, epochs=3, batch_size=4)
-        run, _ = calibrate_layer(w, x, cfg, W4A4KV16)
-        assert len(run.loss_trace) == 3 * 2
-        steps = [s for s, _, _ in run.loss_trace]
+        _, trace = calibrate_layer(w, x, cfg, W4A4KV16)
+        assert len(trace) == 3 * 2
+        steps = [s for s, _, _ in trace]
         assert steps == list(range(6))
-        lrs = [lr for _, lr, _ in run.loss_trace]
+        lrs = [lr for _, lr, _ in trace]
         assert lrs[0] == 1e-3 and lrs[-1] < lrs[0]
 
     def test_outlier_layer_beats_rtn(self):
@@ -270,32 +295,32 @@ class TestCalibrateLayer:
         y_ref = x @ w.T
         rtn = mq.quantize_dequantize(x, mq.E2M1) @ mq.quantize_dequantize(w, mq.E2M1).T
         mse_rtn = np.mean((rtn - y_ref) ** 2)
-        run, _ = calibrate_layer(w, x, CalibConfig(lr=0.02), W4A4KV16)
-        mse_cal = np.mean((quantized_forward(x, run) - y_ref) ** 2)
+        theta, _ = calibrate_layer(w, x, CalibConfig(lr=0.02), W4A4KV16)
+        mse_cal = np.mean((quantized_forward(x, w, theta, W4A4KV16) - y_ref) ** 2)
         assert mse_cal < mse_rtn * 0.8
 
     def test_private_factors_diverge_on_heterogeneous_blocks(self):
         x, w = make_outlier_instance(seed=2)
-        run, _ = calibrate_layer(w, x, CalibConfig(lr=0.02), W4A4KV16)
-        b = run.theta.transform.b
+        theta, _ = calibrate_layer(w, x, CalibConfig(lr=0.02), W4A4KV16)
+        b = theta.transform.b
         norms = [np.linalg.norm(b[i] - b[j]) for i in range(4) for j in range(i + 1, 4)]
         assert min(norms) > 1e-3
 
     def test_determinism_bit_identical_traces(self):
         x, w = make_outlier_instance(seed=3, rows=32)
         cfg = CalibConfig(lr=0.01, epochs=2)
-        run1, _ = calibrate_layer(w, x, cfg, W4A4KV16)
-        run2, _ = calibrate_layer(w, x, cfg, W4A4KV16)
-        assert len(run1.loss_trace) == len(run2.loss_trace)
-        for (s1, l1, v1), (s2, l2, v2) in zip(run1.loss_trace, run2.loss_trace):
+        _, trace1 = calibrate_layer(w, x, cfg, W4A4KV16)
+        _, trace2 = calibrate_layer(w, x, cfg, W4A4KV16)
+        assert len(trace1) == len(trace2)
+        for (s1, l1, v1), (s2, l2, v2) in zip(trace1, trace2):
             assert s1 == s2 and l1 == l2 and v1 == v2  # bit-identical floats
 
     def test_fusion_consistency_exact(self, rng):
         x, w = make_outlier_instance(seed=4, rows=32)
-        run, fused = calibrate_layer(w, x, CalibConfig(lr=0.01, epochs=2), W4A4KV16)
+        theta, _ = calibrate_layer(w, x, CalibConfig(lr=0.01, epochs=2), W4A4KV16)
         xb = rng.normal(size=(8, 128))
-        online = quantized_forward(xb, run)
-        offline = fused_forward(xb, fused, W4A4KV16)
+        online = quantized_forward(xb, w, theta, W4A4KV16)
+        offline = fused_forward(xb, fuse(w, theta, W4A4KV16), W4A4KV16)
         assert online.tobytes() == offline.tobytes()
 
     def test_divergence_raises_with_step(self):
@@ -307,14 +332,14 @@ class TestCalibrateLayer:
 
     def test_final_loss_not_above_initial(self):
         x, w = make_outlier_instance(seed=5, rows=64)
-        run, _ = calibrate_layer(w, x, CalibConfig(lr=0.01), W4A4KV16)
-        losses = [v for _, _, v in run.loss_trace]
+        _, trace = calibrate_layer(w, x, CalibConfig(lr=0.01), W4A4KV16)
+        losses = [v for _, _, v in trace]
         assert losses[-1] <= losses[0]
 
     def test_epoch_means_non_increasing(self):
         x, w = make_outlier_instance(seed=6)
-        run, _ = calibrate_layer(w, x, CalibConfig(lr=0.02), W4A4KV16)
-        per_epoch = np.array([v for _, _, v in run.loss_trace]).reshape(5, -1).mean(axis=1)
+        _, trace = calibrate_layer(w, x, CalibConfig(lr=0.02), W4A4KV16)
+        per_epoch = np.array([v for _, _, v in trace]).reshape(5, -1).mean(axis=1)
         for a, b in zip(per_epoch, per_epoch[1:]):
             assert b <= a * 1.05
 
@@ -324,6 +349,7 @@ class TestCalibrateLayer:
 
     def test_w4a8_runs(self, rng):
         x, w = make_outlier_instance(seed=7, rows=32)
-        run, fused = calibrate_layer(w, x, CalibConfig(lr=0.01, epochs=1), FormatConfig.from_name("W4A8KV16"))
-        assert fused.w_q.fmt is mq.E2M1
-        assert math.isfinite(run.loss_trace[-1][2])
+        fmts = FormatConfig.from_name("W4A8KV16")
+        theta, trace = calibrate_layer(w, x, CalibConfig(lr=0.01, epochs=1), fmts)
+        assert fuse(w, theta, fmts).w_q.fmt is mq.E2M1
+        assert math.isfinite(trace[-1][2])

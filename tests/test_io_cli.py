@@ -363,7 +363,15 @@ class TestCli:
         cfg, _, _ = _write_calib_bundle(tmp_path)
         io.write_tensor(tmp_path / "w.mxbt", np.ones(shape))
         _expect_one_data_error(["calibrate", "--config", str(cfg)], capsys, "2-D")
-        assert not any((tmp_path / "out").glob("*"))
+        assert not (tmp_path / "out").exists()
+
+    def test_calibrate_activation_width_mismatch_is_data_error(self, tmp_path, capsys):
+        # (8, 128) activations for (8, 64) weights used to calibrate as 16 rows
+        cfg, _, _ = _write_calib_bundle(tmp_path)
+        io.write_tensor(tmp_path / "acts.mxbt", np.ones((8, 128)))
+        err = _expect_one_data_error(["calibrate", "--config", str(cfg)], capsys, "width 64")
+        assert "acts.mxbt" in err
+        assert not (tmp_path / "out").exists()
 
     def test_param_count_table(self, capsys):
         assert main(["param-count", "--n", "4096"]) == 0
