@@ -18,7 +18,10 @@ transform.G2), so no outlier moves across a quantization block.
 Gradients are a fixed-graph reverse pass hand-derived for this
 pipeline: the quantize-dequantize step is a clipped straight-through
 estimator (identity inside the representable range, zero where an element
-saturated), clip and the transform contractions use exact adjoints.
+saturated), clip and the transform contractions use exact adjoints. The
+reverse pass is _operand_backward once per operand, the mirror of
+_site_operand; _backward adds the chain rule through A^-T and B_i^-T that
+ties the weight side's factors back to theta.
 
 The optimizer recipe is fixed: Adam with bias correction (BETAS, EPS), no
 weight decay, and the learning rate decayed from CalibConfig.lr to 0 along
@@ -35,9 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clipping import ClipParams, clip_backward, clip_with_ctx
+from .clipping import ClipCtx, ClipParams, clip_backward, clip_with_ctx
 from .errors import DivergenceError, ShapeError
-from .formats import BLOCK, FormatConfig, MxTensor, quantize_dequantize_with_mask, quantize_tensor
+from .formats import FormatConfig, MxTensor, block_count, quantize_dequantize_with_mask
+from .formats import quantize_tensor
 from .transform import G1, G2, GpkTransform, gpk_forward
 
 BETAS = (0.9, 0.999)  # Adam moment decay rates
@@ -101,39 +105,37 @@ class FusedLayer:
 
 
 @dataclass
+class _Operand:
+    """One matmul operand after its site path, with what its adjoint needs."""
+
+    v: np.ndarray  # the operand as given
+    t: GpkTransform  # the factors applied to it
+    out: np.ndarray  # transform -> clip -> qdq of v
+    mask: np.ndarray | None  # qdq in-range mask; None when qdq is skipped
+    clip: ClipCtx
+
+
+@dataclass
 class _StepCtx:
-    x: np.ndarray
-    w: np.ndarray
-    theta: Theta
-    wt_factors: GpkTransform
-    xq: np.ndarray
-    wq: np.ndarray
-    xmask: np.ndarray | None
-    wmask: np.ndarray | None
-    xclip_ctx: object
-    wclip_ctx: object
+    x: _Operand
+    w: _Operand
     y: np.ndarray
 
 
-def _site_operand(v, t: GpkTransform, clip_params: ClipParams, fmt):
-    """Transform -> clip -> qdq of one matmul operand; fmt None skips qdq.
-
-    Returns (out, mask, clip_ctx); mask is None when qdq is skipped.
-    """
-    vc, ctx = clip_with_ctx(gpk_forward(v, t), clip_params)
+def _site_operand(v, t: GpkTransform, clip_params: ClipParams, fmt) -> _Operand:
+    """Transform -> clip -> qdq of one matmul operand; fmt None skips qdq."""
+    vc, clip = clip_with_ctx(gpk_forward(v, t), clip_params)
     if fmt is None:
-        return vc, None, ctx
+        return _Operand(v, t, vc, None, clip)
     out, mask = quantize_dequantize_with_mask(vc, fmt)
-    return out, mask, ctx
+    return _Operand(v, t, out, mask, clip)
 
 
 def _forward(x, w, theta: Theta, formats: FormatConfig) -> _StepCtx:
     t = theta.transform
-    wt_factors = t.inverse_transpose()
-    xq, xmask, xctx = _site_operand(x, t, theta.act_clip, formats.activations)
-    wq, wmask, wctx = _site_operand(w, wt_factors, theta.weight_clip, formats.weights)
-    y = xq @ wq.T
-    return _StepCtx(x, w, theta, wt_factors, xq, wq, xmask, wmask, xctx, wctx, y)
+    xo = _site_operand(x, t, theta.act_clip, formats.activations)
+    wo = _site_operand(w, t.inverse_transpose(), theta.weight_clip, formats.weights)
+    return _StepCtx(xo, wo, xo.out @ wo.out.T)
 
 
 def _gpk_backward(x, a, b, grad_out):
@@ -153,27 +155,29 @@ def _gpk_backward(x, a, b, grad_out):
     return da, db
 
 
+def _operand_backward(op: _Operand, grad):
+    """Adjoint of _site_operand: grad at op.out -> (d_a, d_b, d_alpha_min, d_alpha_max).
+
+    qdq passes grad straight through where it did not saturate (op.mask).
+    """
+    if op.mask is not None:
+        grad = grad * op.mask
+    dt, d_min, d_max = clip_backward(op.clip, grad)
+    da, db = _gpk_backward(op.v, op.t.a, op.t.b, dt)
+    return da, db, d_min, d_max
+
+
 def _backward(ctx: _StepCtx, y_ref) -> tuple[float, dict[str, np.ndarray]]:
     diff = ctx.y - y_ref
     loss = float(np.sum(diff * diff))
 
     dy = 2.0 * diff
-    dxq = dy @ ctx.wq
-    dwq = dy.T @ ctx.xq
-
-    dxc = dxq if ctx.xmask is None else dxq * ctx.xmask
-    dwc = dwq if ctx.wmask is None else dwq * ctx.wmask
-
-    dxt, d_act_min, d_act_max = clip_backward(ctx.xclip_ctx, dxc)
-    dwt, d_w_min, d_w_max = clip_backward(ctx.wclip_ctx, dwc)
-
-    t = ctx.theta.transform
-    da_act, db_act = _gpk_backward(ctx.x, t.a, t.b, dxt)
-    da_p, db_p = _gpk_backward(ctx.w, ctx.wt_factors.a, ctx.wt_factors.b, dwt)
+    da_act, db_act, d_act_min, d_act_max = _operand_backward(ctx.x, dy @ ctx.w.out)
+    da_p, db_p, d_w_min, d_w_max = _operand_backward(ctx.w, dy.T @ ctx.x.out)
 
     # weight path runs through A' = A^-T, B' = B^-T; map those gradients back
-    ait = ctx.wt_factors.a  # A^-T
-    bit = ctx.wt_factors.b  # B_i^-T
+    ait = ctx.w.t.a  # A^-T
+    bit = ctx.w.t.b  # B_i^-T
     da_w = -ait @ da_p.T @ ait
     db_w = -np.matmul(bit, np.matmul(db_p.transpose(0, 2, 1), bit))
 
@@ -250,8 +254,7 @@ def calibrate_layer(w, calib_set, config: CalibConfig, formats: FormatConfig):
     if w.ndim != 2:
         raise ShapeError(f"weights must be 2-D (out, in), got shape {w.shape}")
     n = w.shape[1]
-    if n % BLOCK != 0:
-        raise ShapeError(f"input dimension {n} is not a multiple of {BLOCK}")
+    block_count(n, "input dimension")
     calib_set = np.asarray(calib_set, dtype=np.float64)
     if calib_set.ndim != 2 or calib_set.shape[0] == 0 or calib_set.shape[1] != n:
         raise ShapeError(f"calibration set has shape {calib_set.shape}, expected (rows > 0, {n})")
@@ -287,13 +290,13 @@ def calibrate_layer(w, calib_set, config: CalibConfig, formats: FormatConfig):
 def fuse(w, theta: Theta, formats: FormatConfig) -> FusedLayer:
     """Offline fusion: bake the weight-side pipeline into stored weights."""
     t = theta.transform
-    wc, _, _ = _site_operand(w, t.inverse_transpose(), theta.weight_clip, None)
+    wc = _site_operand(w, t.inverse_transpose(), theta.weight_clip, None).out
     w_q = quantize_tensor(wc, formats.weights) if formats.weights is not None else wc
     return FusedLayer(w_q, t, theta.act_clip)
 
 
 def fused_forward(x, fused: FusedLayer, formats: FormatConfig) -> np.ndarray:
     """Inference with pre-quantized weights and the online activation path."""
-    xq, _, _ = _site_operand(x, fused.transform, fused.act_clip, formats.activations)
+    xq = _site_operand(x, fused.transform, fused.act_clip, formats.activations).out
     w = fused.w_q.to_dense() if isinstance(fused.w_q, MxTensor) else fused.w_q
     return xq @ w.T

@@ -17,7 +17,7 @@ import numpy as np
 from . import io
 from .calib import CalibConfig, calibrate_layer, fuse
 from .errors import DataError, MxQuantError, NumericalError, ShapeError
-from .formats import BLOCK, E2M1, FormatConfig, MxTensor, quantize_tensor
+from .formats import BLOCK, E2M1, MxTensor, block_count, quantize_tensor
 from .harness import build_toy_block, calibrate_block, simulate_block
 from .oracle import bimodality_score
 from .transform import G1, G2, DecompositionKind, GpkTransform, gpk_forward, param_count
@@ -48,14 +48,11 @@ def _build_parser() -> _Parser:
     s.add_argument("--tensor", required=True, help="input .mxbt tensor (f32)")
     s.add_argument("--transform", help="optional .gpkt transform record")
     s.add_argument("--out", required=True, help="output CSV path")
-    s.add_argument("--format", dest="format_name", default="W4A4KV16",
-                   help="element format naming (scale rule uses the activation format)")
 
     pc = sub.add_parser("param-count", help="decomposition parameter-count table")
     pc.add_argument("--n", type=int, required=True, help="feature dimension N")
 
-    v = sub.add_parser("verify", help="run the oracle cross-check suite")
-    v.add_argument("--files", help="optional directory of .mxbt files to round-trip")
+    sub.add_parser("verify", help="run the oracle cross-check suite")
 
     sim = sub.add_parser("simulate", help="toy block simulation from a spec file")
     sim.add_argument("--spec", required=True, help="block spec file (key = value)")
@@ -82,6 +79,7 @@ def _cmd_calibrate(args) -> int:
         raise DataError(f"{cfg.weights_path}: calibration needs full-precision weights")
     if w.ndim != 2:
         raise ShapeError(f"{cfg.weights_path}: weights must be 2-D (out, in), got shape {w.shape}")
+    block_count(w.shape[1], f"{cfg.weights_path}: input width")
     rows = []
     for p in cfg.calib_paths:
         x = io.read_tensor(p)
@@ -108,21 +106,19 @@ def _cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _stats_rows(x: np.ndarray, fmt, transform: GpkTransform | None):
-    n = x.shape[-1]
-    if n % BLOCK:
-        raise DataError(f"trailing dimension {n} is not a multiple of {BLOCK}")
+def _stats_rows(x: np.ndarray, k: int, transform: GpkTransform | None):
+    """One row per MX block of x's last axis (k blocks), scaled by the E2M1 scale rule."""
     post = gpk_forward(x, transform) if transform is not None else x
 
     def scaled(vals):
         # quantize_tensor rejects non-finite values, so NaN never reaches a score
-        se = quantize_tensor(vals, fmt).scale_exps.astype(np.int64)
+        se = quantize_tensor(vals, E2M1).scale_exps.astype(np.int64)
         r = np.ldexp(vals.reshape(-1, BLOCK), -se[:, None])
-        return r.reshape(-1, n // BLOCK, BLOCK)
+        return r.reshape(-1, k, BLOCK)
 
-    pre_r, post_r = scaled(np.asarray(x, dtype=np.float64)), scaled(post)
+    pre_r, post_r = scaled(x), scaled(post)
     rows = []
-    for b in range(n // BLOCK):
+    for b in range(k):
         pre_vals = pre_r[:, b, :].reshape(-1)
         post_vals = post_r[:, b, :].reshape(-1)
         rows.append({
@@ -139,14 +135,12 @@ def _cmd_stats(args) -> int:
     x = io.read_tensor(args.tensor)
     if isinstance(x, MxTensor):
         x = x.to_dense()
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    fmt = FormatConfig.from_name(args.format_name).activations or E2M1
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    k = block_count(x.shape[-1], f"{args.tensor}: trailing dimension")
     transform = None
     if args.transform:
         transform, _, _ = io.read_transform_record(args.transform)
-    rows = _stats_rows(x, fmt, transform)
+    rows = _stats_rows(x, k, transform)
     io.write_stats_csv(args.out, rows, HIST_BINS)
     print(f"wrote {len(rows)} block rows to {args.out}")
     return EXIT_OK
@@ -173,15 +167,6 @@ def _cmd_param_count(args) -> int:
 
 def _cmd_verify(args) -> int:
     reports = run_all()
-    if args.files is not None:
-        d = Path(args.files)
-        files = sorted(d.glob("*.mxbt")) if d.is_dir() else []
-        if not files:
-            print(f"mxquant: usage: --files {args.files}: no .mxbt files found", file=sys.stderr)
-            return EXIT_USAGE
-        for f in files:
-            io.read_tensor(f)
-        print(f"round-tripped {len(files)} tensor files from {d}")
     width = max(len(r.case_id) for r in reports)
     failed = 0
     for r in reports:

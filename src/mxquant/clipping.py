@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .formats import BLOCK
+from .formats import BLOCK, block_count
 
 
 def sigmoid(z):
@@ -77,9 +77,7 @@ class ClipCtx:
 
 def _blocked(x):
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] % BLOCK != 0:
-        raise ShapeError(f"trailing dimension {x.shape[-1]} is not a multiple of {BLOCK}")
-    return x.reshape(-1, x.shape[-1] // BLOCK, BLOCK)
+    return x.reshape(-1, block_count(x.shape[-1], "trailing dimension"), BLOCK)
 
 
 def _first_extremum(xb, row_ext, ext, arg):

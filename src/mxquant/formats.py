@@ -50,11 +50,22 @@ from .errors import NonFiniteError, ShapeError
 BLOCK = 32
 
 
+def block_count(n: int, what: str = "feature dimension") -> int:
+    """Number of MX blocks in an axis of n elements; what names the axis in errors.
+
+    Raises ShapeError unless n is a positive multiple of BLOCK.
+    """
+    if n <= 0 or n % BLOCK != 0:
+        raise ShapeError(f"{what} {n} is not a positive multiple of {BLOCK}")
+    return n // BLOCK
+
+
 @dataclass(frozen=True)
 class MxFormat:
     """An MX element format: bit layout plus its representable magnitudes.
 
-    value_set is the ascending array of non-negative representable
+    Every element carries one sign bit ahead of its exponent and mantissa
+    bits. value_set is the ascending array of non-negative representable
     magnitudes, starting with 0.0. Every entry is exactly representable in
     binary floating point. Codes are ``sign_bit << (bits-1) | index`` with
     index pointing into value_set.
@@ -65,7 +76,6 @@ class MxFormat:
     mantissa_bits: int
     emax: int
     value_set: np.ndarray
-    sign_bits: int = 1
 
     def __post_init__(self):
         vs = np.ascontiguousarray(self.value_set, dtype=np.float64)
@@ -78,7 +88,7 @@ class MxFormat:
 
     @property
     def bits(self) -> int:
-        return self.sign_bits + self.exp_bits + self.mantissa_bits
+        return 1 + self.exp_bits + self.mantissa_bits
 
     @property
     def sign_shift(self) -> int:
@@ -253,11 +263,7 @@ def _check_finite(x):
 
 def _block_view(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 0 or x.shape[-1] % BLOCK != 0:
-        raise ShapeError(
-            f"innermost dimension {x.shape[-1] if x.ndim else 0} of shape {x.shape} "
-            f"is not a multiple of {BLOCK}"
-        )
+    block_count(x.shape[-1] if x.ndim else 0, f"shape {x.shape}: innermost dimension")
     return np.ascontiguousarray(x).reshape(-1, BLOCK)
 
 

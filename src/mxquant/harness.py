@@ -27,7 +27,7 @@ from scipy.special import erf
 
 from .calib import CalibConfig, Theta, calibrate_layer, quantized_forward
 from .errors import ShapeError
-from .formats import BLOCK, FormatConfig, quantize_dequantize
+from .formats import FormatConfig, block_count, quantize_dequantize
 
 SATURATED_LOGIT = 40.0  # sigmoid is exactly 1.0 in float64
 
@@ -42,9 +42,7 @@ class ToyBlockSpec:
 
     def __post_init__(self):
         for name in ("hidden", "head_dim", "mlp_dim"):
-            v = getattr(self, name)
-            if v < BLOCK or v % BLOCK != 0:
-                raise ShapeError(f"{name} = {v} is not a positive multiple of {BLOCK}")
+            block_count(getattr(self, name), f"{name} =")
         if self.n_heads < 1:
             raise ShapeError(f"n_heads = {self.n_heads} must be at least 1")
         if self.template not in ("text", "vit"):

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import hadamard
 
 from .errors import ShapeError, SingularTransformError
-from .formats import BLOCK
+from .formats import BLOCK, block_count
 
 G1 = 8  # global factor size
 G2 = 4  # private factor size
@@ -62,9 +62,7 @@ class GpkTransform:
 
     @classmethod
     def identity(cls, n: int) -> "GpkTransform":
-        if n % BLOCK != 0:
-            raise ShapeError(f"feature dimension {n} is not a multiple of {BLOCK}")
-        return cls(np.eye(G1), np.broadcast_to(np.eye(G2), (n // BLOCK, G2, G2)).copy())
+        return cls(np.eye(G1), np.broadcast_to(np.eye(G2), (block_count(n), G2, G2)).copy())
 
     def check_invertible(self) -> None:
         """Raise SingularTransformError if any factor is non-finite or near-singular."""
@@ -139,9 +137,7 @@ def param_count(kind: DecompositionKind, n: int) -> int:
     Blocks are the MX block (BLOCK), split G1 x G2 for the Kronecker kinds;
     n must be a positive multiple of BLOCK.
     """
-    if n <= 0 or n % BLOCK != 0:
-        raise ShapeError(f"feature dimension {n} is not a positive multiple of {BLOCK}")
-    k = n // BLOCK
+    k = block_count(n)
     if kind is DecompositionKind.FULL:
         return n * BLOCK
     if kind is DecompositionKind.NAIVE_KRONECKER:
@@ -160,9 +156,8 @@ def block_hadamard(x: np.ndarray) -> np.ndarray:
     it is its own inverse and preserves per-block L2 norms.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] % BLOCK != 0:
-        raise ShapeError(f"trailing dimension {x.shape[-1]} is not a multiple of {BLOCK}")
+    k = block_count(x.shape[-1], "trailing dimension")
     h = hadamard(BLOCK).astype(np.float64) / np.sqrt(BLOCK)
     lead = x.shape[:-1]
-    y = x.reshape(-1, x.shape[-1] // BLOCK, BLOCK) @ h
+    y = x.reshape(-1, k, BLOCK) @ h
     return y.reshape(*lead, x.shape[-1])

@@ -166,8 +166,8 @@ class TestBackward:
         for key in ("act_min", "act_max", "w_min", "w_max"):
             params[key][:] = rng.normal(size=n // 32)
         ctx = _forward(x, w, theta, W4A4KV16)
-        assert not ctx.xmask.all() and not ctx.wmask.all()  # some saturation
-        assert ctx.wclip_ctx.upper.any() and ctx.wclip_ctx.lower.any()
+        assert not ctx.x.mask.all() and not ctx.w.mask.all()  # some saturation
+        assert ctx.w.clip.upper.any() and ctx.w.clip.lower.any()
         _, grads = _backward(ctx, x @ w.T)
 
         def old_adjoints(v, a, b, go):
@@ -180,12 +180,12 @@ class TestBackward:
             return np.einsum("rkij,rkil->jl", v, dt1), np.einsum("rkil,rkjl->kij", go, t1)
 
         dy = 2.0 * (ctx.y - x @ w.T)
-        dxt, _, _ = mq.clipping.clip_backward(ctx.xclip_ctx, (dy @ ctx.wq) * ctx.xmask)
-        dwt, _, _ = mq.clipping.clip_backward(ctx.wclip_ctx, (dy.T @ ctx.xq) * ctx.wmask)
+        dxt, _, _ = mq.clipping.clip_backward(ctx.x.clip, (dy @ ctx.w.out) * ctx.x.mask)
+        dwt, _, _ = mq.clipping.clip_backward(ctx.w.clip, (dy.T @ ctx.x.out) * ctx.w.mask)
         t = theta.transform
         da_x, db_x = old_adjoints(x, t.a, t.b, dxt)
-        da_p, db_p = old_adjoints(w, ctx.wt_factors.a, ctx.wt_factors.b, dwt)
-        ait, bit = ctx.wt_factors.a, ctx.wt_factors.b
+        da_p, db_p = old_adjoints(w, ctx.w.t.a, ctx.w.t.b, dwt)
+        ait, bit = ctx.w.t.a, ctx.w.t.b
         want_a = da_x - ait @ da_p.T @ ait
         want_b = db_x - np.matmul(bit, np.matmul(db_p.transpose(0, 2, 1), bit))
         for got, want in ((grads["a"], want_a), (grads["b"], want_b)):
@@ -346,6 +346,16 @@ class TestCalibrateLayer:
     def test_empty_calib_set_rejected(self, rng):
         with pytest.raises(mq.ShapeError):
             calibrate_layer(rng.normal(size=(4, 64)), np.empty((0, 64)), CalibConfig(), W4A4KV16)
+
+    def test_zero_width_rejected(self):
+        # a zero-width feature axis holds no MX block, so no site accepts it
+        for call in (
+            lambda: calibrate_layer(np.empty((4, 0)), np.empty((8, 0)), CalibConfig(), W4A4KV16),
+            lambda: mq.GpkTransform.identity(0),
+            lambda: mq.block_hadamard(np.empty((3, 0))),
+        ):
+            with pytest.raises(mq.ShapeError, match="0 is not a positive multiple of 32"):
+                call()
 
     def test_w4a8_runs(self, rng):
         x, w = make_outlier_instance(seed=7, rows=32)

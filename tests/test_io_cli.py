@@ -278,8 +278,10 @@ class TestCli:
         assert main(["calibrate", "--config", str(tmp_path / "nope.cfg")]) == 2
 
     def test_usage_error_exit_code(self):
-        # missing --config; a block-size flag param-count does not take
-        for argv in (["calibrate"], ["param-count", "--n", "4096", "--g", "32"]):
+        # missing --config; flags the subcommands do not take
+        for argv in (["calibrate"], ["param-count", "--n", "4096", "--g", "32"],
+                     ["stats", "--tensor", "x.mxbt", "--out", "s.csv", "--format", "W4A8KV16"],
+                     ["verify", "--files", "."]):
             with pytest.raises(SystemExit) as e:
                 main(argv)
             assert e.value.code == 1
@@ -373,6 +375,16 @@ class TestCli:
         assert "acts.mxbt" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("width", [0, 48])
+    def test_calibrate_width_not_whole_blocks_is_data_error(self, tmp_path, capsys, width):
+        cfg, _, _ = _write_calib_bundle(tmp_path)
+        io.write_tensor(tmp_path / "w.mxbt", np.ones((4, width)))
+        io.write_tensor(tmp_path / "acts.mxbt", np.ones((8, width)))
+        err = _expect_one_data_error(["calibrate", "--config", str(cfg)], capsys,
+                                     f"input width {width} is not a positive multiple of 32")
+        assert "w.mxbt" in err
+        assert not (tmp_path / "out").exists()
+
     def test_param_count_table(self, capsys):
         assert main(["param-count", "--n", "4096"]) == 0
         out = capsys.readouterr().out
@@ -456,6 +468,15 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("mxquant: data:")
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("shape", [(8, 0), ()], ids=["zero-width", "scalar"])
+    def test_stats_width_not_whole_blocks_is_data_error(self, tmp_path, capsys, shape):
+        io.write_tensor(tmp_path / "x.mxbt", np.ones(shape))
+        out = tmp_path / "s.csv"
+        err = _expect_one_data_error(["stats", "--tensor", str(tmp_path / "x.mxbt"),
+                                      "--out", str(out)], capsys, "not a positive multiple of 32")
+        assert "x.mxbt" in err
+        assert not out.exists()
+
     def test_stats_missing_tensor(self, tmp_path):
         assert main(["stats", "--tensor", str(tmp_path / "no.mxbt"), "--out", "x.csv"]) == 2
 
@@ -463,9 +484,6 @@ class TestCli:
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "all" in out and "passed" in out
-
-    def test_verify_empty_files_dir_usage_error(self, tmp_path):
-        assert main(["verify", "--files", str(tmp_path)]) == 1
 
     def test_python_m_mxquant_runs_the_cli(self):
         # an uninstalled checkout has no `mxquant` script; `python -m` must work
