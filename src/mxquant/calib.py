@@ -251,8 +251,8 @@ def calibrate_layer(w, calib_set, config: CalibConfig, formats: FormatConfig):
     raises DivergenceError carrying the trace up to that step.
     """
     w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2:
-        raise ShapeError(f"weights must be 2-D (out, in), got shape {w.shape}")
+    if w.ndim != 2 or w.shape[0] == 0:
+        raise ShapeError(f"weights must be 2-D (out > 0, in), got shape {w.shape}")
     n = w.shape[1]
     block_count(n, "input dimension")
     calib_set = np.asarray(calib_set, dtype=np.float64)

@@ -41,8 +41,7 @@ def _build_parser() -> _Parser:
 
     c = sub.add_parser("calibrate", help="calibrate one layer and write its artifacts")
     c.add_argument("--config", required=True, help="flat key=value config file")
-    c.add_argument("--out", help="output directory (overrides config)")
-    c.add_argument("--format", dest="format_name", help="override, e.g. W4A4KV16")
+    c.add_argument("--out", help="output directory, relative to the working directory")
 
     s = sub.add_parser("stats", help="per-block histograms before/after a transform")
     s.add_argument("--tensor", required=True, help="input .mxbt tensor (f32)")
@@ -66,19 +65,18 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_calibrate(args) -> int:
-    overrides = {"format": args.format_name, "out": args.out}
-    cfg = io.RunConfig.from_file(args.config, overrides)
+    cfg = io.RunConfig.from_file(args.config)
     if cfg.weights_path is None:
         raise DataError("config is missing the 'weights' entry")
     if not cfg.calib_paths:
         raise DataError("config names no calibration files ('calib' entry)")
-    out_dir = Path(cfg.out_dir or Path(args.config).parent)
+    out_dir = Path(args.out or cfg.out_dir or Path(args.config).parent)
 
     w = io.read_tensor(cfg.weights_path)
     if isinstance(w, MxTensor):
         raise DataError(f"{cfg.weights_path}: calibration needs full-precision weights")
-    if w.ndim != 2:
-        raise ShapeError(f"{cfg.weights_path}: weights must be 2-D (out, in), got shape {w.shape}")
+    if w.ndim != 2 or w.shape[0] == 0:
+        raise ShapeError(f"{cfg.weights_path}: weights must be 2-D (out > 0, in), got {w.shape}")
     block_count(w.shape[1], f"{cfg.weights_path}: input width")
     rows = []
     for p in cfg.calib_paths:
@@ -181,6 +179,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.rows < 1:
+        raise DataError(f"--rows {args.rows} must be at least 1")
     config = CalibConfig(lr=args.lr) if args.calibrate else None
     spec, formats, seed = io.read_block_spec(args.spec)
     block = build_toy_block(spec, seed=seed)

@@ -23,8 +23,10 @@ Transform record (.gpkt):
     alpha_max, weight alpha_min, weight alpha_max
 
 Config files are flat text, one `key = value` per line; blank lines and
-lines starting with # are ignored. A key the reader does not know is an
-error, so a misspelt key cannot fall back to a default silently.
+lines starting with # are ignored. Each kind of file has one schema mapping
+its keys to casts (_RUN_SCHEMA, _SPEC_SCHEMA), and read_kv_file is the only
+place a config value is cast. An unknown key, a key set twice or a value its
+cast rejects is an error naming file:line, so nothing falls back silently.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import glob
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +43,7 @@ from .calib import CalibConfig
 from .clipping import ClipParams
 from .errors import FileFormatError
 from .formats import BLOCK, E2M1, E4M3, FormatConfig, MxTensor
+from .harness import ToyBlockSpec
 from .transform import G1, G2, GpkTransform
 
 TENSOR_MAGIC = b"MXBT"
@@ -208,45 +211,67 @@ def read_transform_record(path):
 # -- flat key=value config files ------------------------------------------
 
 
-def read_kv_file(path, keys) -> dict[str, str]:
-    """Parse a config file; raises FileFormatError for a key not in keys."""
-    out: dict[str, str] = {}
+def read_kv_file(path, schema) -> dict:
+    """Parse a config file into {key: schema[key](value)}.
+
+    Raises FileFormatError naming path:line for a line that is not
+    `key = value`, a key not in schema, a key set twice, or a value its cast
+    rejects with ValueError.
+    """
+    out = {}
     for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
             raise FileFormatError(f"{path}:{ln}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in keys:
+        if key not in schema:
             raise FileFormatError(f"{path}:{ln}: unknown key {key!r}")
-        out[key] = value.strip()
+        if key in out:
+            raise FileFormatError(f"{path}:{ln}: {key!r} is set twice")
+        try:
+            out[key] = schema[key](value)
+        except ValueError as e:
+            raise FileFormatError(f"{path}:{ln}: {key} = {value}: {e}") from e
     return out
 
 
-_RUN_KEYS = frozenset({
-    "format", "lr", "epochs", "batch_size", "g1", "g2", "clip_init", "weights", "calib",
-    "out", "g", "seed",
-})
-# config keys that set a CalibConfig field of the same name, with their types;
-# every absent key keeps its default
-_CALIB_CASTS = {"lr": float, "epochs": int, "batch_size": int, "clip_init": float}
-# keys fixed by the MX block, accepted so that configs which name them still run
-_FIXED_KEYS = {"g": BLOCK, "g1": G1, "g2": G2}
-_SPEC_KEYS = frozenset({"hidden", "head_dim", "n_heads", "mlp_dim", "template", "format", "seed"})
+def _int_where(ok, rule: str):
+    """Cast to int, rejecting with rule a value for which ok is false."""
+
+    def cast(value: str) -> int:
+        if not ok(n := int(value)):
+            raise ValueError(rule)
+        return n
+
+    return cast
+
+
+_MX_BLOCK = f"transform and clip blocks are the {BLOCK}-element MX block, split {G1} x {G2}"
+_DEFAULT_FORMATS = FormatConfig.from_name("W4A4KV16")
+# every CalibConfig field, cast to its default's type; `g`, `g1`, `g2` (fixed by the MX block)
+# and `seed` (ignored: calibration draws no random numbers) keep older configs running
+_RUN_SCHEMA = {
+    **{f.name: type(f.default) for f in fields(CalibConfig)},
+    "format": FormatConfig.from_name, "weights": str, "calib": str, "out": str, "seed": int,
+    "g": _int_where(lambda n: n == BLOCK, _MX_BLOCK),
+    "g1": _int_where(lambda n: n == G1, _MX_BLOCK),
+    "g2": _int_where(lambda n: n == G2, _MX_BLOCK),
+}
+_SPEC_SCHEMA = {
+    "hidden": int, "head_dim": int, "n_heads": int, "mlp_dim": int, "template": str,
+    "format": FormatConfig.from_name, "seed": _int_where(lambda n: n >= 0, "must be non-negative"),
+}
 
 
 @dataclass
 class RunConfig:
-    """A calibration job parsed from a config file plus CLI overrides.
+    """A calibration job parsed from a config file (_RUN_SCHEMA).
 
-    Transform and clip blocks are the MX block, split G1 x G2: the keys `g`,
-    `g1` and `g2` are accepted only with the values BLOCK, G1 and G2. A
-    `seed` key is accepted and ignored (calibration draws no random numbers).
-    These keys stay so that configs which name them still run. Any other key
-    outside _RUN_KEYS is an error. Absent hyperparameters take CalibConfig's
-    defaults. No tensor is read here.
+    Absent hyperparameters take CalibConfig's defaults and an absent format
+    takes _DEFAULT_FORMATS. Paths in the file are relative to the file's
+    directory; calib patterns are expanded here. No tensor is read here.
     """
 
     formats: FormatConfig
@@ -256,35 +281,18 @@ class RunConfig:
     out_dir: str | None = None
 
     @classmethod
-    def from_file(cls, path, overrides: dict | None = None) -> "RunConfig":
-        kv = read_kv_file(path, _RUN_KEYS)
-        if overrides:
-            kv.update({k: str(v) for k, v in overrides.items() if v is not None})
+    def from_file(cls, path) -> "RunConfig":
+        kv = read_kv_file(path, _RUN_SCHEMA)
         base = Path(path).parent
-
-        for key, want in _FIXED_KEYS.items():
-            if key in kv and int(kv[key]) != want:
-                raise FileFormatError(
-                    f"{path}: {key} = {kv[key]}, but transform and clip blocks are the "
-                    f"{BLOCK}-element MX block, split g1 x g2 = {G1} x {G2}"
-                )
-        calib = CalibConfig(**{k: cast(kv[k]) for k, cast in _CALIB_CASTS.items() if k in kv})
-        formats = FormatConfig.from_name(kv.get("format", "W4A4KV16"))
-
-        weights = kv.get("weights")
-        if weights is not None:
-            weights = str((base / weights) if not Path(weights).is_absolute() else Path(weights))
+        calib = CalibConfig(**{f.name: kv[f.name] for f in fields(CalibConfig) if f.name in kv})
         calib_paths: list[str] = []
         for pat in kv.get("calib", "").replace(",", " ").split():
-            full = pat if Path(pat).is_absolute() else str(base / pat)
-            hits = sorted(glob.glob(full))
+            hits = sorted(glob.glob(str(base / pat)))
             if not hits:
                 raise FileFormatError(f"no calibration files match {pat!r}")
             calib_paths.extend(hits)
-        out_dir = kv.get("out")
-        if out_dir is not None and not Path(out_dir).is_absolute():
-            out_dir = str(base / out_dir)
-        return cls(formats, calib, weights, calib_paths, out_dir)
+        weights, out_dir = (str(base / kv[k]) if k in kv else None for k in ("weights", "out"))
+        return cls(kv.get("format", _DEFAULT_FORMATS), calib, weights, calib_paths, out_dir)
 
 
 # -- CSV reports -----------------------------------------------------------
@@ -319,19 +327,11 @@ def write_error_report(path, rows) -> None:
 
 
 def read_block_spec(path):
-    """Parse a toy-block spec file into (ToyBlockSpec, FormatConfig, seed)."""
-    from .harness import ToyBlockSpec
-
-    kv = read_kv_file(path, _SPEC_KEYS)
-    try:
-        spec = ToyBlockSpec(
-            hidden=int(kv["hidden"]),
-            head_dim=int(kv["head_dim"]),
-            n_heads=int(kv["n_heads"]),
-            mlp_dim=int(kv["mlp_dim"]),
-            template=kv.get("template", "text"),
-        )
-    except KeyError as e:
-        raise FileFormatError(f"{path}: missing block spec key {e.args[0]!r}") from e
-    formats = FormatConfig.from_name(kv.get("format", "W4A4KV16"))
-    return spec, formats, int(kv.get("seed", 0))
+    """Parse a toy-block spec file (_SPEC_SCHEMA) into (ToyBlockSpec, FormatConfig, seed)."""
+    kv = read_kv_file(path, _SPEC_SCHEMA)
+    formats = kv.pop("format", _DEFAULT_FORMATS)
+    seed = kv.pop("seed", 0)
+    for f in fields(ToyBlockSpec):
+        if f.default is MISSING and f.name not in kv:
+            raise FileFormatError(f"{path}: missing block spec key {f.name!r}")
+    return ToyBlockSpec(**kv), formats, seed

@@ -347,6 +347,10 @@ class TestCalibrateLayer:
         with pytest.raises(mq.ShapeError):
             calibrate_layer(rng.normal(size=(4, 64)), np.empty((0, 64)), CalibConfig(), W4A4KV16)
 
+    def test_weights_without_rows_rejected(self):
+        with pytest.raises(mq.ShapeError, match=r"\(0, 64\)"):
+            calibrate_layer(np.empty((0, 64)), np.ones((8, 64)), CalibConfig(), W4A4KV16)
+
     def test_zero_width_rejected(self):
         # a zero-width feature axis holds no MX block, so no site accepts it
         for call in (

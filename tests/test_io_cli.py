@@ -1,3 +1,4 @@
+import argparse
 import os
 import re
 import struct
@@ -11,7 +12,7 @@ import pytest
 
 import mxquant as mq
 from mxquant import io
-from mxquant.cli import main
+from mxquant.cli import _build_parser, main
 from mxquant.errors import FileFormatError
 from mxquant.verify import check_quantizer, random_transform
 
@@ -185,13 +186,6 @@ class TestKvConfig:
         assert len(rc.calib_paths) == 2
         assert rc.weights_path.endswith("w.mxbt")
 
-    def test_overrides_win(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("format = W4A4KV16\nout = a\n")
-        rc = io.RunConfig.from_file(cfg, {"format": "W4A8KV8", "out": str(tmp_path / "b")})
-        assert rc.formats.name == "W4A8KV8"
-        assert rc.out_dir == str(tmp_path / "b")
-
     def test_readme_examples_parse(self, tmp_path):
         # both bare fenced blocks of README.md, read verbatim
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -232,6 +226,9 @@ def _write_calib_bundle(tmp_path, seed=0, lr="0.02", clip_init="4.0", fmt="W4A4K
         f"weights = w.mxbt\ncalib = acts.mxbt\nout = out\n"
     )
     return cfg, x, w
+
+
+_SPEC = "hidden = 128\nhead_dim = 32\nn_heads = 4\nmlp_dim = 256\n"
 
 
 def _expect_one_data_error(argv, capsys, mention):
@@ -281,10 +278,23 @@ class TestCli:
         # missing --config; flags the subcommands do not take
         for argv in (["calibrate"], ["param-count", "--n", "4096", "--g", "32"],
                      ["stats", "--tensor", "x.mxbt", "--out", "s.csv", "--format", "W4A8KV16"],
-                     ["verify", "--files", "."]):
+                     ["verify", "--files", "."],
+                     ["calibrate", "--config", "x.cfg", "--format", "W4A4KV16"]):
             with pytest.raises(SystemExit) as e:
                 main(argv)
             assert e.value.code == 1
+
+    def test_readme_cli_flags_match_parser(self):
+        # the README's CLI block documents exactly the flags each subcommand takes
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"^## CLI\n\n```sh\n(.*?)^```$", readme, re.M | re.S).group(1)
+        documented = {m.group(1): set(re.findall(r"--[\w-]+", m.group(2)))
+                      for m in re.finditer(r"^mxquant ([\w-]+)(.*)$", block, re.M)}
+        (sub,) = [a for a in _build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        parsed = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+                  for name, p in sub.choices.items()}
+        assert documented == parsed
 
     def test_numeric_failure_exit_code(self, tmp_path):
         # absurd learning rate: the transform factors blow up mid-training
@@ -340,6 +350,29 @@ class TestCli:
         assert str(cfg) in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("lines, mention", [
+        ("epochs = 1.5", ":3: epochs = 1.5"),
+        ("g = 32.0", ":3: g = 32.0"),
+        ("format = W4A4", ":3: format = W4A4"),
+        ("lr = 0.1\nlr = 5", ":4: 'lr' is set twice"),
+    ], ids=["epochs=1.5", "g=32.0", "format=W4A4", "lr-twice"])
+    def test_calibrate_bad_config_line_names_file_line_and_key(self, tmp_path, capsys, lines,
+                                                               mention):
+        cfg, _, _ = _write_calib_bundle(tmp_path)
+        cfg.write_text(f"weights = w.mxbt\ncalib = acts.mxbt\n{lines}\nout = out\n")
+        _expect_one_data_error(["calibrate", "--config", str(cfg)], capsys, f"{cfg}{mention}")
+        assert not (tmp_path / "out").exists()
+
+    def test_calibrate_out_flag_is_relative_to_working_directory(self, tmp_path, monkeypatch):
+        # paths inside the config are relative to the config; --out is a command-line path
+        (tmp_path / "cfgdir").mkdir()
+        _write_calib_bundle(tmp_path / "cfgdir")  # its config says out = out
+        monkeypatch.chdir(tmp_path)
+        assert main(["calibrate", "--config", "cfgdir/run.cfg", "--out", "results"]) == 0
+        assert (tmp_path / "results" / "loss_trace.csv").exists()
+        assert not (tmp_path / "cfgdir" / "results").exists()
+        assert not (tmp_path / "cfgdir" / "out").exists()
+
     def test_calibrate_accepts_g32_and_seed(self, tmp_path):
         # configs that name the MX block and a seed keep running; seed is a no-op
         cfg, _, _ = _write_calib_bundle(tmp_path)
@@ -365,6 +398,13 @@ class TestCli:
         cfg, _, _ = _write_calib_bundle(tmp_path)
         io.write_tensor(tmp_path / "w.mxbt", np.ones(shape))
         _expect_one_data_error(["calibrate", "--config", str(cfg)], capsys, "2-D")
+        assert not (tmp_path / "out").exists()
+
+    def test_calibrate_weights_without_rows_is_data_error(self, tmp_path, capsys):
+        cfg, _, _ = _write_calib_bundle(tmp_path)
+        io.write_tensor(tmp_path / "w.mxbt", np.ones((0, 64)))
+        err = _expect_one_data_error(["calibrate", "--config", str(cfg)], capsys, "(0, 64)")
+        assert "w.mxbt" in err
         assert not (tmp_path / "out").exists()
 
     def test_calibrate_activation_width_mismatch_is_data_error(self, tmp_path, capsys):
@@ -522,6 +562,7 @@ class TestCli:
 
     @pytest.mark.parametrize("bad", [
         "hidden = 0", "head_dim = 0", "mlp_dim = -32", "n_heads = 0", "--lr inf", "--lr nan",
+        "--rows 0", "--rows -1",
     ], ids=lambda bad: bad.strip("-").replace(" = ", "=").replace(" ", "="))
     def test_simulate_bad_size_or_lr_is_data_error(self, tmp_path, capsys, bad):
         spec = {"hidden": "128", "head_dim": "32", "n_heads": "4", "mlp_dim": "256"}
@@ -536,6 +577,21 @@ class TestCli:
         _expect_one_data_error(["simulate", "--spec", str(tmp_path / "block.cfg"),
                                 "--out", str(out), "--rows", "16", *argv], capsys,
                                bad.strip("-").split()[0])
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("spec, mention", [
+        (_SPEC.replace("256", "64.5"), ":4: mlp_dim = 64.5"),
+        (_SPEC + "seed = -1\n", ":5: seed = -1"),
+        (_SPEC + "n_heads = 2\n", ":5: 'n_heads' is set twice"),
+        (_SPEC.replace("hidden = 128\n", ""), ": missing block spec key 'hidden'"),
+    ], ids=["mlp_dim=64.5", "seed=-1", "n_heads-twice", "no-hidden"])
+    def test_simulate_bad_spec_names_file_and_key(self, tmp_path, capsys, spec, mention):
+        path = tmp_path / "block.cfg"
+        path.write_text(spec)
+        out = tmp_path / "report.csv"
+        _expect_one_data_error(["simulate", "--spec", str(path), "--out", str(out),
+                                "--rows", "16"], capsys, f"{path}{mention}")
         assert not out.exists()
 
 
