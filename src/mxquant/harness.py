@@ -20,10 +20,10 @@ learns only the linear sites. RoPE is deliberately absent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import erf
 
 from .calib import CalibConfig, Theta, calibrate_layer, quantized_forward
 from .errors import ShapeError
@@ -41,12 +41,20 @@ class ToyBlockSpec:
     template: str = "text"  # "text" or "vit"
 
     def __post_init__(self):
-        for name in ("hidden", "head_dim", "mlp_dim"):
-            block_count(getattr(self, name), f"{name} =")
-        if self.n_heads < 1:
-            raise ShapeError(f"n_heads = {self.n_heads} must be at least 1")
-        if self.template not in ("text", "vit"):
-            raise ValueError(f"unknown template {self.template!r}")
+        for f in fields(self):
+            self.check_field(f.name, getattr(self, f.name))
+
+    @staticmethod
+    def check_field(name: str, value) -> None:
+        """Raise ShapeError or ValueError unless value is allowed for the field name."""
+        if name == "template":
+            if value not in ("text", "vit"):
+                raise ValueError(f"unknown template {value!r}")
+        elif name == "n_heads":
+            if value < 1:
+                raise ShapeError(f"n_heads = {value} must be at least 1")
+        else:
+            block_count(value, f"{name} =")
 
 
 @dataclass
@@ -98,8 +106,11 @@ def _silu(x):
     return x / (1.0 + np.exp(-x))
 
 
+_erf = np.frompyfunc(math.erf, 1, 1)  # numpy has no erf; this returns an object array
+
+
 def _gelu(x):
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+    return 0.5 * x * (1.0 + _erf(x / np.sqrt(2.0)).astype(np.float64))
 
 
 def _kv_site(per_head_vals, fmt):

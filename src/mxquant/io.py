@@ -24,9 +24,12 @@ Transform record (.gpkt):
 
 Config files are flat text, one `key = value` per line; blank lines and
 lines starting with # are ignored. Each kind of file has one schema mapping
-its keys to casts (_RUN_SCHEMA, _SPEC_SCHEMA), and read_kv_file is the only
-place a config value is cast. An unknown key, a key set twice or a value its
-cast rejects is an error naming file:line, so nothing falls back silently.
+its keys to casts (_run_schema, _SPEC_SCHEMA), and read_kv_file is the only
+place a config value is cast. A cast also applies the value's rules: paths
+resolve against the file's directory and calib patterns must match a file,
+and block spec values pass ToyBlockSpec's own check. An unknown key, a key
+set twice or a value its cast rejects is an error naming file:line, so
+nothing falls back silently.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import numpy as np
 
 from .calib import CalibConfig
 from .clipping import ClipParams
-from .errors import FileFormatError
+from .errors import DataError, FileFormatError
 from .formats import BLOCK, E2M1, E4M3, FormatConfig, MxTensor
 from .harness import ToyBlockSpec
 from .transform import G1, G2, GpkTransform
@@ -216,7 +219,7 @@ def read_kv_file(path, schema) -> dict:
 
     Raises FileFormatError naming path:line for a line that is not
     `key = value`, a key not in schema, a key set twice, or a value its cast
-    rejects with ValueError.
+    rejects with ValueError or DataError.
     """
     out = {}
     for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -232,7 +235,7 @@ def read_kv_file(path, schema) -> dict:
             raise FileFormatError(f"{path}:{ln}: {key!r} is set twice")
         try:
             out[key] = schema[key](value)
-        except ValueError as e:
+        except (ValueError, DataError) as e:
             raise FileFormatError(f"{path}:{ln}: {key} = {value}: {e}") from e
     return out
 
@@ -250,28 +253,69 @@ def _int_where(ok, rule: str):
 
 _MX_BLOCK = f"transform and clip blocks are the {BLOCK}-element MX block, split {G1} x {G2}"
 _DEFAULT_FORMATS = FormatConfig.from_name("W4A4KV16")
-# every CalibConfig field, cast to its default's type; `g`, `g1`, `g2` (fixed by the MX block)
-# and `seed` (ignored: calibration draws no random numbers) keep older configs running
-_RUN_SCHEMA = {
-    **{f.name: type(f.default) for f in fields(CalibConfig)},
-    "format": FormatConfig.from_name, "weights": str, "calib": str, "out": str, "seed": int,
-    "g": _int_where(lambda n: n == BLOCK, _MX_BLOCK),
-    "g1": _int_where(lambda n: n == G1, _MX_BLOCK),
-    "g2": _int_where(lambda n: n == G2, _MX_BLOCK),
-}
+
+
+def _run_schema(base: Path) -> dict:
+    """Casts of a run config whose paths are relative to base.
+
+    Every CalibConfig field is cast to its default's type. `g`, `g1`, `g2`
+    (fixed by the MX block) and `seed` (ignored: calibration draws no random
+    numbers) keep older configs running.
+    """
+
+    def path(value: str) -> str:
+        if not value:
+            raise ValueError("empty path")
+        return str(base / value)
+
+    def patterns(value: str) -> list[str]:
+        pats = value.replace(",", " ").split()
+        if not pats:
+            raise ValueError("empty path")
+        hits = []
+        for pat in pats:
+            found = sorted(glob.glob(str(base / pat)))
+            if not found:
+                raise ValueError(f"no calibration files match {pat!r}")
+            hits.extend(found)
+        return hits
+
+    return {
+        **{f.name: type(f.default) for f in fields(CalibConfig)},
+        "format": FormatConfig.from_name, "weights": path, "calib": patterns, "out": path,
+        "seed": int,
+        "g": _int_where(lambda n: n == BLOCK, _MX_BLOCK),
+        "g1": _int_where(lambda n: n == G1, _MX_BLOCK),
+        "g2": _int_where(lambda n: n == G2, _MX_BLOCK),
+    }
+
+
+def _spec_value(name: str, cast):
+    """Cast, then apply ToyBlockSpec's own rule for the field name."""
+
+    def checked(value: str):
+        v = cast(value)
+        ToyBlockSpec.check_field(name, v)
+        return v
+
+    return checked
+
+
 _SPEC_SCHEMA = {
-    "hidden": int, "head_dim": int, "n_heads": int, "mlp_dim": int, "template": str,
+    **{name: _spec_value(name, cast) for name, cast in (
+        ("hidden", int), ("head_dim", int), ("n_heads", int), ("mlp_dim", int), ("template", str))},
     "format": FormatConfig.from_name, "seed": _int_where(lambda n: n >= 0, "must be non-negative"),
 }
 
 
 @dataclass
 class RunConfig:
-    """A calibration job parsed from a config file (_RUN_SCHEMA).
+    """A calibration job parsed from a config file (_run_schema).
 
     Absent hyperparameters take CalibConfig's defaults and an absent format
     takes _DEFAULT_FORMATS. Paths in the file are relative to the file's
-    directory; calib patterns are expanded here. No tensor is read here.
+    directory; calib patterns are expanded while parsing. No tensor is read
+    here.
     """
 
     formats: FormatConfig
@@ -282,17 +326,10 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        kv = read_kv_file(path, _RUN_SCHEMA)
-        base = Path(path).parent
+        kv = read_kv_file(path, _run_schema(Path(path).parent))
         calib = CalibConfig(**{f.name: kv[f.name] for f in fields(CalibConfig) if f.name in kv})
-        calib_paths: list[str] = []
-        for pat in kv.get("calib", "").replace(",", " ").split():
-            hits = sorted(glob.glob(str(base / pat)))
-            if not hits:
-                raise FileFormatError(f"no calibration files match {pat!r}")
-            calib_paths.extend(hits)
-        weights, out_dir = (str(base / kv[k]) if k in kv else None for k in ("weights", "out"))
-        return cls(kv.get("format", _DEFAULT_FORMATS), calib, weights, calib_paths, out_dir)
+        return cls(kv.get("format", _DEFAULT_FORMATS), calib, kv.get("weights"),
+                   kv.get("calib", []), kv.get("out"))
 
 
 # -- CSV reports -----------------------------------------------------------

@@ -1,9 +1,9 @@
 """Independent brute-force references for cross-checking the fast paths.
 
 Nothing here calls into the modules it validates: the quantizer reference
-enumerates the decoded grid per element, the transform reference builds
-dense block matrices entry by entry, and gradients come from central
-finite differences.
+enumerates the decoded grid per element, the transform and Hadamard
+references build dense matrices entry by entry, and gradients come from
+central finite differences.
 """
 
 from __future__ import annotations
@@ -122,6 +122,16 @@ def nearest_mx_oracle_batch(blocks, fmt, chunk: int = 4096):
             np.uint8
         )
     return decoded, codes
+
+
+def hadamard_oracle(n: int) -> np.ndarray:
+    """Sylvester-Hadamard matrix of order n built entry by entry.
+
+    H[i, j] = (-1)^popcount(i & j): the sign flips once for each bit that
+    row and column index share. For n a power of two this is the matrix the
+    doubling construction builds.
+    """
+    return np.array([[(-1.0) ** bin(i & j).count("1") for j in range(n)] for i in range(n)])
 
 
 def counted_gpk_forward(x, t):

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import hadamard
 
 from .errors import ShapeError, SingularTransformError
 from .formats import BLOCK, block_count
@@ -149,6 +148,19 @@ def param_count(kind: DecompositionKind, n: int) -> int:
     raise ValueError(f"unknown decomposition kind {kind!r}")
 
 
+def hadamard(n: int) -> np.ndarray:
+    """Sylvester-Hadamard matrix of order n (a power of two), entries +-1.0.
+
+    Built by doubling, H_2m = [[H_m, H_m], [H_m, -H_m]], starting from H_1 = [[1]].
+    """
+    if n < 1 or n & (n - 1):
+        raise ShapeError(f"Hadamard order {n} is not a power of two")
+    h = np.ones((1, 1))
+    while h.shape[0] < n:
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
 def block_hadamard(x: np.ndarray) -> np.ndarray:
     """Apply a normalized BLOCK x BLOCK Sylvester-Hadamard matrix to each MX block.
 
@@ -157,7 +169,7 @@ def block_hadamard(x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     k = block_count(x.shape[-1], "trailing dimension")
-    h = hadamard(BLOCK).astype(np.float64) / np.sqrt(BLOCK)
+    h = hadamard(BLOCK) / np.sqrt(BLOCK)
     lead = x.shape[:-1]
     y = x.reshape(-1, k, BLOCK) @ h
     return y.reshape(*lead, x.shape[-1])

@@ -141,13 +141,13 @@ def check_param_counts() -> OracleReport:
 
 
 def check_hadamard() -> OracleReport:
-    from scipy.linalg import hadamard
-
-    h = hadamard(BLOCK) / np.sqrt(BLOCK)
+    """block_hadamard versus the entry-by-entry Sylvester matrix, plus its orthogonality."""
+    h = oracle.hadamard_oracle(BLOCK) / np.sqrt(BLOCK)
     err = _rel_err(h @ h.T, np.eye(BLOCK))
     rng = np.random.default_rng(4)
     x = rng.normal(size=(8, 128))
     y = block_hadamard(x)
+    err = max(err, _rel_err(y.reshape(-1, BLOCK), x.reshape(-1, BLOCK) @ h))
     norms_in = np.linalg.norm(x.reshape(-1, BLOCK), axis=1)
     norms_out = np.linalg.norm(y.reshape(-1, BLOCK), axis=1)
     err = max(err, _rel_err(norms_out, norms_in))

@@ -134,3 +134,23 @@ class TestCalibrateBlock:
         calibrate_block(block, x, CalibConfig(lr=0.02, epochs=2), W4A4KV16)
         a = block.sites["p_qkv"].transform.a
         assert np.abs(a - np.eye(8)).max() > 1e-3
+
+
+class TestGelu:
+    def test_matches_scipy_erf_gelu(self):
+        from scipy.special import erf  # an independent cross-check; not a runtime dependency
+
+        x = np.concatenate([np.random.default_rng(11).normal(size=4096) * 4.0,
+                            [0.0, 40.0, -40.0, np.inf, -np.inf]])
+        with np.errstate(invalid="ignore"):  # gelu(-inf) = -inf * 0 is NaN on both sides
+            got = harness._gelu(x)
+            want = 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+        assert got.dtype == np.float64
+        finite = np.isfinite(x)
+        np.testing.assert_array_equal(got[~finite], want[~finite])
+        pos = finite & (x >= 0)
+        np.testing.assert_allclose(got[pos], want[pos], rtol=1e-15, atol=0)
+        # below 0, 1 + erf cancels: an ulp of erf is large against the result itself,
+        # so the difference is bounded on the erf term's scale 0.5 * |x|
+        neg = finite & (x < 0)
+        assert np.all(np.abs(got[neg] - want[neg]) <= 1e-15 * 0.5 * np.abs(x[neg]))

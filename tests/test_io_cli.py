@@ -363,6 +363,21 @@ class TestCli:
         _expect_one_data_error(["calibrate", "--config", str(cfg)], capsys, f"{cfg}{mention}")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text, mention", [
+        ("weights =\ncalib = acts.mxbt\n", ":1: weights = : empty path"),
+        ("weights = w.mxbt\ncalib =\n", ":2: calib = : empty path"),
+        ("weights = w.mxbt\ncalib = acts.mxbt\nout =\n", ":3: out = : empty path"),
+        ("weights = w.mxbt\ncalib = acts.mxbt, nope_*.mxbt\n",
+         ":2: calib = acts.mxbt, nope_*.mxbt: no calibration files match 'nope_*.mxbt'"),
+    ], ids=["empty-weights", "empty-calib", "empty-out", "calib-no-match"])
+    def test_calibrate_bad_path_names_file_line_and_key(self, tmp_path, capsys, text, mention):
+        # an empty path used to resolve to the config's directory and fail as EISDIR
+        cfg, _, _ = _write_calib_bundle(tmp_path)
+        cfg.write_text(text)
+        _expect_one_data_error(["calibrate", "--config", str(cfg)], capsys, f"{cfg}{mention}")
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "transform.gpkt").exists()
+
     def test_calibrate_out_flag_is_relative_to_working_directory(self, tmp_path, monkeypatch):
         # paths inside the config are relative to the config; --out is a command-line path
         (tmp_path / "cfgdir").mkdir()
@@ -525,14 +540,32 @@ class TestCli:
         out = capsys.readouterr().out
         assert "all" in out and "passed" in out
 
+    @staticmethod
+    def _python(*args):
+        """A fresh interpreter with this checkout's package on the path."""
+        src = str(Path(mq.__file__).resolve().parents[1])
+        return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+
     def test_python_m_mxquant_runs_the_cli(self):
         # an uninstalled checkout has no `mxquant` script; `python -m` must work
-        src = str(Path(mq.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-m", "mxquant", "param-count", "--n", "32"],
-                              env=env, capture_output=True, text=True, timeout=120)
+        proc = self._python("-m", "mxquant", "param-count", "--n", "32")
         assert proc.returncode == 0, proc.stderr
         assert "80" in proc.stdout
+
+    def test_cli_import_loads_no_scipy(self):
+        # numpy is the only runtime dependency; scipy is a test-only cross-check
+        proc = self._python("-c", "import sys, mxquant.cli; "
+                            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_verify_passes_without_scipy(self):
+        # a None entry in sys.modules makes every `import scipy` raise ImportError
+        proc = self._python("-c", "import sys; sys.modules['scipy'] = None; "
+                            "from mxquant.cli import main; sys.exit(main(['verify']))")
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "all 8 checks passed" in proc.stdout
 
     def test_simulate_writes_report(self, tmp_path):
         spec = tmp_path / "block.cfg"
@@ -585,7 +618,11 @@ class TestCli:
         (_SPEC + "seed = -1\n", ":5: seed = -1"),
         (_SPEC + "n_heads = 2\n", ":5: 'n_heads' is set twice"),
         (_SPEC.replace("hidden = 128\n", ""), ": missing block spec key 'hidden'"),
-    ], ids=["mlp_dim=64.5", "seed=-1", "n_heads-twice", "no-hidden"])
+        (_SPEC + "template = tex\n", ":5: template = tex: unknown template 'tex'"),
+        (_SPEC.replace("hidden = 128", "hidden = 0"), ":1: hidden = 0"),
+        (_SPEC.replace("n_heads = 4", "n_heads = 0"), ":3: n_heads = 0"),
+    ], ids=["mlp_dim=64.5", "seed=-1", "n_heads-twice", "no-hidden", "template=tex", "hidden=0",
+            "n_heads=0"])
     def test_simulate_bad_spec_names_file_and_key(self, tmp_path, capsys, spec, mention):
         path = tmp_path / "block.cfg"
         path.write_text(spec)

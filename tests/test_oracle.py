@@ -7,9 +7,11 @@ from mxquant.oracle import (
     bimodality_score,
     counted_gpk_forward,
     finite_diff_oracle,
+    hadamard_oracle,
     nearest_mx_oracle,
     nearest_mx_oracle_batch,
 )
+from mxquant.transform import hadamard
 
 
 class TestNearestOracle:
@@ -84,3 +86,17 @@ class TestCountedForward:
         y, count = counted_gpk_forward(x, t)
         assert count == 2 * 64 * (t.g1 + t.g2)
         assert np.allclose(y, mq.gpk_forward(x, t))
+
+
+class TestHadamardOracle:
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32, 64])
+    def test_equals_sylvester_builder(self, n):
+        assert np.array_equal(hadamard_oracle(n), hadamard(n))
+
+    def test_block_hadamard_is_oracle_per_block(self, rng):
+        x = rng.normal(size=(3, 5, 96))
+        h = hadamard_oracle(32) / np.sqrt(32)
+        want = (x.reshape(-1, 32) @ h).reshape(x.shape)
+        got = mq.block_hadamard(x)
+        assert got.shape == x.shape
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))

@@ -4,7 +4,7 @@ import pytest
 import mxquant as mq
 from mxquant.errors import ShapeError, SingularTransformError
 from mxquant.oracle import counted_gpk_forward, dense_block_matrices, dense_transform_oracle
-from mxquant.transform import COND_LIMIT, G1, G2, DecompositionKind
+from mxquant.transform import COND_LIMIT, G1, G2, DecompositionKind, hadamard
 from mxquant.verify import random_transform, well_conditioned
 
 
@@ -203,6 +203,17 @@ class TestBlockHadamard:
 
         h = hadamard(32) / np.sqrt(32)
         assert rel_err(h @ h.T, np.eye(32)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32, 64])
+    def test_sylvester_builder_matches_scipy(self, n):
+        from scipy.linalg import hadamard as scipy_hadamard
+
+        assert np.array_equal(hadamard(n), scipy_hadamard(n))
+
+    @pytest.mark.parametrize("n", [0, 3, 12, 48])
+    def test_sylvester_order_not_a_power_of_two(self, n):
+        with pytest.raises(ShapeError, match=str(n)):
+            hadamard(n)
 
     def test_norm_preserved(self, rng):
         x = rng.normal(size=(10, 128))
