@@ -8,19 +8,25 @@ Tensor file (.mxbt), little-endian throughout:
     dims    rank * u32
     payload f32: row-major float32
             mx4/mx8: per block (innermost axis, row-major block order):
-                scale_exp i8, then codes; mx4 packs two 4-bit codes per
-                byte with the first code in the LOW nibble (16 bytes),
-                mx8 stores one code per byte (32 bytes)
+                scale_exp i8, then 32 * bits / 8 bytes of codes; mx4 packs
+                two 4-bit codes per byte with the first code in the LOW
+                nibble (16 bytes), mx8 stores one code per byte (32 bytes)
+    An mx tensor's innermost dimension is a positive multiple of the
+    32-element MX block (rank 0 counts as width 0).
 
 Transform record (.gpkt):
     magic   4 bytes  b"GPKT"
     version u16      1
-    header  5 * u32  N, g, g1, g2, k   must be (32k, 32, 8, 4, k): the MX
-                     block and the fixed split transform.G1 x transform.G2
-    A       g1*g1 float32, row-major
-    B       k*g2*g2 float32, row-major (block 0 first)
-    optional clip section, 4*k float32: activation alpha_min, activation
-    alpha_max, weight alpha_min, weight alpha_max
+    header  5 * u32  N, g, g1, g2, k   must be (32k, 32, 8, 4, k) with
+                     k >= 1: the MX block and the fixed split
+                     transform.G1 x transform.G2
+    body    float32, row-major: A (g1, g1), then B (k, g2, g2) (block 0
+            first), then an optional (4, k) clip section whose rows are
+            activation alpha_min, activation alpha_max, weight alpha_min,
+            weight alpha_max
+
+Each layout is one header struct and one body dtype, shared by writer and
+reader. Both readers check magic, version and exact payload size first.
 
 Config files are flat text, one `key = value` per line; blank lines and
 lines starting with # are ignored. Each kind of file has one schema mapping
@@ -44,8 +50,8 @@ import numpy as np
 
 from .calib import CalibConfig
 from .clipping import ClipParams
-from .errors import DataError, FileFormatError
-from .formats import BLOCK, E2M1, E4M3, FormatConfig, MxTensor
+from .errors import DataError, FileFormatError, ShapeError
+from .formats import BLOCK, E2M1, E4M3, FormatConfig, MxFormat, MxTensor, block_count
 from .harness import ToyBlockSpec
 from .transform import G1, G2, GpkTransform
 
@@ -53,45 +59,82 @@ TENSOR_MAGIC = b"MXBT"
 RECORD_MAGIC = b"GPKT"
 VERSION = 1
 
-_DTYPE_TAGS = {"f32": 0, "mx4": 1, "mx8": 2}
-_TAG_FORMATS = {1: E2M1, 2: E4M3}
+_TENSOR_HEAD = struct.Struct("<4sHBB")  # magic, version, dtype tag, rank; then rank u32 dims
+_RECORD_HEAD = struct.Struct("<4sH5I")  # magic, version, N, g, g1, g2, k
+
+# dtype tag -> element format, None for f32; the writer matches formats by name
+_DTYPES = {0: None, 1: E2M1, 2: E4M3}
+_TAGS = {(f.name if f else None): tag for tag, f in _DTYPES.items()}
 
 
-def _block_dtype(tag: int) -> np.dtype:
-    # one record per block: scale_exp, then the (packed) codes
-    return np.dtype([("e", "i1"), ("c", "u1", BLOCK // 2 if tag == _DTYPE_TAGS["mx4"] else BLOCK)])
+def _block_dtype(fmt: MxFormat) -> np.dtype:
+    # one record per block: scale_exp, then the codes at fmt.bits each
+    return np.dtype([("e", "i1"), ("c", "u1", BLOCK * fmt.bits // 8)])
+
+
+def _record_dtype(k: int, clips: bool) -> np.dtype:
+    """The .gpkt body after the header."""
+    body = [("A", "<f4", (G1, G1)), ("B", "<f4", (k, G2, G2))]
+    return np.dtype(body + [("clip", "<f4", (4, k))] * clips)
+
+
+def _check_mx_width(shape, where) -> None:
+    try:
+        block_count(shape[-1] if shape else 0, f"{where}: innermost dimension")
+    except ShapeError as e:
+        raise FileFormatError(str(e)) from None
+
+
+def _read_head(path, magic: bytes, head: struct.Struct, what: str):
+    """The file's bytes and its header fields after magic and version."""
+    raw = Path(path).read_bytes()
+    if len(raw) < head.size or raw[:4] != magic:
+        raise FileFormatError(f"{path}: not a {what} (bad magic)")
+    _, version, *fields = head.unpack_from(raw)
+    if version != VERSION:
+        raise FileFormatError(f"{path}: unsupported version {version}")
+    return raw, fields
+
+
+def _read_body(path, raw: bytes, off: int, *layouts) -> np.ndarray:
+    """raw[off:] viewed as the first (dtype, count) layout whose size it has exactly.
+
+    Sizes are Python ints, so a product of header fields cannot wrap.
+    """
+    size = len(raw) - off
+    for dt, count in layouts:
+        if size == count * dt.itemsize:
+            return np.frombuffer(raw, dtype=dt, count=count, offset=off)
+    expect = " or ".join(str(count * dt.itemsize) for dt, count in layouts)
+    raise FileFormatError(f"{path}: payload is {size} bytes, expected {expect}")
 
 
 def write_tensor(path, tensor) -> None:
     """Write a float array (as f32) or an MxTensor to a .mxbt file."""
-    path = Path(path)
     if isinstance(tensor, MxTensor):
-        if tensor.fmt.name == "e2m1":
-            tag = _DTYPE_TAGS["mx4"]
-        elif tensor.fmt.name == "e4m3":
-            tag = _DTYPE_TAGS["mx8"]
-        else:
-            raise FileFormatError(f"no dtype tag for format {tensor.fmt.name}")
-        shape = tensor.shape
+        fmt = tensor.fmt
+        if fmt.name not in _TAGS:
+            raise FileFormatError(f"no dtype tag for format {fmt.name}")
+        tag = _TAGS[fmt.name]
+        _check_mx_width(tensor.shape, path)
         if np.any(np.abs(tensor.scale_exps.astype(np.int64)) > 127):
             raise FileFormatError("scale exponent outside [-127, 127]")
-        rec = np.empty(tensor.n_blocks, dtype=_block_dtype(tag))
+        rec = np.empty(tensor.n_blocks, dtype=_block_dtype(fmt))
         rec["e"] = tensor.scale_exps
         c = tensor.codes
-        if tag == _DTYPE_TAGS["mx4"]:
+        if fmt.bits == 4:
             # two codes per byte, first code in the low nibble
             c = (c[:, 0::2] & 0x0F) | (c[:, 1::2] << 4)
         rec["c"] = c
         payload = rec.tobytes()
     else:
-        tag = _DTYPE_TAGS["f32"]
+        tag = _TAGS[None]
         tensor = np.asarray(tensor)
-        shape = tensor.shape
         payload = np.ascontiguousarray(tensor, dtype="<f4").tobytes()
 
+    shape = tensor.shape
     with open(path, "wb") as f:
-        f.write(TENSOR_MAGIC)
-        f.write(struct.pack("<HBB", VERSION, tag, len(shape)))
+        f.write(_TENSOR_HEAD.pack(TENSOR_MAGIC, VERSION, tag, len(shape)))
         f.write(struct.pack(f"<{len(shape)}I", *shape))
         f.write(payload)
 
@@ -99,47 +142,29 @@ def write_tensor(path, tensor) -> None:
 def read_tensor(path):
     """Read a .mxbt file; returns a float64 array or an MxTensor.
 
-    Sizes, scale exponents and code indices are checked against the layout
-    before the payload is decoded.
+    Sizes, the MX block rule, scale exponents and code indices are checked
+    against the layout before the payload is decoded.
     """
-    path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < 8 or raw[:4] != TENSOR_MAGIC:
-        raise FileFormatError(f"{path}: not a tensor file (bad magic)")
-    version, tag, rank = struct.unpack_from("<HBB", raw, 4)
-    if version != VERSION:
-        raise FileFormatError(f"{path}: unsupported version {version}")
-    off = 8
-    if len(raw) < off + 4 * rank:
+    raw, (tag, rank) = _read_head(path, TENSOR_MAGIC, _TENSOR_HEAD, "tensor file")
+    off = _TENSOR_HEAD.size + 4 * rank
+    if len(raw) < off:
         raise FileFormatError(f"{path}: truncated header")
-    dims = struct.unpack_from(f"<{rank}I", raw, off)
-    off += 4 * rank
+    dims = struct.unpack_from(f"<{rank}I", raw, _TENSOR_HEAD.size)
     count = math.prod(dims)  # Python ints: no overflow
-
-    if tag == _DTYPE_TAGS["f32"]:
-        expect = count * 4
-        if len(raw) - off != expect:
-            raise FileFormatError(f"{path}: payload is {len(raw) - off} bytes, expected {expect}")
-        data = np.frombuffer(raw, dtype="<f4", count=count, offset=off)
+    if tag not in _DTYPES:
+        raise FileFormatError(f"{path}: unknown dtype tag {tag}")
+    fmt = _DTYPES[tag]
+    if fmt is None:
+        data = _read_body(path, raw, off, (np.dtype("<f4"), count))
         return data.astype(np.float64).reshape(dims)
 
-    if tag not in _TAG_FORMATS:
-        raise FileFormatError(f"{path}: unknown dtype tag {tag}")
-    fmt = _TAG_FORMATS[tag]
-    if count % BLOCK:
-        raise FileFormatError(f"{path}: element count {count} is not a multiple of {BLOCK}")
-    n_blocks = count // BLOCK
-    dt = _block_dtype(tag)
-    expect = n_blocks * dt.itemsize
-    if len(raw) - off != expect:
-        raise FileFormatError(f"{path}: payload is {len(raw) - off} bytes, expected {expect}")
-
-    rec = np.frombuffer(raw, dtype=dt, count=n_blocks, offset=off)
+    _check_mx_width(dims, path)
+    rec = _read_body(path, raw, off, (_block_dtype(fmt), count // BLOCK))
     scale_exps = rec["e"].copy()
     if np.any(scale_exps == -128):
         raise FileFormatError(f"{path}: scale exponent -128 is outside [-127, 127]")
-    if tag == _DTYPE_TAGS["mx4"]:
-        codes = np.empty((n_blocks, BLOCK), dtype=np.uint8)
+    if fmt.bits == 4:
+        codes = np.empty((len(rec), BLOCK), dtype=np.uint8)
         codes[:, 0::2] = rec["c"] & 0x0F
         codes[:, 1::2] = rec["c"] >> 4
     else:
@@ -152,63 +177,39 @@ def read_tensor(path):
 def write_transform_record(path, t: GpkTransform, act_clip=None, weight_clip=None) -> None:
     if (act_clip is None) != (weight_clip is None):
         raise ValueError("write both clip sections or neither")
+    if act_clip is not None and not act_clip.k == weight_clip.k == t.k:
+        raise ValueError(f"clip sections need {t.k} logit pairs, one per block")
+    body = np.empty((), dtype=_record_dtype(t.k, act_clip is not None))
+    body["A"], body["B"] = t.a, t.b
+    if act_clip is not None:
+        body["clip"] = (act_clip.alpha_min, act_clip.alpha_max,
+                        weight_clip.alpha_min, weight_clip.alpha_max)
     with open(path, "wb") as f:
-        f.write(RECORD_MAGIC)
-        f.write(struct.pack("<H", VERSION))
-        f.write(struct.pack("<5I", t.n, BLOCK, G1, G2, t.k))
-        f.write(np.ascontiguousarray(t.a, dtype="<f4").tobytes())
-        f.write(np.ascontiguousarray(t.b, dtype="<f4").tobytes())
-        if act_clip is not None:
-            for arr in (
-                act_clip.alpha_min,
-                act_clip.alpha_max,
-                weight_clip.alpha_min,
-                weight_clip.alpha_max,
-            ):
-                f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        f.write(_RECORD_HEAD.pack(RECORD_MAGIC, VERSION, t.n, BLOCK, G1, G2, t.k))
+        f.write(body.tobytes())
 
 
 def read_transform_record(path):
     """Returns (transform, act_clip | None, weight_clip | None)."""
-    path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < 26 or raw[:4] != RECORD_MAGIC:
-        raise FileFormatError(f"{path}: not a transform record (bad magic)")
-    version = struct.unpack_from("<H", raw, 4)[0]
-    if version != VERSION:
-        raise FileFormatError(f"{path}: unsupported version {version}")
-    header = struct.unpack_from("<5I", raw, 6)
-    k = header[4]
-    if header != (k * BLOCK, BLOCK, G1, G2, k):
-        n, g, g1, g2, _ = header
+    raw, (n, g, g1, g2, k) = _read_head(path, RECORD_MAGIC, _RECORD_HEAD, "transform record")
+    if k == 0 or (n, g, g1, g2) != (k * BLOCK, BLOCK, G1, G2):
         raise FileFormatError(
             f"{path}: header (N={n}, g={g}, g1={g1}, g2={g2}, k={k}) is not "
-            f"(N={k * BLOCK}, g={BLOCK}, g1={G1}, g2={G2}, k={k}): transforms act on the "
+            f"(N={BLOCK}k, g={BLOCK}, g1={G1}, g2={G2}, k) with k >= 1: transforms act on the "
             f"{BLOCK}-element MX block split {G1}x{G2}"
         )
-    off = 26
-    need = (G1 * G1 + k * G2 * G2) * 4
-    if len(raw) - off < need:
-        raise FileFormatError(f"{path}: truncated factor payload")
-    a = np.frombuffer(raw, dtype="<f4", count=G1 * G1, offset=off).astype(np.float64)
-    off += G1 * G1 * 4
-    b = np.frombuffer(raw, dtype="<f4", count=k * G2 * G2, offset=off).astype(np.float64)
-    off += k * G2 * G2 * 4
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise FileFormatError(f"{path}: non-finite transform factor")
-    t = GpkTransform(a.reshape(G1, G1), b.reshape(k, G2, G2))
-
-    rest = len(raw) - off
-    if rest == 0:
+    try:  # numpy caps a record below 2 GiB
+        layouts = [(_record_dtype(k, clips), 1) for clips in (False, True)]
+    except ValueError:
+        raise FileFormatError(f"{path}: header k={k} needs a body over 2 GiB") from None
+    rec = _read_body(path, raw, _RECORD_HEAD.size, *layouts)[0]
+    for name in rec.dtype.names:
+        if not np.all(np.isfinite(rec[name])):
+            raise FileFormatError(f"{path}: non-finite value in section {name}")
+    t = GpkTransform(rec["A"], rec["B"])
+    if "clip" not in rec.dtype.names:
         return t, None, None
-    if rest != 4 * k * 4:
-        raise FileFormatError(f"{path}: clip section is {rest} bytes, expected {4 * k * 4}")
-    logits = np.frombuffer(raw, dtype="<f4", count=4 * k, offset=off).astype(np.float64)
-    if not np.all(np.isfinite(logits)):
-        raise FileFormatError(f"{path}: non-finite clip logit")
-    act = ClipParams(logits[:k], logits[k : 2 * k])
-    wgt = ClipParams(logits[2 * k : 3 * k], logits[3 * k :])
-    return t, act, wgt
+    return t, ClipParams(*rec["clip"][:2]), ClipParams(*rec["clip"][2:])
 
 
 # -- flat key=value config files ------------------------------------------
@@ -335,11 +336,16 @@ class RunConfig:
 # -- CSV reports -----------------------------------------------------------
 
 
-def write_loss_csv(path, trace) -> None:
-    """Loss trace rows (step, lr, loss); floats as shortest round-trip repr."""
-    lines = ["step,lr,loss"]
-    lines += [f"{step},{lr!r},{loss!r}" for step, lr, loss in trace]
+def _write_csv(path, header, rows) -> None:
+    """Header, then one line per row: a str cell as is, any other cell as its repr."""
+    lines = [",".join(header)]
+    lines += [",".join(c if isinstance(c, str) else repr(c) for c in row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_loss_csv(path, trace) -> None:
+    """Loss trace rows (step, lr, loss)."""
+    _write_csv(path, ["step", "lr", "loss"], trace)
 
 
 def write_stats_csv(path, rows, n_bins: int) -> None:
@@ -347,20 +353,13 @@ def write_stats_csv(path, rows, n_bins: int) -> None:
     header = ["block", "bimodality_pre", "bimodality_post"]
     header += [f"pre_{i}" for i in range(n_bins)]
     header += [f"post_{i}" for i in range(n_bins)]
-    lines = [",".join(header)]
-    for r in rows:
-        cells = [str(r["block"]), repr(r["bimodality_pre"]), repr(r["bimodality_post"])]
-        cells += [str(int(c)) for c in r["pre"]]
-        cells += [str(int(c)) for c in r["post"]]
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, header, ([r["block"], r["bimodality_pre"], r["bimodality_post"],
+                               *map(int, r["pre"]), *map(int, r["post"])] for r in rows))
 
 
 def write_error_report(path, rows) -> None:
     """Harness comparison rows: (site, mse_before, mse_after)."""
-    lines = ["site,mse_before,mse_after"]
-    lines += [f"{site},{before!r},{after!r}" for site, before, after in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, ["site", "mse_before", "mse_after"], rows)
 
 
 def read_block_spec(path):

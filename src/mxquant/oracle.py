@@ -9,22 +9,10 @@ central finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError
-
-
-@dataclass
-class OracleReport:
-    """Outcome of one reference cross-check."""
-
-    case_id: str
-    reference: object
-    candidate: object
-    max_rel_error: float
-    passed: bool
 
 
 def nearest_mx_oracle(values, fmt) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,6 @@ from . import oracle
 from .calib import Theta, _backward, _forward
 from .formats import BLOCK, E2M1, E4M3, FormatConfig, MxFormat, quantize_tensor
 from .io import read_tensor, write_tensor
-from .oracle import OracleReport
 from .transform import (
     G1,
     G2,
@@ -22,6 +22,15 @@ from .transform import (
     gpk_inverse_forward,
     param_count,
 )
+
+
+@dataclass
+class OracleReport:
+    """Outcome of one reference cross-check."""
+
+    case_id: str
+    max_rel_error: float
+    passed: bool
 
 
 def well_conditioned(rng, n: int, cond_max: float = 10.0) -> np.ndarray:
@@ -50,22 +59,19 @@ def _rel_err(got, want):
 def check_quantizer(
     fmt: MxFormat | None = None, n_blocks: int = 2000, seed: int = 0
 ) -> OracleReport:
-    """Block quantizer versus the exhaustive nearest-grid reference."""
+    """Block quantizer versus the exhaustive nearest-grid reference: codes and decoded values."""
     fmts = (fmt,) if fmt is not None else (E2M1, E4M3)
     rng = np.random.default_rng(seed)
     mismatches = 0
     for f in fmts:
-        for _ in range(n_blocks):
-            scale = 10.0 ** rng.uniform(-3, 3)
-            v = rng.normal(size=BLOCK) * scale
-            got = quantize_tensor(v, f).to_dense()
-            want = oracle.nearest_mx_oracle(v, f)
-            if not np.array_equal(got, want):
-                mismatches += 1
+        scales = 10.0 ** rng.uniform(-3, 3, size=(n_blocks, 1))
+        v = rng.normal(size=(n_blocks, BLOCK)) * scales
+        got = quantize_tensor(v, f)
+        want, codes = oracle.nearest_mx_oracle_batch(v, f)
+        bad = np.any(got.codes != codes, axis=1) | np.any(got.to_dense() != want, axis=1)
+        mismatches += int(np.count_nonzero(bad))
     name = "+".join(f.name for f in fmts)
-    return OracleReport(
-        f"quantizer-vs-oracle[{name}]", 0, mismatches, float(mismatches), mismatches == 0
-    )
+    return OracleReport(f"quantizer-vs-oracle[{name}]", float(mismatches), mismatches == 0)
 
 
 def check_gpk_dense(seed: int = 0, cases: int = 25) -> OracleReport:
@@ -76,7 +82,7 @@ def check_gpk_dense(seed: int = 0, cases: int = 25) -> OracleReport:
         t = random_transform(rng, n)
         x = rng.normal(size=(int(rng.integers(1, 6)), n))
         worst = max(worst, _rel_err(gpk_forward(x, t), oracle.dense_transform_oracle(x, t)))
-    return OracleReport("gpk-vs-dense", 0.0, worst, worst, worst <= 1e-6)
+    return OracleReport("gpk-vs-dense", worst, worst <= 1e-6)
 
 
 def check_round_trip(seed: int = 1, cases: int = 25) -> OracleReport:
@@ -87,7 +93,7 @@ def check_round_trip(seed: int = 1, cases: int = 25) -> OracleReport:
         t = random_transform(rng, n)
         x = rng.normal(size=(4, n))
         worst = max(worst, _rel_err(gpk_inverse_forward(gpk_forward(x, t), t), x))
-    return OracleReport("inverse-round-trip", 0.0, worst, worst, worst <= 1e-5)
+    return OracleReport("inverse-round-trip", worst, worst <= 1e-5)
 
 
 def check_vec_identity(seed: int = 2, cases: int = 100) -> OracleReport:
@@ -100,7 +106,7 @@ def check_vec_identity(seed: int = 2, cases: int = 100) -> OracleReport:
         lhs = v.reshape(-1) @ np.kron(b, a)
         rhs = (b.T @ v @ a).reshape(-1)
         worst = max(worst, _rel_err(lhs, rhs))
-    return OracleReport("kron-vec-identity", 0.0, worst, worst, worst <= 1e-6)
+    return OracleReport("kron-vec-identity", worst, worst <= 1e-6)
 
 
 def check_gradients(seed: int = 3) -> OracleReport:
@@ -125,7 +131,7 @@ def check_gradients(seed: int = 3) -> OracleReport:
     _, grads = _backward(ctx, y_ref)
     fd = oracle.finite_diff_oracle(loss_fn, params, h=1e-5)
     worst = max(_rel_err(grads[k], fd[k]) for k in params)
-    return OracleReport("pipeline-gradients-vs-fd", 0.0, worst, worst, worst <= 1e-4)
+    return OracleReport("pipeline-gradients-vs-fd", worst, worst <= 1e-4)
 
 
 def check_param_counts() -> OracleReport:
@@ -137,7 +143,7 @@ def check_param_counts() -> OracleReport:
         param_count(DecompositionKind.GPK, 4096),
     )
     ok = got == want
-    return OracleReport("param-count-table", want, got, 0.0 if ok else 1.0, ok)
+    return OracleReport("param-count-table", 0.0 if ok else 1.0, ok)
 
 
 def check_hadamard() -> OracleReport:
@@ -151,7 +157,7 @@ def check_hadamard() -> OracleReport:
     norms_in = np.linalg.norm(x.reshape(-1, BLOCK), axis=1)
     norms_out = np.linalg.norm(y.reshape(-1, BLOCK), axis=1)
     err = max(err, _rel_err(norms_out, norms_in))
-    return OracleReport("hadamard-orthogonality", 0.0, err, err, err <= 1e-6)
+    return OracleReport("hadamard-orthogonality", err, err <= 1e-6)
 
 
 def check_file_round_trip(seed: int = 5) -> OracleReport:
@@ -168,7 +174,7 @@ def check_file_round_trip(seed: int = 5) -> OracleReport:
             write_tensor(p, q)
             r = read_tensor(p)
             ok &= np.array_equal(r.scale_exps, q.scale_exps) and np.array_equal(r.codes, q.codes)
-    return OracleReport("tensor-file-round-trip", True, ok, 0.0 if ok else 1.0, bool(ok))
+    return OracleReport("tensor-file-round-trip", 0.0 if ok else 1.0, bool(ok))
 
 
 ALL_CHECKS = (

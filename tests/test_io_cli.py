@@ -108,6 +108,26 @@ class TestTensorFile:
         with pytest.raises(FileFormatError, match="scale exponent"):
             io.write_tensor(tmp_path / "w.mxbt", t)
 
+    @pytest.mark.parametrize("tag, dims", [(1, (2, 16)), (2, (32, 1)), (1, ())],
+                             ids=["mx4-2x16", "mx8-32x1", "mx4-scalar"])
+    def test_mx_width_not_whole_blocks_rejected(self, tmp_path, tag, dims):
+        # 32 elements make one block's payload, but no block may span rows
+        n_blocks = max(1, int(np.prod(dims)) // 32)
+        block = 1 + (16 if tag == 1 else 32)
+        p = tmp_path / "w.mxbt"
+        p.write_bytes(b"MXBT" + struct.pack(f"<HBB{len(dims)}I", 1, tag, len(dims), *dims)
+                      + bytes(n_blocks * block))
+        with pytest.raises(FileFormatError, match="innermost dimension") as e:
+            io.read_tensor(p)
+        assert str(p) in str(e.value)
+
+    @pytest.mark.parametrize("fmt", [mq.E2M1, mq.E4M3], ids=lambda f: f.name)
+    def test_write_rejects_mx_width_not_whole_blocks(self, tmp_path, fmt):
+        t = mq.MxTensor((2, 16), fmt, np.zeros(1, np.int8), np.zeros((1, 32), np.uint8))
+        with pytest.raises(FileFormatError, match="innermost dimension 16"):
+            io.write_tensor(tmp_path / "w.mxbt", t)
+        assert not (tmp_path / "w.mxbt").exists()
+
     def test_all_mx4_codes_accepted(self, tmp_path):
         raw = b"MXBT" + struct.pack("<HBB2I", 1, 1, 2, 1, 32) + struct.pack("<b", -127)
         p = tmp_path / "all.mxbt"
@@ -141,6 +161,16 @@ class TestTransformRecord:
         assert act2 is None and wgt2 is None
         assert t2.k == 2
 
+    @pytest.mark.parametrize("k_act, k_wgt", [(1, 4), (4, 1), (1, 1)])
+    def test_write_rejects_clip_sections_of_other_width(self, tmp_path, rng, k_act, k_wgt):
+        # a length-1 section must not be broadcast to the transform's 4 blocks
+        t = random_transform(rng, 128)
+        act = mq.ClipParams(rng.normal(size=k_act), rng.normal(size=k_act))
+        wgt = mq.ClipParams(rng.normal(size=k_wgt), rng.normal(size=k_wgt))
+        with pytest.raises(ValueError, match="4 logit pairs"):
+            io.write_transform_record(tmp_path / "t.gpkt", t, act, wgt)
+        assert not (tmp_path / "t.gpkt").exists()
+
     def test_inconsistent_header_rejected(self, tmp_path, rng):
         t = random_transform(rng, 64)
         p = tmp_path / "t.gpkt"
@@ -149,6 +179,33 @@ class TestTransformRecord:
         struct.pack_into("<I", raw, 6, 999)  # corrupt N
         p.write_bytes(bytes(raw))
         with pytest.raises(FileFormatError):
+            io.read_transform_record(p)
+
+    def test_zero_blocks_header_rejected(self, tmp_path):
+        p = tmp_path / "t.gpkt"
+        p.write_bytes(b"GPKT" + struct.pack("<H5I", 1, 0, 32, 8, 4, 0)
+                      + np.eye(8, dtype="<f4").tobytes())
+        with pytest.raises(FileFormatError, match="k >= 1"):
+            io.read_transform_record(p)
+
+    @pytest.mark.parametrize("cut", [-3, 4, 4 * 7], ids=["truncated", "extra-word", "short-clips"])
+    def test_body_of_neither_legal_size_rejected(self, tmp_path, rng, cut):
+        # bare body 64*4 + 2*16*4 = 384 bytes; with the (4, 2) clip section 416
+        t = random_transform(rng, 64)
+        p = tmp_path / "t.gpkt"
+        io.write_transform_record(p, t)
+        raw = p.read_bytes()
+        p.write_bytes(raw[:cut] if cut < 0 else raw + bytes(cut))
+        with pytest.raises(FileFormatError, match="payload is") as e:
+            io.read_transform_record(p)
+        assert str(p) in str(e.value)
+
+    def test_header_too_large_for_any_body_rejected(self, tmp_path):
+        # k = 2^26 would need a body of over 5 GiB; the file holds only A
+        p = tmp_path / "t.gpkt"
+        p.write_bytes(b"GPKT" + struct.pack("<H5I", 1, 1 << 31, 32, 8, 4, 1 << 26)
+                      + np.eye(8, dtype="<f4").tobytes())
+        with pytest.raises(FileFormatError, match="k=67108864 needs a body over 2 GiB"):
             io.read_transform_record(p)
 
     @pytest.mark.parametrize("where", ["a", "b", "clip"])
@@ -273,6 +330,14 @@ class TestCli:
 
     def test_calibrate_missing_config_is_data_error(self, tmp_path):
         assert main(["calibrate", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    @pytest.mark.parametrize("key", ["weights", "calib"])
+    def test_calibrate_config_without_input_is_data_error(self, tmp_path, capsys, key):
+        cfg, _, _ = _write_calib_bundle(tmp_path)
+        cfg.write_text("".join(ln + "\n" for ln in cfg.read_text().splitlines()
+                               if not ln.startswith(key)))
+        _expect_one_data_error(["calibrate", "--config", str(cfg)], capsys, f"'{key}'")
+        assert not (tmp_path / "out").exists()
 
     def test_usage_error_exit_code(self):
         # missing --config; flags the subcommands do not take
