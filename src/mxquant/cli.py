@@ -104,7 +104,7 @@ def _cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _stats_rows(x: np.ndarray, k: int, transform: GpkTransform | None):
+def _stats_rows(x: np.ndarray, k: int, transform: GpkTransform | None, where):
     """One row per MX block of x's last axis (k blocks), scaled by the E2M1 scale rule."""
     post = gpk_forward(x, transform) if transform is not None else x
 
@@ -114,18 +114,18 @@ def _stats_rows(x: np.ndarray, k: int, transform: GpkTransform | None):
         r = np.ldexp(vals.reshape(-1, BLOCK), -se[:, None])
         return r.reshape(-1, k, BLOCK)
 
-    pre_r, post_r = scaled(x), scaled(post)
+    sides = (("pre", scaled(x)), ("post", scaled(post)))
     rows = []
     for b in range(k):
-        pre_vals = pre_r[:, b, :].reshape(-1)
-        post_vals = post_r[:, b, :].reshape(-1)
-        rows.append({
-            "block": b,
-            "bimodality_pre": bimodality_score(pre_vals),
-            "bimodality_post": bimodality_score(post_vals),
-            "pre": np.histogram(pre_vals, bins=HIST_BINS, range=HIST_RANGE)[0],
-            "post": np.histogram(post_vals, bins=HIST_BINS, range=HIST_RANGE)[0],
-        })
+        row = {"block": b}
+        for side, r in sides:
+            vals = r[:, b, :].reshape(-1)
+            try:
+                row[f"bimodality_{side}"] = bimodality_score(vals)
+            except ShapeError as e:
+                raise ShapeError(f"{where}: block {b} ({side}-transform): {e}") from None
+            row[side] = np.histogram(vals, bins=HIST_BINS, range=HIST_RANGE)[0]
+        rows.append(row)
     return rows
 
 
@@ -138,7 +138,10 @@ def _cmd_stats(args) -> int:
     transform = None
     if args.transform:
         transform, _, _ = io.read_transform_record(args.transform)
-    rows = _stats_rows(x, k, transform)
+        if transform.n != x.shape[-1]:
+            raise ShapeError(f"{args.transform}: transform width {transform.n} does not match "
+                             f"the trailing dimension {x.shape[-1]} of {args.tensor}")
+    rows = _stats_rows(x, k, transform, args.tensor)
     io.write_stats_csv(args.out, rows, HIST_BINS)
     print(f"wrote {len(rows)} block rows to {args.out}")
     return EXIT_OK

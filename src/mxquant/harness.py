@@ -9,6 +9,12 @@ Models where block transforms attach in an attention + MLP block:
   vit template: p_qkv, p_o, p_fc1, p_fc2; no KV cache because there is no
   autoregressive decoding.
 
+The block is built from its linear sites: ToyBlock.weights maps each site to
+its own (out, in) weight, with the keys of ToyBlock.sites, and text p_up
+holds the up rows stacked over the gate rows. _TEMPLATES is the one table
+that knows each template's MLP sites, the activation between them (SwiGLU
+halves or GELU) and whether it has a KV cache.
+
 Each linear site is a calib.Theta (one transform, an activation clip and a
 weight clip) and runs calib.quantized_forward, calibration's own forward,
 so the block, calibration and fusion share one transform -> clip -> qdq
@@ -21,6 +27,7 @@ learns only the linear sites. RoPE is deliberately absent.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -32,13 +39,47 @@ from .formats import FormatConfig, block_count, quantize_dequantize
 SATURATED_LOGIT = 40.0  # sigmoid is exactly 1.0 in float64
 
 
+def _rmsnorm(x, eps=1e-6):
+    return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
+
+
+def _silu(x):
+    return x / (1.0 + np.exp(-x))
+
+
+def _swiglu(both):
+    up, gate = np.split(both, 2, axis=1)
+    return _silu(gate) * up
+
+
+_erf = np.frompyfunc(math.erf, 1, 1)  # numpy has no erf; this returns an object array
+
+
+def _gelu(x):
+    return 0.5 * x * (1.0 + _erf(x / np.sqrt(2.0)).astype(np.float64))
+
+
+@dataclass(frozen=True)
+class _Template:
+    mlp_sites: tuple[str, str]  # the MLP's input and output site
+    act: Callable  # the first MLP site's output -> the second's input
+    widen: int  # the first MLP site has widen * mlp_dim output rows
+    kv_cache: bool
+
+
+_TEMPLATES = {
+    "text": _Template(("p_up", "p_down"), _swiglu, 2, kv_cache=True),
+    "vit": _Template(("p_fc1", "p_fc2"), _gelu, 1, kv_cache=False),
+}
+
+
 @dataclass
 class ToyBlockSpec:
     hidden: int
     head_dim: int
     n_heads: int
     mlp_dim: int
-    template: str = "text"  # "text" or "vit"
+    template: str = "text"  # a key of _TEMPLATES
 
     def __post_init__(self):
         for f in fields(self):
@@ -48,7 +89,7 @@ class ToyBlockSpec:
     def check_field(name: str, value) -> None:
         """Raise ShapeError or ValueError unless value is allowed for the field name."""
         if name == "template":
-            if value not in ("text", "vit"):
+            if value not in _TEMPLATES:
                 raise ValueError(f"unknown template {value!r}")
         elif name == "n_heads":
             if value < 1:
@@ -60,57 +101,21 @@ class ToyBlockSpec:
 @dataclass
 class ToyBlock:
     spec: ToyBlockSpec
-    weights: dict[str, np.ndarray]
-    sites: dict[str, Theta]  # linear sites
-
-    @property
-    def attn_dim(self) -> int:
-        return self.spec.n_heads * self.spec.head_dim
+    weights: dict[str, np.ndarray]  # linear site -> its (out, in) weight
+    sites: dict[str, Theta]  # linear site -> its transform and clips
 
 
 def build_toy_block(spec: ToyBlockSpec, seed: int = 0) -> ToyBlock:
     """Random-weight block with identity site transforms and saturated clips."""
     rng = np.random.default_rng(seed)
-    h = spec.hidden
-    attn = spec.n_heads * spec.head_dim
-
-    def linear(out_dim, in_dim):
-        return rng.normal(size=(out_dim, in_dim)) / np.sqrt(in_dim)
-
-    if spec.template == "text":
-        weights = {
-            "qkv_proj": linear(3 * attn, h),
-            "o_proj": linear(h, attn),
-            "up_proj": linear(spec.mlp_dim, h),
-            "gate_proj": linear(spec.mlp_dim, h),
-            "down_proj": linear(h, spec.mlp_dim),
-        }
-        site_dims = {"p_qkv": h, "p_o": attn, "p_up": h, "p_down": spec.mlp_dim}
-    else:
-        weights = {
-            "qkv_proj": linear(3 * attn, h),
-            "o_proj": linear(h, attn),
-            "fc1": linear(spec.mlp_dim, h),
-            "fc2": linear(h, spec.mlp_dim),
-        }
-        site_dims = {"p_qkv": h, "p_o": attn, "p_fc1": h, "p_fc2": spec.mlp_dim}
-    sites = {site: Theta.init(n, clip_init=SATURATED_LOGIT) for site, n in site_dims.items()}
+    h, attn, mlp = spec.hidden, spec.n_heads * spec.head_dim, spec.mlp_dim
+    t = _TEMPLATES[spec.template]
+    mlp_in, mlp_out = t.mlp_sites
+    shapes = {"p_qkv": (3 * attn, h), "p_o": (h, attn),
+              mlp_in: (t.widen * mlp, h), mlp_out: (h, mlp)}
+    weights = {site: rng.normal(size=shape) / np.sqrt(shape[1]) for site, shape in shapes.items()}
+    sites = {site: Theta.init(w.shape[1], clip_init=SATURATED_LOGIT) for site, w in weights.items()}
     return ToyBlock(spec, weights, sites)
-
-
-def _rmsnorm(x, eps=1e-6):
-    return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
-
-
-def _silu(x):
-    return x / (1.0 + np.exp(-x))
-
-
-_erf = np.frompyfunc(math.erf, 1, 1)  # numpy has no erf; this returns an object array
-
-
-def _gelu(x):
-    return 0.5 * x * (1.0 + _erf(x / np.sqrt(2.0)).astype(np.float64))
 
 
 def _kv_site(per_head_vals, fmt):
@@ -124,48 +129,33 @@ def _block_forward(block: ToyBlock, x, formats: FormatConfig | None, record=None
     record, when given, maps each linear site to its (input, weight, output).
     """
     spec = block.spec
-    quant = formats is not None
+    t = _TEMPLATES[spec.template]
 
-    def lin(site, inp, w):
-        if quant:
-            out = quantized_forward(inp, w, block.sites[site], formats)
-        else:
+    def lin(site, inp):
+        w = block.weights[site]
+        if formats is None:
             out = inp @ w.T
+        else:
+            out = quantized_forward(inp, w, block.sites[site], formats)
         if record is not None:
             record[site] = (inp, w, out)
         return out
 
-    h1 = _rmsnorm(x)
-    qkv = lin("p_qkv", h1, block.weights["qkv_proj"])
-    attn = block.attn_dim
-    q, k, v = (qkv[:, i * attn : (i + 1) * attn] for i in range(3))
-    heads_q = [q[:, h * spec.head_dim : (h + 1) * spec.head_dim] for h in range(spec.n_heads)]
-    heads_k = [k[:, h * spec.head_dim : (h + 1) * spec.head_dim] for h in range(spec.n_heads)]
-    heads_v = [v[:, h * spec.head_dim : (h + 1) * spec.head_dim] for h in range(spec.n_heads)]
-
-    if quant and spec.template == "text":
-        heads_k = _kv_site(heads_k, formats.kv)
-        heads_v = _kv_site(heads_v, formats.kv)
+    qkv = np.split(lin("p_qkv", _rmsnorm(x)), 3, axis=1)
+    q, k, v = (np.split(m, spec.n_heads, axis=1) for m in qkv)
+    if formats is not None and t.kv_cache:
+        k, v = _kv_site(k, formats.kv), _kv_site(v, formats.kv)
 
     outs = []
-    for h in range(spec.n_heads):
-        scores = heads_q[h] @ heads_k[h].T / np.sqrt(spec.head_dim)
+    for qh, kh, vh in zip(q, k, v):
+        scores = qh @ kh.T / np.sqrt(spec.head_dim)
         w_attn = np.exp(scores - scores.max(axis=-1, keepdims=True))
         w_attn /= w_attn.sum(axis=-1, keepdims=True)
-        outs.append(w_attn @ heads_v[h])
-    attn_out = np.concatenate(outs, axis=1)
-    x2 = x + lin("p_o", attn_out, block.weights["o_proj"])
+        outs.append(w_attn @ vh)
+    x2 = x + lin("p_o", np.concatenate(outs, axis=1))
 
-    h2 = _rmsnorm(x2)
-    if spec.template == "text":
-        w_cat = np.vstack([block.weights["up_proj"], block.weights["gate_proj"]])
-        both = lin("p_up", h2, w_cat)
-        up, gate = both[:, : spec.mlp_dim], both[:, spec.mlp_dim :]
-        down = lin("p_down", _silu(gate) * up, block.weights["down_proj"])
-    else:
-        mid = lin("p_fc1", h2, block.weights["fc1"])
-        down = lin("p_fc2", _gelu(mid), block.weights["fc2"])
-    return x2 + down
+    mlp_in, mlp_out = t.mlp_sites
+    return x2 + lin(mlp_out, t.act(lin(mlp_in, _rmsnorm(x2))))
 
 
 def simulate_block(block: ToyBlock, x, formats: FormatConfig):
@@ -187,8 +177,8 @@ def simulate_block(block: ToyBlock, x, formats: FormatConfig):
 def calibrate_block(block: ToyBlock, x, config: CalibConfig, formats: FormatConfig) -> ToyBlock:
     """Calibrate every linear site on the block's own activations.
 
-    One full-precision forward records each site's input and (stacked)
-    weight matrix, then each site is calibrated layer-wise.
+    One full-precision forward records each site's input and weight
+    matrix, then each site is calibrated layer-wise.
     """
     record: dict[str, tuple] = {}
     _block_forward(block, np.asarray(x, dtype=np.float64), None, record)

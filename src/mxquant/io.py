@@ -45,6 +45,7 @@ import math
 import struct
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -117,9 +118,14 @@ def write_tensor(path, tensor) -> None:
             raise FileFormatError(f"no dtype tag for format {fmt.name}")
         tag = _TAGS[fmt.name]
         _check_mx_width(tensor.shape, path)
+        blocks = math.prod(tensor.shape) // BLOCK
+        if tensor.scale_exps.shape != (blocks,) or tensor.codes.shape != (blocks, BLOCK):
+            raise FileFormatError(
+                f"{path}: shape {tensor.shape} needs {blocks} blocks of {BLOCK} codes, got "
+                f"scale exponents {tensor.scale_exps.shape} and codes {tensor.codes.shape}")
         if np.any(np.abs(tensor.scale_exps.astype(np.int64)) > 127):
             raise FileFormatError("scale exponent outside [-127, 127]")
-        rec = np.empty(tensor.n_blocks, dtype=_block_dtype(fmt))
+        rec = np.empty(blocks, dtype=_block_dtype(fmt))
         rec["e"] = tensor.scale_exps
         c = tensor.codes
         if fmt.bits == 4:
@@ -302,9 +308,9 @@ def _spec_value(name: str, cast):
     return checked
 
 
+# every ToyBlockSpec field, cast to its annotated type
 _SPEC_SCHEMA = {
-    **{name: _spec_value(name, cast) for name, cast in (
-        ("hidden", int), ("head_dim", int), ("n_heads", int), ("mlp_dim", int), ("template", str))},
+    **{name: _spec_value(name, cast) for name, cast in get_type_hints(ToyBlockSpec).items()},
     "format": FormatConfig.from_name, "seed": _int_where(lambda n: n >= 0, "must be non-negative"),
 }
 

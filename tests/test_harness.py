@@ -74,6 +74,16 @@ class TestBuild:
             rows = sum(site_w.shape[0] for _, site_w, _ in record.values())
             assert rows == sum(w.shape[0] for w in block.weights.values())
 
+    def test_each_site_runs_on_its_own_stored_weight(self, rng):
+        for template in ("text", "vit"):
+            block = build_toy_block(ToyBlockSpec(128, 32, 4, 256, template=template))
+            assert block.weights.keys() == block.sites.keys()
+            record = {}
+            _block_forward(block, rng.normal(size=(4, 128)), None, record)
+            for site, theta in block.sites.items():
+                assert record[site][1] is block.weights[site]
+                assert block.weights[site].shape[1] == theta.transform.n
+
     def test_misaligned_dims_rejected(self):
         with pytest.raises(ShapeError):
             ToyBlockSpec(hidden=120, head_dim=32, n_heads=4, mlp_dim=256)

@@ -128,6 +128,20 @@ class TestTensorFile:
             io.write_tensor(tmp_path / "w.mxbt", t)
         assert not (tmp_path / "w.mxbt").exists()
 
+    @pytest.mark.parametrize("shape, n_exps, codes_shape", [
+        ((2, 64), 1, (1, 32)),  # one block for a four-block shape
+        ((1, 32), 1, (1, 16)),  # codes half a block wide
+        ((1, 32), 2, (1, 32)),  # two scale exponents for one block of codes
+    ], ids=["too-few-blocks", "codes-16-wide", "extra-scale-exp"])
+    @pytest.mark.parametrize("fmt", [mq.E2M1, mq.E4M3], ids=lambda f: f.name)
+    def test_write_rejects_blocks_not_covering_shape(self, tmp_path, fmt, shape, n_exps,
+                                                     codes_shape):
+        t = mq.MxTensor(shape, fmt, np.zeros(n_exps, np.int8), np.zeros(codes_shape, np.uint8))
+        with pytest.raises(FileFormatError, match="needs .* blocks of 32 codes") as e:
+            io.write_tensor(tmp_path / "w.mxbt", t)
+        assert "w.mxbt" in str(e.value)
+        assert not (tmp_path / "w.mxbt").exists()
+
     def test_all_mx4_codes_accepted(self, tmp_path):
         raw = b"MXBT" + struct.pack("<HBB2I", 1, 1, 2, 1, 32) + struct.pack("<b", -127)
         p = tmp_path / "all.mxbt"
@@ -596,6 +610,27 @@ class TestCli:
                                       "--out", str(out)], capsys, "not a positive multiple of 32")
         assert "x.mxbt" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("case, mention", [
+        ("transform-width", "transform width 32 does not match the trailing dimension 64"),
+        ("all-zero", "block 0 (pre-transform): degenerate sample: zero variance"),
+        ("constant-block", "block 1 (pre-transform): degenerate sample: zero variance"),
+    ], ids=["transform-width", "all-zero", "constant-block"])
+    def test_stats_data_error_names_its_files(self, tmp_path, rng, capsys, case, mention):
+        x = rng.normal(size=(16, 64))
+        if case == "all-zero":
+            x[:] = 0.0
+        elif case == "constant-block":
+            x[:, 32:] = 1.5
+        io.write_tensor(tmp_path / "x.mxbt", x)
+        args = ["stats", "--tensor", str(tmp_path / "x.mxbt"), "--out", str(tmp_path / "s.csv")]
+        if case == "transform-width":
+            io.write_transform_record(tmp_path / "t.gpkt", mq.GpkTransform.identity(32))
+            args += ["--transform", str(tmp_path / "t.gpkt")]
+        err = _expect_one_data_error(args, capsys, mention)
+        assert "x.mxbt" in err
+        assert case != "transform-width" or "t.gpkt" in err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_stats_missing_tensor(self, tmp_path):
         assert main(["stats", "--tensor", str(tmp_path / "no.mxbt"), "--out", "x.csv"]) == 2
