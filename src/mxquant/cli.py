@@ -17,7 +17,7 @@ import numpy as np
 from . import io
 from .calib import CalibConfig, calibrate_layer, fuse
 from .errors import DataError, MxQuantError, NumericalError, ShapeError
-from .formats import BLOCK, E2M1, MxTensor, block_count, quantize_tensor
+from .formats import BLOCK, E2M1, MxTensor, block_count, blocks, quantize_tensor
 from .harness import build_toy_block, calibrate_block, simulate_block
 from .oracle import bimodality_score
 from .transform import G1, G2, DecompositionKind, GpkTransform, gpk_forward, param_count
@@ -66,10 +66,6 @@ def _build_parser() -> _Parser:
 
 def _cmd_calibrate(args) -> int:
     cfg = io.RunConfig.from_file(args.config)
-    if cfg.weights_path is None:
-        raise DataError("config is missing the 'weights' entry")
-    if not cfg.calib_paths:
-        raise DataError("config names no calibration files ('calib' entry)")
     out_dir = Path(args.out or cfg.out_dir or Path(args.config).parent)
 
     w = io.read_tensor(cfg.weights_path)
@@ -111,8 +107,7 @@ def _stats_rows(x: np.ndarray, k: int, transform: GpkTransform | None, where):
     def scaled(vals):
         # quantize_tensor rejects non-finite values, so NaN never reaches a score
         se = quantize_tensor(vals, E2M1).scale_exps.astype(np.int64)
-        r = np.ldexp(vals.reshape(-1, BLOCK), -se[:, None])
-        return r.reshape(-1, k, BLOCK)
+        return np.ldexp(blocks(vals), -se.reshape(-1, k, 1))
 
     sides = (("pre", scaled(x)), ("post", scaled(post)))
     rows = []

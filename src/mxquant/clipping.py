@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .formats import BLOCK, block_count
+from .formats import BLOCK, blocks
 
 
 def sigmoid(z):
@@ -75,11 +75,6 @@ class ClipCtx:
     params: ClipParams
 
 
-def _blocked(x):
-    x = np.asarray(x, dtype=np.float64)
-    return x.reshape(-1, block_count(x.shape[-1], "trailing dimension"), BLOCK)
-
-
 def _first_extremum(xb, row_ext, ext, arg):
     """Flat (row * BLOCK + element) index of each block's first extremum.
 
@@ -98,8 +93,7 @@ def clip_with_ctx(x, params: ClipParams):
 
     Returns (clipped, ClipCtx); the context feeds clip_backward.
     """
-    x = np.asarray(x, dtype=np.float64)
-    xb = _blocked(x)
+    xb = blocks(x)
     if xb.shape[1] != params.k:
         raise ShapeError(f"{xb.shape[1]} blocks but {params.k} clip logit pairs")
     row_min = xb.min(axis=2)
@@ -115,7 +109,7 @@ def clip_with_ctx(x, params: ClipParams):
     np.copyto(y, hi[None, :, None], where=upper)
 
     ctx = ClipCtx(
-        shape=x.shape,
+        shape=np.shape(x),
         upper=upper,
         lower=lower,
         x_min=x_min,
@@ -124,7 +118,7 @@ def clip_with_ctx(x, params: ClipParams):
         argmax=_first_extremum(xb, row_max, x_max, np.argmax),
         params=params,
     )
-    return y.reshape(x.shape), ctx
+    return y.reshape(np.shape(x)), ctx
 
 
 def clip_backward(ctx: ClipCtx, grad):
@@ -136,7 +130,7 @@ def clip_backward(ctx: ClipCtx, grad):
     extremal element itself (bound ratio times the summed clamped grad).
     """
     p = ctx.params
-    gb = _blocked(grad)
+    gb = blocks(grad)
     dxb = np.where(ctx.upper | ctx.lower, 0.0, gb)
 
     g_up = np.where(ctx.upper, gb, 0.0).sum(axis=(0, 2))  # (k,)

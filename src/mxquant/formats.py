@@ -12,10 +12,13 @@ Element rule: each value is divided by the scale and mapped to the nearest
 magnitude in the format's value set, ties on exact midpoints going to the
 even code index. Magnitudes above the largest grid value saturate.
 
-Rounding is arithmetic, not a search. The value sets are IEEE-like:
-binade e (from the smallest normal exponent emin up) holds 2^mantissa_bits
-evenly spaced magnitudes with step 2^(e - mantissa_bits), and the
-subnormals below 2^emin continue that spacing down to zero. So for a scaled
+A format is its bit layout plus a nan flag (E4M3's top code is NaN); the
+value set is derived. With no infinities (OCP MX), binade e runs from
+emin = 2 - 2^(exp_bits-1) to emax = 2^(exp_bits-1) and holds
+2^mantissa_bits magnitudes with step 2^(e - mantissa_bits); subnormals
+continue that step from 2^emin down to zero, and a NaN slot is left out.
+
+Rounding is arithmetic, not a search. So for a scaled
 magnitude r in binade e (subnormals use e = emin),
 ``n = rint(r * 2^(mantissa_bits - e))`` is the nearest grid multiple, and
 ``n + ((e - emin) << mantissa_bits)`` is its value-set index; n = 2^(m+1)
@@ -34,7 +37,7 @@ clamps agree: index -> magnitude is increasing, and the first index past
 the top entry (the excluded E4M3 NaN slot, or E2M1's n = 2^(m+1) in the top
 binade) already lies above max_value. Either clamp is saturation.
 
-The codec works on a C-contiguous (n_blocks, 32) float64 view; scaling by
+The codec works on an (n_blocks, 32) float64 view of blocks(x); scaling by
 2^e is a product with an exact power of two, which rounds only where the
 result leaves the float64 normal range, exactly as ldexp would.
 """
@@ -42,6 +45,7 @@ result leaves the float64 normal range, exactly as ldexp would.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,31 +64,28 @@ def block_count(n: int, what: str = "feature dimension") -> int:
     return n // BLOCK
 
 
+def blocks(x, what: str = "trailing dimension") -> np.ndarray:
+    """x as float64 MX blocks of shape (rows, k, BLOCK) along its last axis.
+
+    Raises ShapeError naming x's shape and what (the axis) unless the last
+    axis is a positive multiple of BLOCK; a scalar counts as width 0.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    k = block_count(x.shape[-1] if x.ndim else 0, f"shape {x.shape}: {what}")
+    return x.reshape(-1, k, BLOCK)
+
+
 @dataclass(frozen=True)
 class MxFormat:
-    """An MX element format: bit layout plus its representable magnitudes.
-
-    Every element carries one sign bit ahead of its exponent and mantissa
-    bits. value_set is the ascending array of non-negative representable
-    magnitudes, starting with 0.0. Every entry is exactly representable in
-    binary floating point. Codes are ``sign_bit << (bits-1) | index`` with
-    index pointing into value_set.
+    """An MX element format: a sign bit, exp_bits and mantissa_bits; nan marks
+    the top code of the top binade as NaN. value_set, derived from the layout,
+    holds the ascending magnitudes from 0.0; a code is ``sign << (bits-1) | index``.
     """
 
     name: str
     exp_bits: int
     mantissa_bits: int
-    emax: int
-    value_set: np.ndarray
-
-    def __post_init__(self):
-        vs = np.ascontiguousarray(self.value_set, dtype=np.float64)
-        vs.setflags(write=False)
-        object.__setattr__(self, "value_set", vs)
-        if vs[0] != 0.0 or np.any(np.diff(vs) <= 0):
-            raise ValueError("value_set must start at 0 and increase strictly")
-        if len(vs) > 1 << (self.bits - 1):
-            raise ValueError("value_set does not fit the code space")
+    nan: bool = False
 
     @property
     def bits(self) -> int:
@@ -100,6 +101,21 @@ class MxFormat:
         return 2 - 2 ** (self.exp_bits - 1)
 
     @property
+    def emax(self) -> int:
+        """Largest element exponent: the top binade holds numbers, not infinities."""
+        return 2 ** (self.exp_bits - 1)
+
+    @cached_property
+    def value_set(self) -> np.ndarray:
+        m = self.mantissa_bits
+        n = np.arange(1 << m, dtype=np.float64)
+        grid = [n * 2.0 ** (self.emin - m)]  # zero and the subnormals
+        grid += [(2**m + n) * 2.0 ** (e - m) for e in range(self.emin, self.emax + 1)]
+        vs = np.concatenate(grid)[: (1 << self.sign_shift) - self.nan]
+        vs.setflags(write=False)
+        return vs
+
+    @property
     def max_value(self) -> float:
         return float(self.value_set[-1])
 
@@ -107,19 +123,8 @@ class MxFormat:
         return f"MxFormat({self.name})"
 
 
-def _e4m3_value_set() -> np.ndarray:
-    # 1 sign / 4 exponent / 3 mantissa, bias 7. Exponent field 1111 with
-    # mantissa 111 is NaN and is excluded, so the top binade has 7 entries.
-    vals = [0.0]
-    vals += [m * 2.0**-9 for m in range(1, 8)]  # subnormals: m/8 * 2^-6
-    for e in range(1, 15):
-        vals += [(1.0 + m / 8.0) * 2.0 ** (e - 7) for m in range(8)]
-    vals += [(1.0 + m / 8.0) * 2.0**8 for m in range(7)]
-    return np.array(vals)
-
-
-E2M1 = MxFormat("e2m1", 2, 1, 2, np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0]))
-E4M3 = MxFormat("e4m3", 4, 3, 8, _e4m3_value_set())
+E2M1 = MxFormat("e2m1", 2, 1)
+E4M3 = MxFormat("e4m3", 4, 3, nan=True)
 
 
 def format_for_bits(bits: int) -> MxFormat | None:
@@ -261,12 +266,6 @@ def _check_finite(x):
         raise NonFiniteError("non-finite values (NaN or inf) in quantizer input")
 
 
-def _block_view(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    block_count(x.shape[-1] if x.ndim else 0, f"shape {x.shape}: innermost dimension")
-    return np.ascontiguousarray(x).reshape(-1, BLOCK)
-
-
 def quantize_block(values, fmt: MxFormat) -> MxBlock:
     """Quantize exactly 32 finite values to one MX block."""
     v = np.ascontiguousarray(values, dtype=np.float64)
@@ -284,7 +283,7 @@ def dequantize_block(block: MxBlock, fmt: MxFormat) -> np.ndarray:
 
 def quantize_tensor(x, fmt: MxFormat) -> MxTensor:
     """Quantize a dense tensor block-wise along its innermost axis."""
-    se, codes = _encode_blocks(_block_view(x), fmt)
+    se, codes = _encode_blocks(blocks(x, "innermost dimension").reshape(-1, BLOCK), fmt)
     return MxTensor(tuple(np.asarray(x).shape), fmt, se, codes)
 
 
@@ -303,5 +302,5 @@ def quantize_dequantize_with_mask(x, fmt: MxFormat):
     i.e. where the element saturated.
     """
     x = np.asarray(x, dtype=np.float64)
-    y, mask = _qdq_blocks(_block_view(x), fmt)
+    y, mask = _qdq_blocks(blocks(x, "innermost dimension").reshape(-1, BLOCK), fmt)
     return y.reshape(x.shape), mask.reshape(x.shape)

@@ -27,6 +27,9 @@ Transform record (.gpkt):
 
 Each layout is one header struct and one body dtype, shared by writer and
 reader. Both readers check magic, version and exact payload size first.
+The mx payload rule (scale exponents in [-127, 127], codes of the format's
+width whose index lies in its value set) is one check, run by the writer
+before it opens the file and by the reader after it unpacks the codes.
 
 Config files are flat text, one `key = value` per line; blank lines and
 lines starting with # are ignored. Each kind of file has one schema mapping
@@ -43,7 +46,7 @@ from __future__ import annotations
 import glob
 import math
 import struct
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
@@ -63,9 +66,9 @@ VERSION = 1
 _TENSOR_HEAD = struct.Struct("<4sHBB")  # magic, version, dtype tag, rank; then rank u32 dims
 _RECORD_HEAD = struct.Struct("<4sH5I")  # magic, version, N, g, g1, g2, k
 
-# dtype tag -> element format, None for f32; the writer matches formats by name
+# dtype tag -> element format, None for f32
 _DTYPES = {0: None, 1: E2M1, 2: E4M3}
-_TAGS = {(f.name if f else None): tag for tag, f in _DTYPES.items()}
+_TAGS = {fmt: tag for tag, fmt in _DTYPES.items()}
 
 
 def _block_dtype(fmt: MxFormat) -> np.dtype:
@@ -84,6 +87,20 @@ def _check_mx_width(shape, where) -> None:
         block_count(shape[-1] if shape else 0, f"{where}: innermost dimension")
     except ShapeError as e:
         raise FileFormatError(str(e)) from None
+
+
+def _check_payload(path, fmt: MxFormat, scale_exps, codes) -> None:
+    """Scale exponents lie in [-127, 127]; codes fit fmt.bits and index fmt's value set."""
+    se = np.asarray(scale_exps, dtype=np.int64)
+    bad = se[np.abs(se) > 127]
+    if bad.size:
+        raise FileFormatError(f"{path}: scale exponent {bad[0]} is outside [-127, 127]")
+    codes = np.asarray(codes)
+    bad = codes[(codes < 0) | (codes >= 1 << fmt.bits)]
+    if bad.size:
+        raise FileFormatError(f"{path}: code {bad[0]:#x} is not a {fmt.bits}-bit code")
+    if np.any((codes & ((1 << fmt.sign_shift) - 1)) >= len(fmt.value_set)):
+        raise FileFormatError(f"{path}: code index outside the {fmt.name} value set")
 
 
 def _read_head(path, magic: bytes, head: struct.Struct, what: str):
@@ -114,23 +131,22 @@ def write_tensor(path, tensor) -> None:
     """Write a float array (as f32) or an MxTensor to a .mxbt file."""
     if isinstance(tensor, MxTensor):
         fmt = tensor.fmt
-        if fmt.name not in _TAGS:
+        if fmt not in _TAGS:
             raise FileFormatError(f"no dtype tag for format {fmt.name}")
-        tag = _TAGS[fmt.name]
+        tag = _TAGS[fmt]
         _check_mx_width(tensor.shape, path)
         blocks = math.prod(tensor.shape) // BLOCK
         if tensor.scale_exps.shape != (blocks,) or tensor.codes.shape != (blocks, BLOCK):
             raise FileFormatError(
                 f"{path}: shape {tensor.shape} needs {blocks} blocks of {BLOCK} codes, got "
                 f"scale exponents {tensor.scale_exps.shape} and codes {tensor.codes.shape}")
-        if np.any(np.abs(tensor.scale_exps.astype(np.int64)) > 127):
-            raise FileFormatError("scale exponent outside [-127, 127]")
+        _check_payload(path, fmt, tensor.scale_exps, tensor.codes)
         rec = np.empty(blocks, dtype=_block_dtype(fmt))
         rec["e"] = tensor.scale_exps
         c = tensor.codes
         if fmt.bits == 4:
             # two codes per byte, first code in the low nibble
-            c = (c[:, 0::2] & 0x0F) | (c[:, 1::2] << 4)
+            c = c[:, 0::2] | (c[:, 1::2] << 4)
         rec["c"] = c
         payload = rec.tobytes()
     else:
@@ -167,16 +183,13 @@ def read_tensor(path):
     _check_mx_width(dims, path)
     rec = _read_body(path, raw, off, (_block_dtype(fmt), count // BLOCK))
     scale_exps = rec["e"].copy()
-    if np.any(scale_exps == -128):
-        raise FileFormatError(f"{path}: scale exponent -128 is outside [-127, 127]")
     if fmt.bits == 4:
         codes = np.empty((len(rec), BLOCK), dtype=np.uint8)
         codes[:, 0::2] = rec["c"] & 0x0F
         codes[:, 1::2] = rec["c"] >> 4
     else:
         codes = rec["c"].copy()
-    if np.any((codes & ((1 << fmt.sign_shift) - 1)) >= len(fmt.value_set)):
-        raise FileFormatError(f"{path}: code index outside the {fmt.name} value set")
+    _check_payload(path, fmt, scale_exps, codes)
     return MxTensor(tuple(dims), fmt, scale_exps, codes)
 
 
@@ -319,24 +332,27 @@ _SPEC_SCHEMA = {
 class RunConfig:
     """A calibration job parsed from a config file (_run_schema).
 
-    Absent hyperparameters take CalibConfig's defaults and an absent format
-    takes _DEFAULT_FORMATS. Paths in the file are relative to the file's
-    directory; calib patterns are expanded while parsing. No tensor is read
-    here.
+    weights and calib are required. Absent hyperparameters take
+    CalibConfig's defaults and an absent format takes _DEFAULT_FORMATS.
+    Paths in the file are relative to the file's directory; calib patterns
+    are expanded while parsing. No tensor is read here.
     """
 
     formats: FormatConfig
     calib: CalibConfig
-    weights_path: str | None = None
-    calib_paths: list[str] = field(default_factory=list)
+    weights_path: str
+    calib_paths: list[str]
     out_dir: str | None = None
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         kv = read_kv_file(path, _run_schema(Path(path).parent))
+        for key in ("weights", "calib"):
+            if key not in kv:
+                raise FileFormatError(f"{path}: missing config key {key!r}")
         calib = CalibConfig(**{f.name: kv[f.name] for f in fields(CalibConfig) if f.name in kv})
-        return cls(kv.get("format", _DEFAULT_FORMATS), calib, kv.get("weights"),
-                   kv.get("calib", []), kv.get("out"))
+        return cls(kv.get("format", _DEFAULT_FORMATS), calib, kv["weights"], kv["calib"],
+                   kv.get("out"))
 
 
 # -- CSV reports -----------------------------------------------------------

@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ShapeError, SingularTransformError
-from .formats import BLOCK, block_count
+from .formats import BLOCK, block_count, blocks
 
 G1 = 8  # global factor size
 G2 = 4  # private factor size
@@ -167,9 +167,5 @@ def block_hadamard(x: np.ndarray) -> np.ndarray:
     Entries are +-1/sqrt(BLOCK); the matrix is symmetric and orthogonal, so
     it is its own inverse and preserves per-block L2 norms.
     """
-    x = np.asarray(x, dtype=np.float64)
-    k = block_count(x.shape[-1], "trailing dimension")
-    h = hadamard(BLOCK) / np.sqrt(BLOCK)
-    lead = x.shape[:-1]
-    y = x.reshape(-1, k, BLOCK) @ h
-    return y.reshape(*lead, x.shape[-1])
+    y = blocks(x) @ (hadamard(BLOCK) / np.sqrt(BLOCK))
+    return y.reshape(np.shape(x))

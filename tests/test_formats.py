@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import mxquant as mq
 from mxquant.errors import NonFiniteError, ShapeError
+from mxquant.formats import blocks
 from mxquant.oracle import nearest_mx_oracle, nearest_mx_oracle_batch
 
 
@@ -28,6 +31,23 @@ class TestValueSets:
     def test_emax(self):
         assert mq.E2M1.emax == 2
         assert mq.E4M3.emax == 8
+
+    @pytest.mark.parametrize("fmt, decode, n_codes", [
+        # OCP E2M1, bias 1: field E = 0 is M/2, otherwise (1 + M/2) * 2^(E-1)
+        (mq.E2M1, lambda e, m: m / 2 if e == 0 else (1 + m / 2) * 2.0 ** (e - 1), 8),
+        # OCP E4M3, bias 7: E = 0 is M/8 * 2^-6, otherwise (1 + M/8) * 2^(E-7);
+        # index 127 (E = 15, M = 7) is NaN
+        (mq.E4M3, lambda e, m: m / 8 * 2.0**-6 if e == 0 else (1 + m / 8) * 2.0 ** (e - 7), 127),
+    ], ids=["e2m1", "e4m3"])
+    def test_value_set_decodes_bit_patterns(self, fmt, decode, n_codes):
+        m_bits = fmt.mantissa_bits
+        want = [decode(i >> m_bits, i & ((1 << m_bits) - 1)) for i in range(n_codes)]
+        assert fmt.value_set.tolist() == want
+
+    def test_formats_are_values(self):
+        assert mq.MxFormat("e2m1", 2, 1) == mq.E2M1
+        assert mq.MxFormat("e2m1", 2, 1, nan=True) != mq.E2M1
+        assert {mq.E2M1: 4, mq.E4M3: 8}[mq.MxFormat("e4m3", 4, 3, nan=True)] == 8
 
     def test_format_for_bits(self):
         assert mq.format_for_bits(4) is mq.E2M1
@@ -106,6 +126,14 @@ class TestQuantizeTensor:
     def test_shape_error_names_dimension(self):
         with pytest.raises(ShapeError, match="48"):
             mq.quantize_tensor(np.zeros((2, 48)), mq.E2M1)
+
+    def test_blocks_view(self, rng):
+        x = rng.normal(size=(2, 3, 64))
+        xb = blocks(x)
+        assert xb.shape == (6, 2, 32)
+        assert np.array_equal(xb[4, 1], x[1, 1, 32:])
+        with pytest.raises(ShapeError, match=re.escape("shape (2, 33): trailing dimension 33")):
+            blocks(np.zeros((2, 33)))
 
     def test_per_block_independence(self, rng):
         x = rng.normal(size=(2, 64))

@@ -108,6 +108,20 @@ class TestTensorFile:
         with pytest.raises(FileFormatError, match="scale exponent"):
             io.write_tensor(tmp_path / "w.mxbt", t)
 
+    @pytest.mark.parametrize("fmt, code", [(mq.E2M1, 0x13), (mq.E2M1, 0x10), (mq.E2M1, -1),
+                                           (mq.E4M3, 0x7F), (mq.E4M3, 0xFF)],
+                             ids=["e2m1-0x13", "e2m1-0x10", "e2m1-neg", "e4m3-0x7f", "e4m3-0xff"])
+    def test_write_rejects_codes_the_reader_rejects(self, tmp_path, fmt, code):
+        # a 5-bit or negative e2m1 code would not survive the nibble packing;
+        # e4m3 index 127 is the NaN slot
+        codes = np.zeros((2, 32), np.int16 if code < 0 else np.uint8)
+        codes[1, 5] = code
+        t = mq.MxTensor((2, 32), fmt, np.zeros(2, np.int8), codes)
+        p = tmp_path / "w.mxbt"
+        with pytest.raises(FileFormatError, match=re.escape(str(p))):
+            io.write_tensor(p, t)
+        assert not p.exists()
+
     @pytest.mark.parametrize("tag, dims", [(1, (2, 16)), (2, (32, 1)), (1, ())],
                              ids=["mx4-2x16", "mx8-32x1", "mx4-scalar"])
     def test_mx_width_not_whole_blocks_rejected(self, tmp_path, tag, dims):
@@ -350,7 +364,8 @@ class TestCli:
         cfg, _, _ = _write_calib_bundle(tmp_path)
         cfg.write_text("".join(ln + "\n" for ln in cfg.read_text().splitlines()
                                if not ln.startswith(key)))
-        _expect_one_data_error(["calibrate", "--config", str(cfg)], capsys, f"'{key}'")
+        _expect_one_data_error(["calibrate", "--config", str(cfg)], capsys,
+                               f"{cfg}: missing config key '{key}'")
         assert not (tmp_path / "out").exists()
 
     def test_usage_error_exit_code(self):
@@ -734,9 +749,10 @@ class TestCli:
 
 class TestVerifyMutation:
     def test_broken_value_set_fails_quantizer_check(self, monkeypatch):
-        # off-by-one in the top magnitude, injected into the implementation
-        # side only; the oracle keeps the true grid and disagrees
-        bad = mq.MxFormat("e2m1-bad", 2, 1, 2, np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 7.0]))
+        # a wrong top magnitude, injected into the implementation side only;
+        # the oracle keeps the true grid and disagrees
+        # (a NaN flag on e2m1 drops its top magnitude, 6.0)
+        bad = mq.MxFormat("e2m1-bad", 2, 1, nan=True)
         monkeypatch.setattr("mxquant.verify.quantize_tensor",
                             lambda v, _fmt: mq.quantize_tensor(v, bad))
         report = check_quantizer(mq.E2M1, n_blocks=300)
