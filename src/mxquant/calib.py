@@ -40,7 +40,7 @@ import numpy as np
 
 from .clipping import ClipCtx, ClipParams, clip_backward, clip_with_ctx
 from .errors import DivergenceError, ShapeError
-from .formats import FormatConfig, MxTensor, block_count, quantize_dequantize_with_mask
+from .formats import FormatConfig, MxTensor, block_count, blocks, quantize_dequantize_with_mask
 from .formats import quantize_tensor
 from .transform import G1, G2, GpkTransform, gpk_forward
 
@@ -141,18 +141,16 @@ def _forward(x, w, theta: Theta, formats: FormatConfig) -> _StepCtx:
 def _gpk_backward(x, a, b, grad_out):
     """Adjoints of gpk_forward with respect to its factors: returns (d_a, d_b).
 
-    With V the (G2, G1) block slices of x, T1 = V @ A and gradient G at the
-    output B_i @ T1: d_b[i] = sum over rows of G @ T1.T, and
-    d_a = sum over rows and blocks of V.T @ (B_i.T @ G). Both sums run over
-    stacked slices, so d_a is one GEMM.
+    Block i maps by P_i = kron(B_i.T, A) (transform's row-vector picture).
+    With X_i, G_i block i's input and output gradient over all rows,
+    dP_i = X_i.T @ G_i is one (k, 32, rows) @ (k, rows, 32) batched GEMM,
+    and as dP_i[a, c, b, d] (a, b index G2; c, d index G1) it projects onto
+        d_b[i][b, a] = sum_{c,d} dP_i[a, c, b, d] * A[c, d]
+        d_a[c, d] = sum_i sum_{a,b} dP_i[a, c, b, d] * B_i[b, a].
     """
-    v = np.asarray(x, dtype=np.float64).reshape(-1, G1)
-    go = np.asarray(grad_out, dtype=np.float64).reshape(-1, b.shape[0], G2, G1)
-    t1 = (v @ a).reshape(go.shape)
-    db = np.matmul(go, t1.transpose(0, 1, 3, 2)).sum(axis=0)
-    dt1 = np.matmul(b.transpose(0, 2, 1), go)
-    da = v.T @ dt1.reshape(-1, G1)
-    return da, db
+    dp = np.matmul(blocks(x).transpose(1, 2, 0), blocks(grad_out).transpose(1, 0, 2))
+    dp = dp.reshape(-1, G2, G1, G2, G1)
+    return np.einsum("kacbd,kba->cd", dp, b), np.einsum("kacbd,cd->kba", dp, a)
 
 
 def _operand_backward(op: _Operand, grad):

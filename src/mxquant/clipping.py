@@ -75,31 +75,41 @@ class ClipCtx:
     params: ClipParams
 
 
-def _first_extremum(xb, row_ext, ext, arg):
-    """Flat (row * BLOCK + element) index of each block's first extremum.
+def _block_extremum(xb, reduce):
+    """Each block's extremum under reduce (np.min or np.max), shape (k,), and
+    the flat (row * BLOCK + element) index of its first occurrence.
 
-    row_ext holds the per-row block extrema (rows, k) and ext their
-    reduction (k,). The first row holding ext, then arg (np.argmin or
-    np.argmax) within that row, is the first occurrence in row-major
-    (row, element) order, without copying the (k, rows * BLOCK) slabs.
+    The reduction runs over rows first, which is contiguous work, and then
+    over the 32 columns of the (k, BLOCK) result; reducing each row's block
+    first costs several times more. Only the columns whose extremum equals
+    the block's hold it; the smallest row * BLOCK + element over their first
+    hit rows is the first occurrence in row-major (row, element) order.
+    Usually one column per block is a candidate; if ties fill all of them
+    the gather is one copy of the tensor. A NaN block matches no column: it
+    keeps the last index, and its gradients are NaN either way.
     """
-    karange = np.arange(xb.shape[1])
-    row = np.argmax(row_ext == ext, axis=0)
-    return row * BLOCK + arg(xb[row, karange], axis=1)
+    col = reduce(xb, axis=0)
+    ext = reduce(col, axis=1)
+    ci, ce = np.nonzero(col == ext[:, None])
+    cols = np.take(xb.reshape(xb.shape[0], -1), ci * BLOCK + ce, axis=1)
+    first = np.full(ext.shape, xb.shape[0] * BLOCK - 1)
+    np.minimum.at(first, ci, np.argmax(cols == ext[ci], axis=0) * BLOCK + ce)
+    return ext, first
 
 
 def clip_with_ctx(x, params: ClipParams):
     """Element-wise clamp of each block to its dynamic bounds.
 
-    Returns (clipped, ClipCtx); the context feeds clip_backward.
+    Returns (clipped, ClipCtx); the context feeds clip_backward. A tensor
+    with no rows has no block extrema and raises ShapeError.
     """
     xb = blocks(x)
+    if xb.shape[0] == 0:
+        raise ShapeError(f"shape {np.shape(x)}: no rows to take block extrema over")
     if xb.shape[1] != params.k:
         raise ShapeError(f"{xb.shape[1]} blocks but {params.k} clip logit pairs")
-    row_min = xb.min(axis=2)
-    row_max = xb.max(axis=2)
-    x_min = row_min.min(axis=0)
-    x_max = row_max.max(axis=0)
+    x_min, argmin = _block_extremum(xb, np.min)
+    x_max, argmax = _block_extremum(xb, np.max)
     lo = sigmoid(params.alpha_min) * x_min
     hi = sigmoid(params.alpha_max) * x_max
 
@@ -107,17 +117,7 @@ def clip_with_ctx(x, params: ClipParams):
     upper = y > hi[None, :, None]
     lower = (xb < lo[None, :, None]) & ~upper
     np.copyto(y, hi[None, :, None], where=upper)
-
-    ctx = ClipCtx(
-        shape=np.shape(x),
-        upper=upper,
-        lower=lower,
-        x_min=x_min,
-        x_max=x_max,
-        argmin=_first_extremum(xb, row_min, x_min, np.argmin),
-        argmax=_first_extremum(xb, row_max, x_max, np.argmax),
-        params=params,
-    )
+    ctx = ClipCtx(np.shape(x), upper, lower, x_min, x_max, argmin, argmax, params)
     return y.reshape(np.shape(x)), ctx
 
 
@@ -133,8 +133,8 @@ def clip_backward(ctx: ClipCtx, grad):
     gb = blocks(grad)
     dxb = np.where(ctx.upper | ctx.lower, 0.0, gb)
 
-    g_up = np.where(ctx.upper, gb, 0.0).sum(axis=(0, 2))  # (k,)
-    g_lo = np.where(ctx.lower, gb, 0.0).sum(axis=(0, 2))
+    g_up = np.sum(gb, axis=(0, 2), where=ctx.upper)  # (k,)
+    g_lo = np.sum(gb, axis=(0, 2), where=ctx.lower)
 
     d_alpha_max = g_up * sigmoid_grad(p.alpha_max) * ctx.x_max
     d_alpha_min = g_lo * sigmoid_grad(p.alpha_min) * ctx.x_min

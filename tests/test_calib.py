@@ -54,6 +54,18 @@ class TestQuantizedForward:
         err = np.abs(quantized_forward(x, w, theta, NO_QUANT) - x @ w.T).max()
         assert err <= 1e-9 * np.abs(x @ w.T).max()
 
+    def test_zero_row_batch_is_shape_error(self, rng):
+        w = rng.normal(size=(4, 64))
+        theta = Theta.init(64)
+        fused = fuse(w, theta, W4A4KV16)
+        for call in (
+            lambda: quantized_forward(np.zeros((0, 64)), w, theta, W4A4KV16),
+            lambda: fused_forward(np.zeros((0, 64)), fused, W4A4KV16),
+            lambda: mq.clipping.clip_with_ctx(np.zeros((0, 64)), theta.act_clip),
+        ):
+            with pytest.raises(mq.ShapeError, match=r"^shape \(0, 64\): "):
+                call()
+
     def test_singular_transform_raises(self, rng):
         theta = saturated_theta(64)
         theta.transform.a[:] = 0.0
@@ -150,6 +162,41 @@ class TestBackward:
             assert np.abs(da_i).max() > 0
             total += da_i
         assert np.allclose(total, da_full, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [1, 1024])
+    @pytest.mark.parametrize("k", [1, 32])
+    def test_factor_adjoints_match_brute_force_loop(self, rows, k):
+        # per row and block, y = B_i V A for the (G2, G1) slice V; with G the
+        # output gradient, dB_i += G (V A)^T and dA += (B_i V)^T G
+        r = np.random.default_rng(rows * 100 + k)
+        t = random_transform(r, 32 * k)
+        x = r.normal(size=(rows, 32 * k))
+        go = r.normal(size=(rows, 32 * k))
+        want_a = np.zeros((8, 8))
+        want_b = np.zeros((k, 4, 4))
+        for row in range(rows):
+            for i in range(k):
+                v = x[row, 32 * i : 32 * (i + 1)].reshape(4, 8)
+                g = go[row, 32 * i : 32 * (i + 1)].reshape(4, 8)
+                want_b[i] += g @ (v @ t.a).T
+                want_a += (t.b[i] @ v).T @ g
+        da, db = _gpk_backward(x, t.a, t.b, go)
+        assert da.shape == (8, 8) and db.shape == (k, 4, 4)
+        assert np.abs(da - want_a).max() <= 1e-12 * np.abs(want_a).max()
+        assert np.abs(db - want_b).max() <= 1e-12 * np.abs(want_b).max()
+
+    def test_factor_adjoints_match_finite_differences(self, rng):
+        t = random_transform(rng, 64)
+        x = rng.normal(size=(3, 64))
+        go = rng.normal(size=(3, 64))
+
+        def loss(d):
+            return float(np.sum(go * mq.gpk_forward(x, mq.GpkTransform(d["a"], d["b"]))))
+
+        fd = finite_diff_oracle(loss, {"a": t.a.copy(), "b": t.b.copy()}, h=1e-5)
+        da, db = _gpk_backward(x, t.a, t.b, go)
+        assert np.abs(da - fd["a"]).max() <= 1e-7 * np.abs(fd["a"]).max()
+        assert np.abs(db - fd["b"]).max() <= 1e-7 * np.abs(fd["b"]).max()
 
     def test_factor_adjoints_match_einsum_at_scale(self, rng):
         # 512 rows, W4A4, active clipping and saturation: the GEMM-shaped

@@ -199,6 +199,49 @@ class TestClipGradients:
         assert np.array_equal(term != 0, expect != 0)
         assert np.allclose(term, expect, rtol=1e-14, atol=0)
 
+    def test_logit_gradients_match_where_sums(self, rng):
+        # logits at -2 put each bound at 12% of its extremum, so every block
+        # clamps many elements on both sides
+        x = rng.normal(size=(16, 128))
+        p = ClipParams(np.full(4, -2.0), np.full(4, -2.0))
+        up = rng.normal(size=x.shape)
+        _, ctx = clip_with_ctx(x, p)
+        assert np.all(ctx.upper.sum(axis=(0, 2)) >= 3) and np.all(ctx.lower.sum(axis=(0, 2)) >= 3)
+        _, d_min, d_max = mq.clipping.clip_backward(ctx, up)
+        upb = up.reshape(16, 4, 32)
+        s = sigmoid(p.alpha_max) * (1.0 - sigmoid(p.alpha_max))
+        want_max = np.where(ctx.upper, upb, 0.0).sum(axis=(0, 2)) * s * ctx.x_max
+        want_min = np.where(ctx.lower, upb, 0.0).sum(axis=(0, 2)) * s * ctx.x_min
+        for got, want in ((d_max, want_max), (d_min, want_min)):
+            assert np.all(want != 0)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("case", ["min-tied", "max-tied", "one-hit"])
+    def test_first_occurrence_matches_slab_oracle(self, rng, case):
+        z = rng.normal(size=(64, 256))
+        x = {"min-tied": np.maximum(z, 0.0), "max-tied": np.minimum(z, 0.0), "one-hit": z}[case]
+        xb = x.reshape(64, 8, 32)
+        slabs = xb.transpose(1, 0, 2).reshape(8, -1)
+        hits_min = (slabs == slabs.min(axis=1)[:, None]).reshape(8, 64, 32)
+        hits_max = (slabs == slabs.max(axis=1)[:, None]).reshape(8, 64, 32)
+        if case == "min-tied":
+            assert np.all(hits_min.any(axis=1))  # the min, 0, lies in every column of every block
+        elif case == "max-tied":
+            assert np.all(hits_max.any(axis=1))
+        else:
+            assert np.all(hits_min.sum(axis=(1, 2)) == 1) and np.all(hits_max.sum(axis=(1, 2)) == 1)
+        _, ctx = clip_with_ctx(x, ClipParams.init(8))
+        assert np.array_equal(ctx.argmin, slabs.argmin(axis=1))
+        assert np.array_equal(ctx.argmax, slabs.argmax(axis=1))
+
+    def test_nan_block_leaves_other_blocks_finite(self, rng):
+        # a NaN block has no extremum position; the others still get theirs
+        x = rng.normal(size=(8, 96))
+        x[3, 5] = np.nan
+        _, d_min, d_max = clip_gradients(x, ClipParams(np.full(3, -1.0), np.full(3, -1.0)))
+        assert np.isnan(d_min[0]) and np.isnan(d_max[0])
+        assert np.all(np.isfinite(d_min[1:])) and np.all(np.isfinite(d_max[1:]))
+
     def test_saturated_gradient_bound(self, rng):
         # |d/d_alpha| <= sigmoid'(alpha) * max|x| and vanishes as alpha grows
         x = rng.normal(size=(2, 32)) * 4

@@ -117,6 +117,62 @@ class TestQuantizeBlock:
             mq.quantize_block(np.zeros(31), mq.E2M1)
 
 
+def _bits(u):
+    return np.array([u], dtype=np.uint64).view(np.float64)[0]
+
+
+class TestBlockMax:
+    """The block max of |v| behind every scale, seen through the public codec."""
+
+    TINY = 5e-324  # the smallest subnormal
+    HUGE = 1.7976931348623157e308  # the largest finite float64
+
+    @staticmethod
+    def reference_scales(x, fmt):
+        # the OCP scale rule from a float max of |v|
+        maxabs = np.abs(x).reshape(-1, 32).max(axis=1)
+        se = np.clip(np.frexp(maxabs)[1] - 1 - fmt.emax, -127, 127)
+        return np.where(maxabs == 0.0, 0, se)
+
+    @pytest.mark.parametrize("fmt", [mq.E2M1, mq.E4M3], ids=lambda f: f.name)
+    def test_scales_match_float_max(self, rng, fmt):
+        x = np.zeros((9, 32))
+        x[0, ::2] = -0.0  # +-0.0 only
+        x[1] = 0.0  # all zero
+        x[2, 7] = self.TINY
+        x[3, [0, 31]] = [-self.TINY, -0.0]
+        x[4, 5] = self.HUGE
+        x[5, [3, 30]] = [-self.HUGE, 1.0]
+        x[6] = rng.normal(size=32) * 1e-300
+        x[7] = -np.abs(rng.normal(size=32)) * 1e300
+        x[8] = rng.normal(size=32)
+        assert np.signbit(x[0, 0]) and np.signbit(x[3, 0])
+        got = mq.quantize_tensor(x.reshape(3, 96), fmt).scale_exps
+        assert got.tolist() == self.reference_scales(x, fmt).tolist()
+        assert got[[0, 1]].tolist() == [0, 0]
+        assert got[2] == got[3] == -127  # clamped: 2^-1074 lies far below the scale range
+        assert got[4] == got[5] == 127
+
+    @pytest.mark.parametrize("slot", [0, 16, 31])
+    @pytest.mark.parametrize(
+        "bad",
+        [np.nan, _bits(0xFFF8000000000000), _bits(0x7FF0000000000001),
+         _bits(0xFFF0000000000001), np.inf, -np.inf],
+        ids=["nan", "negative-nan", "smallest-nan", "negative-smallest-nan", "inf", "-inf"],
+    )
+    def test_nonfinite_in_any_slot_rejected(self, rng, slot, bad):
+        x = rng.normal(size=(2, 64))
+        x[1, 32 + slot] = bad
+        assert not np.isfinite(x[1, 32 + slot]) and np.signbit(x[1, 32 + slot]) == np.signbit(bad)
+        for call in (mq.quantize_tensor, mq.quantize_dequantize_with_mask):
+            with pytest.raises(NonFiniteError):
+                call(x, mq.E2M1)
+
+    def test_zero_rows_qdq_stays_empty(self):
+        y = mq.quantize_dequantize(np.zeros((0, 64)), mq.E2M1)
+        assert y.shape == (0, 64)
+
+
 class TestQuantizeTensor:
     def test_block_count(self, rng):
         t = mq.quantize_tensor(rng.normal(size=(2, 64)), mq.E2M1)
