@@ -12,16 +12,17 @@ quantization and clipping disabled Y~ equals Y exactly for any invertible
 transform. Both sides run one transform -> clip -> qdq operand path
 (_site_operand); quantized_forward (which the toy block's linear sites in
 harness call), fuse and fused_forward reuse it. Transform and clip blocks
-are the 32-element MX block (formats.BLOCK, split as transform.G1 x
-transform.G2), so no outlier moves across a quantization block.
+are the 32-element MX block (formats.BLOCK), so no outlier moves across a
+quantization block.
 
 Gradients are a fixed-graph reverse pass hand-derived for this
 pipeline: the quantize-dequantize step is a clipped straight-through
 estimator (identity inside the representable range, zero where an element
 saturated), clip and the transform contractions use exact adjoints. The
 reverse pass is _operand_backward once per operand, the mirror of
-_site_operand; _backward adds the chain rule through A^-T and B_i^-T that
-ties the weight side's factors back to theta.
+_site_operand, which takes the factor adjoints from transform.gpk_backward;
+_backward adds the chain rule through A^-T and B_i^-T that ties the weight
+side's factors back to theta.
 
 The optimizer recipe is fixed: Adam with bias correction (BETAS, EPS), no
 weight decay, and the learning rate decayed from CalibConfig.lr to 0 along
@@ -34,15 +35,15 @@ only where a caller stores the result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .clipping import ClipCtx, ClipParams, clip_backward, clip_with_ctx
 from .errors import DivergenceError, ShapeError
-from .formats import FormatConfig, MxTensor, block_count, blocks, quantize_dequantize_with_mask
+from .formats import FormatConfig, MxTensor, block_count, quantize_dequantize_with_mask
 from .formats import quantize_tensor
-from .transform import G1, G2, GpkTransform, gpk_forward
+from .transform import GpkTransform, gpk_backward, gpk_forward
 
 BETAS = (0.9, 0.999)  # Adam moment decay rates
 EPS = 1e-8  # Adam denominator guard
@@ -83,13 +84,18 @@ class CalibConfig:
     clip_init: float = 4.0
 
     def __post_init__(self):
-        for name in ("lr", "clip_init"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} = {getattr(self, name)} is not finite")
-        if self.lr < 0:
-            raise ValueError("learning rate must be non-negative")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be at least 1")
+        for f in fields(self):
+            self.check_field(f.name, getattr(self, f.name))
+
+    @staticmethod
+    def check_field(name: str, value) -> None:
+        """Raise ValueError unless value is allowed for the field name."""
+        if not math.isfinite(value):
+            raise ValueError(f"{name} = {value} is not finite")
+        if name == "lr" and value < 0:
+            raise ValueError(f"lr = {value} must be non-negative")
+        if name in ("epochs", "batch_size") and value < 1:
+            raise ValueError(f"{name} = {value} must be at least 1")
 
 
 @dataclass
@@ -138,21 +144,6 @@ def _forward(x, w, theta: Theta, formats: FormatConfig) -> _StepCtx:
     return _StepCtx(xo, wo, xo.out @ wo.out.T)
 
 
-def _gpk_backward(x, a, b, grad_out):
-    """Adjoints of gpk_forward with respect to its factors: returns (d_a, d_b).
-
-    Block i maps by P_i = kron(B_i.T, A) (transform's row-vector picture).
-    With X_i, G_i block i's input and output gradient over all rows,
-    dP_i = X_i.T @ G_i is one (k, 32, rows) @ (k, rows, 32) batched GEMM,
-    and as dP_i[a, c, b, d] (a, b index G2; c, d index G1) it projects onto
-        d_b[i][b, a] = sum_{c,d} dP_i[a, c, b, d] * A[c, d]
-        d_a[c, d] = sum_i sum_{a,b} dP_i[a, c, b, d] * B_i[b, a].
-    """
-    dp = np.matmul(blocks(x).transpose(1, 2, 0), blocks(grad_out).transpose(1, 0, 2))
-    dp = dp.reshape(-1, G2, G1, G2, G1)
-    return np.einsum("kacbd,kba->cd", dp, b), np.einsum("kacbd,cd->kba", dp, a)
-
-
 def _operand_backward(op: _Operand, grad):
     """Adjoint of _site_operand: grad at op.out -> (d_a, d_b, d_alpha_min, d_alpha_max).
 
@@ -161,7 +152,7 @@ def _operand_backward(op: _Operand, grad):
     if op.mask is not None:
         grad = grad * op.mask
     dt, d_min, d_max = clip_backward(op.clip, grad)
-    da, db = _gpk_backward(op.v, op.t.a, op.t.b, dt)
+    da, db = gpk_backward(op.v, op.t, dt)
     return da, db, d_min, d_max
 
 
@@ -208,8 +199,6 @@ def backward(x, w, theta: Theta, formats: FormatConfig) -> dict[str, np.ndarray]
 
 def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
     """Half-cosine decay from lr0 at step 0 to 0 at step == total_steps."""
-    if total_steps <= 0:
-        return lr0
     return lr0 * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
 
 

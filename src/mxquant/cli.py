@@ -42,16 +42,20 @@ def _build_parser() -> _Parser:
     c = sub.add_parser("calibrate", help="calibrate one layer and write its artifacts")
     c.add_argument("--config", required=True, help="flat key=value config file")
     c.add_argument("--out", help="output directory, relative to the working directory")
+    c.set_defaults(handler=_cmd_calibrate)
 
     s = sub.add_parser("stats", help="per-block histograms before/after a transform")
     s.add_argument("--tensor", required=True, help="input .mxbt tensor (f32)")
     s.add_argument("--transform", help="optional .gpkt transform record")
     s.add_argument("--out", required=True, help="output CSV path")
+    s.set_defaults(handler=_cmd_stats)
 
     pc = sub.add_parser("param-count", help="decomposition parameter-count table")
     pc.add_argument("--n", type=int, required=True, help="feature dimension N")
+    pc.set_defaults(handler=_cmd_param_count)
 
-    sub.add_parser("verify", help="run the oracle cross-check suite")
+    sub.add_parser("verify", help="run the oracle cross-check suite").set_defaults(
+        handler=_cmd_verify)
 
     sim = sub.add_parser("simulate", help="toy block simulation from a spec file")
     sim.add_argument("--spec", required=True, help="block spec file (key = value)")
@@ -61,6 +65,7 @@ def _build_parser() -> _Parser:
                      help="also calibrate the linear sites and report mse_after")
     sim.add_argument("--lr", type=float, default=0.02,
                      help="calibration learning rate (desk-scale default)")
+    sim.set_defaults(handler=_cmd_simulate)
     return p
 
 
@@ -142,22 +147,13 @@ def _cmd_stats(args) -> int:
     return EXIT_OK
 
 
-# param-count rows: (display name, decomposition, matmul cost)
-_DECOMPOSITIONS = (
-    ("global-kronecker", DecompositionKind.GLOBAL_KRONECKER, "S*N^(3/2)"),
-    ("full-block", DecompositionKind.FULL, "S*N*g"),
-    ("naive-kronecker", DecompositionKind.NAIVE_KRONECKER, "S*N*(g1+g2)"),
-    ("global+private-kronecker", DecompositionKind.GPK, "S*N*(g1+g2)"),
-)
-
-
 def _cmd_param_count(args) -> int:
     # every count first, so a bad --n prints nothing to stdout
-    counts = [(name, cost, param_count(kind, args.n)) for name, kind, cost in _DECOMPOSITIONS]
+    counts = [(kind, param_count(kind, args.n)) for kind in DecompositionKind]
     print(f"N={args.n} g={BLOCK} g1={G1} g2={G2} k={args.n // BLOCK}")
     print(f"{'decomposition':<26} {'matmul cost':<14} {'params':>10}")
-    for name, cost, count in counts:
-        print(f"{name:<26} {cost:<14} {count:>10}")
+    for kind, count in counts:
+        print(f"{kind.table_name:<26} {kind.cost:<14} {count:>10}")
     return EXIT_OK
 
 
@@ -198,15 +194,8 @@ def _cmd_simulate(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "calibrate": _cmd_calibrate,
-        "stats": _cmd_stats,
-        "param-count": _cmd_param_count,
-        "verify": _cmd_verify,
-        "simulate": _cmd_simulate,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except NumericalError as e:
         print(f"mxquant: numeric: {e}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -118,11 +118,6 @@ def build_toy_block(spec: ToyBlockSpec, seed: int = 0) -> ToyBlock:
     return ToyBlock(spec, weights, sites)
 
 
-def _kv_site(per_head_vals, fmt):
-    """Quantize-dequantize each head's cache slice on its own."""
-    return [quantize_dequantize(vals, fmt) for vals in per_head_vals]
-
-
 def _block_forward(block: ToyBlock, x, formats: FormatConfig | None, record=None):
     """Run the block; formats None means the plain full-precision block.
 
@@ -144,7 +139,9 @@ def _block_forward(block: ToyBlock, x, formats: FormatConfig | None, record=None
     qkv = np.split(lin("p_qkv", _rmsnorm(x)), 3, axis=1)
     q, k, v = (np.split(m, spec.n_heads, axis=1) for m in qkv)
     if formats is not None and t.kv_cache:
-        k, v = _kv_site(k, formats.kv), _kv_site(v, formats.kv)
+        # each head's cache slice is quantized on its own
+        k = [quantize_dequantize(kh, formats.kv) for kh in k]
+        v = [quantize_dequantize(vh, formats.kv) for vh in v]
 
     outs = []
     for qh, kh, vh in zip(q, k, v):

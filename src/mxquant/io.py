@@ -36,9 +36,10 @@ lines starting with # are ignored. Each kind of file has one schema mapping
 its keys to casts (_run_schema, _SPEC_SCHEMA), and read_kv_file is the only
 place a config value is cast. A cast also applies the value's rules: paths
 resolve against the file's directory and calib patterns must match a file,
-and block spec values pass ToyBlockSpec's own check. An unknown key, a key
-set twice or a value its cast rejects is an error naming file:line, so
-nothing falls back silently.
+and hyperparameters and block spec values pass their dataclass's own
+check_field (CalibConfig, ToyBlockSpec). A file that is not UTF-8 text, an
+unknown key, a key set twice or a value its cast rejects is an error naming
+file:line, so nothing falls back silently.
 """
 
 from __future__ import annotations
@@ -237,12 +238,18 @@ def read_transform_record(path):
 def read_kv_file(path, schema) -> dict:
     """Parse a config file into {key: schema[key](value)}.
 
-    Raises FileFormatError naming path:line for a line that is not
-    `key = value`, a key not in schema, a key set twice, or a value its cast
-    rejects with ValueError or DataError.
+    Raises FileFormatError naming path:line for bytes that are not UTF-8, a
+    line that is not `key = value`, a key not in schema, a key set twice, or
+    a value its cast rejects with ValueError or DataError.
     """
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        ln = raw.count(b"\n", 0, e.start) + 1
+        raise FileFormatError(f"{path}:{ln}: not UTF-8 text ({e.reason})") from None
     out = {}
-    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for ln, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -271,6 +278,17 @@ def _int_where(ok, rule: str):
     return cast
 
 
+def _checked(cls, name: str, cast):
+    """Cast, then apply the dataclass cls's own rule for the field name (cls.check_field)."""
+
+    def checked(value: str):
+        v = cast(value)
+        cls.check_field(name, v)
+        return v
+
+    return checked
+
+
 _MX_BLOCK = f"transform and clip blocks are the {BLOCK}-element MX block, split {G1} x {G2}"
 _DEFAULT_FORMATS = FormatConfig.from_name("W4A4KV16")
 
@@ -278,9 +296,9 @@ _DEFAULT_FORMATS = FormatConfig.from_name("W4A4KV16")
 def _run_schema(base: Path) -> dict:
     """Casts of a run config whose paths are relative to base.
 
-    Every CalibConfig field is cast to its default's type. `g`, `g1`, `g2`
-    (fixed by the MX block) and `seed` (ignored: calibration draws no random
-    numbers) keep older configs running.
+    Every CalibConfig field is cast to its default's type, then checked. `g`,
+    `g1`, `g2` (fixed by the MX block) and `seed` (ignored: calibration draws
+    no random numbers) keep older configs running.
     """
 
     def path(value: str) -> str:
@@ -301,7 +319,7 @@ def _run_schema(base: Path) -> dict:
         return hits
 
     return {
-        **{f.name: type(f.default) for f in fields(CalibConfig)},
+        **{f.name: _checked(CalibConfig, f.name, type(f.default)) for f in fields(CalibConfig)},
         "format": FormatConfig.from_name, "weights": path, "calib": patterns, "out": path,
         "seed": int,
         "g": _int_where(lambda n: n == BLOCK, _MX_BLOCK),
@@ -310,20 +328,9 @@ def _run_schema(base: Path) -> dict:
     }
 
 
-def _spec_value(name: str, cast):
-    """Cast, then apply ToyBlockSpec's own rule for the field name."""
-
-    def checked(value: str):
-        v = cast(value)
-        ToyBlockSpec.check_field(name, v)
-        return v
-
-    return checked
-
-
-# every ToyBlockSpec field, cast to its annotated type
+# every ToyBlockSpec field, cast to its annotated type, then checked
 _SPEC_SCHEMA = {
-    **{name: _spec_value(name, cast) for name, cast in get_type_hints(ToyBlockSpec).items()},
+    **{n: _checked(ToyBlockSpec, n, cast) for n, cast in get_type_hints(ToyBlockSpec).items()},
     "format": FormatConfig.from_name, "seed": _int_where(lambda n: n >= 0, "must be non-negative"),
 }
 

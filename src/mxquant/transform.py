@@ -11,6 +11,10 @@ Under row-vector application y = x @ P this is P_i = kron(B_i.T, A), which
 is what oracle.dense_block_matrices() builds. The identity
 vec(V) @ kron(B, A) == vec(B.T @ V @ A) (row-major vec) ties the two
 pictures together.
+
+gpk_backward, the adjoint of gpk_forward with respect to A and the B_i,
+sits beside it. DecompositionKind is the one table of decompositions, each
+with its name and matmul cost; param_count gives their parameter counts.
 """
 
 from __future__ import annotations
@@ -94,13 +98,13 @@ class GpkTransform:
 
 
 def _split_blocks(x: np.ndarray, t: GpkTransform) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != t.n:
+    xb = blocks(x)
+    if xb.shape[1] != t.k:
         raise ShapeError(
-            f"trailing dimension {x.shape[-1]} does not match transform size {t.n} "
+            f"trailing dimension {xb.shape[1] * BLOCK} does not match transform size {t.n} "
             f"(k={t.k} blocks of {BLOCK})"
         )
-    return x.reshape(-1, t.k, G2, G1)
+    return xb.reshape(-1, t.k, G2, G1)
 
 
 def gpk_forward(x: np.ndarray, t: GpkTransform) -> np.ndarray:
@@ -116,18 +120,37 @@ def gpk_forward(x: np.ndarray, t: GpkTransform) -> np.ndarray:
     return np.matmul(t.b, va).reshape(*lead, t.n)
 
 
+def gpk_backward(x: np.ndarray, t: GpkTransform, grad_out: np.ndarray):
+    """Adjoints of gpk_forward(x, t) with respect to t's factors: returns (d_a, d_b).
+
+    Block i maps by P_i = kron(B_i.T, A) (the row-vector picture above).
+    With X_i, G_i block i's input and output gradient over all rows,
+    dP_i = X_i.T @ G_i is one (k, 32, rows) @ (k, rows, 32) batched GEMM,
+    and as dP_i[a, c, b, d] (a, b index G2; c, d index G1) it projects onto
+        d_b[i][b, a] = sum_{c,d} dP_i[a, c, b, d] * A[c, d]
+        d_a[c, d] = sum_i sum_{a,b} dP_i[a, c, b, d] * B_i[b, a].
+    """
+    dp = np.matmul(blocks(x).transpose(1, 2, 0), blocks(grad_out).transpose(1, 0, 2))
+    dp = dp.reshape(-1, G2, G1, G2, G1)
+    return np.einsum("kacbd,kba->cd", dp, t.b), np.einsum("kacbd,cd->kba", dp, t.a)
+
+
 def gpk_inverse_forward(x: np.ndarray, t: GpkTransform) -> np.ndarray:
     """Apply the transform built from A^-1 and B_i^-1; inverts gpk_forward."""
     return gpk_forward(x, t.inverse())
 
 
 class DecompositionKind(Enum):
-    """Parameterizations of a size-N transform, by parameter-count formula."""
+    """Parameterizations of a size-N transform, in table order: (table name, cost on S rows)."""
 
-    FULL = "full"  # k dense g x g blocks
-    NAIVE_KRONECKER = "naive-kronecker"  # per-block pairs (A_i, B_i)
-    GPK = "gpk"  # shared A, private B_i
-    GLOBAL_KRONECKER = "global-kronecker"  # one N x N map as two sqrt(N) factors
+    GLOBAL_KRONECKER = ("global-kronecker", "S*N^(3/2)")  # one N x N map as two sqrt(N) factors
+    FULL = ("full-block", "S*N*g")  # k dense g x g blocks
+    NAIVE_KRONECKER = ("naive-kronecker", "S*N*(g1+g2)")  # per-block pairs (A_i, B_i)
+    GPK = ("global+private-kronecker", "S*N*(g1+g2)")  # shared A, private B_i
+
+    def __init__(self, table_name: str, cost: str):
+        self.table_name = table_name
+        self.cost = cost
 
 
 def param_count(kind: DecompositionKind, n: int) -> int:
@@ -137,15 +160,12 @@ def param_count(kind: DecompositionKind, n: int) -> int:
     n must be a positive multiple of BLOCK.
     """
     k = block_count(n)
-    if kind is DecompositionKind.FULL:
-        return n * BLOCK
-    if kind is DecompositionKind.NAIVE_KRONECKER:
-        return k * (G1 * G1 + G2 * G2)
-    if kind is DecompositionKind.GPK:
-        return G1 * G1 + k * G2 * G2
-    if kind is DecompositionKind.GLOBAL_KRONECKER:
-        return 2 * n  # balanced sqrt(N) x sqrt(N) factor pair
-    raise ValueError(f"unknown decomposition kind {kind!r}")
+    return {
+        DecompositionKind.GLOBAL_KRONECKER: 2 * n,  # balanced sqrt(N) x sqrt(N) factor pair
+        DecompositionKind.FULL: n * BLOCK,
+        DecompositionKind.NAIVE_KRONECKER: k * (G1 * G1 + G2 * G2),
+        DecompositionKind.GPK: G1 * G1 + k * G2 * G2,
+    }[kind]
 
 
 def hadamard(n: int) -> np.ndarray:

@@ -12,7 +12,6 @@ from mxquant.calib import (
     Theta,
     _backward,
     _forward,
-    _gpk_backward,
     adamw_step,
     calibrate_layer,
     cosine_lr,
@@ -23,6 +22,7 @@ from mxquant.calib import (
 from mxquant.errors import DivergenceError, SingularTransformError
 from mxquant.formats import FormatConfig
 from mxquant.oracle import finite_diff_oracle
+from mxquant.transform import gpk_backward
 from mxquant.verify import random_transform
 
 SAT = 40.0
@@ -150,13 +150,13 @@ class TestBackward:
 
         y = mq.gpk_forward(x, t)
         go_full = 2.0 * y
-        da_full, _ = _gpk_backward(x, t.a, t.b, go_full)
+        da_full, _ = gpk_backward(x, t, go_full)
 
         total = np.zeros_like(t.a)
         for i in range(3):
             go = np.zeros_like(y).reshape(4, 3, 32)
             go[:, i, :] = 2.0 * y.reshape(4, 3, 32)[:, i, :]
-            da_i, _ = _gpk_backward(x, t.a, t.b, go.reshape(4, 96))
+            da_i, _ = gpk_backward(x, t, go.reshape(4, 96))
             fd = finite_diff_oracle(lambda d, i=i: block_loss(d, i), {"a": t.a.copy()}, h=1e-5)
             assert np.abs(da_i - fd["a"]).max() / np.abs(fd["a"]).max() <= 1e-4
             assert np.abs(da_i).max() > 0
@@ -180,7 +180,7 @@ class TestBackward:
                 g = go[row, 32 * i : 32 * (i + 1)].reshape(4, 8)
                 want_b[i] += g @ (v @ t.a).T
                 want_a += (t.b[i] @ v).T @ g
-        da, db = _gpk_backward(x, t.a, t.b, go)
+        da, db = gpk_backward(x, t, go)
         assert da.shape == (8, 8) and db.shape == (k, 4, 4)
         assert np.abs(da - want_a).max() <= 1e-12 * np.abs(want_a).max()
         assert np.abs(db - want_b).max() <= 1e-12 * np.abs(want_b).max()
@@ -194,7 +194,7 @@ class TestBackward:
             return float(np.sum(go * mq.gpk_forward(x, mq.GpkTransform(d["a"], d["b"]))))
 
         fd = finite_diff_oracle(loss, {"a": t.a.copy(), "b": t.b.copy()}, h=1e-5)
-        da, db = _gpk_backward(x, t.a, t.b, go)
+        da, db = gpk_backward(x, t, go)
         assert np.abs(da - fd["a"]).max() <= 1e-7 * np.abs(fd["a"]).max()
         assert np.abs(db - fd["b"]).max() <= 1e-7 * np.abs(fd["b"]).max()
 

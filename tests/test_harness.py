@@ -9,7 +9,6 @@ from mxquant.formats import FormatConfig
 from mxquant.harness import (
     ToyBlockSpec,
     _block_forward,
-    _kv_site,
     build_toy_block,
     calibrate_block,
     simulate_block,
@@ -113,15 +112,22 @@ class TestSimulate:
         _, kv4 = simulate_block(block, x, FormatConfig.from_name("W16A16KV4"))
         assert kv4["output"] > kv16["output"]
 
-    def test_per_head_independence(self, rng):
-        # perturbing head 0's K slice changes only head 0's qdq output
-        vals = [rng.normal(size=(8, 32)) for _ in range(4)]
-        base = _kv_site(vals, KV4.kv)
-        vals[0] = vals[0].copy()
-        vals[0][3, 5] += 10.0
-        pert = _kv_site(vals, KV4.kv)
+    def test_per_head_independence(self, rng, monkeypatch):
+        # scaling one weight row of head 0's key changes only head 0's quantized key
+        block = build_toy_block(SPEC, seed=3)
+        x = rng.normal(size=(8, 128))
+        outs = []
+        real = harness.quantize_dequantize
+        monkeypatch.setattr(harness, "quantize_dequantize",
+                            lambda vals, fmt: outs.append(real(vals, fmt)) or outs[-1])
+        _block_forward(block, x, KV4)
+        attn = SPEC.n_heads * SPEC.head_dim
+        block.weights["p_qkv"][attn + 5] *= 10.0  # the key rows follow the query rows
+        _block_forward(block, x, KV4)
+        base, pert = outs[: 2 * SPEC.n_heads], outs[2 * SPEC.n_heads :]
+        assert len(base) == len(pert) == 2 * SPEC.n_heads
         assert not np.array_equal(base[0], pert[0])
-        for h in range(1, 4):
+        for h in range(1, 2 * SPEC.n_heads):
             assert np.array_equal(base[h], pert[h])
 
 

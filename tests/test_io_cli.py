@@ -14,6 +14,7 @@ import mxquant as mq
 from mxquant import io
 from mxquant.cli import _build_parser, main
 from mxquant.errors import FileFormatError
+from mxquant.harness import build_toy_block, calibrate_block, simulate_block
 from mxquant.verify import check_quantizer, random_transform
 
 
@@ -164,6 +165,18 @@ class TestTensorFile:
         assert r.scale_exps.tolist() == [-127]
         assert r.codes[0].tolist() == [c for b in range(16) for c in (b, b)]
 
+    @pytest.mark.parametrize("head, mention", [
+        (struct.pack("<4sHBBI", b"MXBT", 2, 0, 1, 32) + bytes(128), "unsupported version 2"),
+        (struct.pack("<4sHBBI", b"MXBT", 1, 0, 3, 32), "truncated header"),
+        (struct.pack("<4sHBBI", b"MXBT", 1, 3, 1, 32) + bytes(128), "unknown dtype tag 3"),
+    ], ids=["version-2", "dims-past-end", "dtype-3"])
+    def test_header_faults_name_the_file(self, tmp_path, head, mention):
+        # dims-past-end: rank 3, but the file ends after the first dim
+        p = tmp_path / "h.mxbt"
+        p.write_bytes(head)
+        with pytest.raises(FileFormatError, match=re.escape(f"{p}: {mention}")):
+            io.read_tensor(p)
+
 
 class TestTransformRecord:
     def test_round_trip_with_clips(self, tmp_path, rng):
@@ -207,6 +220,15 @@ class TestTransformRecord:
         struct.pack_into("<I", raw, 6, 999)  # corrupt N
         p.write_bytes(bytes(raw))
         with pytest.raises(FileFormatError):
+            io.read_transform_record(p)
+
+    def test_version_2_rejected(self, tmp_path):
+        p = tmp_path / "t.gpkt"
+        io.write_transform_record(p, mq.GpkTransform.identity(64))
+        raw = bytearray(p.read_bytes())
+        struct.pack_into("<H", raw, 4, 2)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError, match=re.escape(f"{p}: unsupported version 2")):
             io.read_transform_record(p)
 
     def test_zero_blocks_header_rejected(self, tmp_path):
@@ -449,7 +471,12 @@ class TestCli:
         ("g = 32.0", ":3: g = 32.0"),
         ("format = W4A4", ":3: format = W4A4"),
         ("lr = 0.1\nlr = 5", ":4: 'lr' is set twice"),
-    ], ids=["epochs=1.5", "g=32.0", "format=W4A4", "lr-twice"])
+        ("lr = -1", ":3: lr = -1: "),
+        ("lr = nan", ":3: lr = nan: "),
+        ("epochs = 0", ":3: epochs = 0: "),
+        ("batch_size = 0", ":3: batch_size = 0: "),
+    ], ids=["epochs=1.5", "g=32.0", "format=W4A4", "lr-twice", "lr=-1", "lr=nan", "epochs=0",
+            "batch_size=0"])
     def test_calibrate_bad_config_line_names_file_line_and_key(self, tmp_path, capsys, lines,
                                                                mention):
         cfg, _, _ = _write_calib_bundle(tmp_path)
@@ -502,6 +529,32 @@ class TestCli:
         _expect_one_data_error(["calibrate", "--config", str(cfg)], capsys, line.split()[0])
         assert not (tmp_path / "out" / "loss_trace.csv").exists()
 
+    @pytest.mark.parametrize("command", ["calibrate", "simulate"])
+    def test_file_not_utf8_names_file_and_line(self, tmp_path, capsys, command):
+        cfg, _, _ = _write_calib_bundle(tmp_path)
+        out = tmp_path / "report.csv"
+        if command == "calibrate":
+            cfg.write_bytes(b"weights = w.mxbt\ncalib = \xffacts.mxbt\n")
+            argv = ["calibrate", "--config", str(cfg)]
+        else:
+            cfg.write_bytes(_SPEC.replace("32", "\xff").encode("latin-1"))
+            argv = ["simulate", "--spec", str(cfg), "--out", str(out)]
+        err = _expect_one_data_error(argv, capsys, "not UTF-8")
+        assert err.startswith(f"mxquant: data: {cfg}:2: not UTF-8 text")
+        assert not (tmp_path / "out").exists() and not out.exists()
+
+    @pytest.mark.parametrize("name, mention", [
+        ("w.mxbt", "calibration needs full-precision weights"),
+        ("acts.mxbt", "calibration activations must be f32 tensors"),
+    ], ids=["weights", "activations"])
+    def test_calibrate_mx4_input_is_data_error(self, tmp_path, capsys, name, mention):
+        cfg, x, w = _write_calib_bundle(tmp_path)
+        dense = {"w.mxbt": w, "acts.mxbt": x}[name]
+        io.write_tensor(tmp_path / name, mq.quantize_tensor(dense, mq.E2M1))
+        _expect_one_data_error(["calibrate", "--config", str(cfg)], capsys,
+                               f"{tmp_path / name}: {mention}")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("shape", [(64,), (2, 4, 64)], ids=["1d", "3d"])
     def test_calibrate_non_2d_weights_is_data_error(self, tmp_path, capsys, shape):
         cfg, _, _ = _write_calib_bundle(tmp_path)
@@ -536,10 +589,14 @@ class TestCli:
 
     def test_param_count_table(self, capsys):
         assert main(["param-count", "--n", "4096"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("N=4096 g=32 g1=8 g2=4 k=128\n")
-        for value in ("8192", "131072", "10240", "2112"):
-            assert value in out
+        assert capsys.readouterr().out == (
+            "N=4096 g=32 g1=8 g2=4 k=128\n"
+            "decomposition              matmul cost        params\n"
+            "global-kronecker           S*N^(3/2)            8192\n"
+            "full-block                 S*N*g              131072\n"
+            "naive-kronecker            S*N*(g1+g2)         10240\n"
+            "global+private-kronecker   S*N*(g1+g2)          2112\n"
+        )
 
     @pytest.mark.parametrize("n", ["0", "-32", "33"])
     def test_param_count_bad_n_is_data_error(self, capsys, n):
@@ -562,6 +619,15 @@ class TestCli:
             pre = cells[3 : 3 + 64]
             post = cells[3 + 64 :]
             assert pre == post
+
+    def test_stats_mx4_equals_its_decoded_f32(self, tmp_path, rng):
+        t = mq.quantize_tensor(rng.normal(size=(16, 64)) * 3.0, mq.E2M1)
+        io.write_tensor(tmp_path / "q.mxbt", t)
+        io.write_tensor(tmp_path / "d.mxbt", t.to_dense())
+        for name in ("q", "d"):
+            assert main(["stats", "--tensor", str(tmp_path / f"{name}.mxbt"),
+                         "--out", str(tmp_path / f"{name}.csv")]) == 0
+        assert (tmp_path / "q.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
 
     def test_stats_block_count(self, tmp_path, rng):
         io.write_tensor(tmp_path / "x.mxbt", rng.normal(size=(4, 256)))
@@ -694,6 +760,26 @@ class TestCli:
         assert lines[0] == "site,mse_before,mse_after"
         sites = {ln.split(",")[0] for ln in lines[1:]}
         assert sites == {"p_qkv", "p_o", "p_up", "p_down", "output"}
+
+    def test_simulate_calibrate_report(self, tmp_path):
+        spec = tmp_path / "block.cfg"
+        spec.write_text("hidden = 64\nhead_dim = 32\nn_heads = 2\nmlp_dim = 128\n")
+        outs = [tmp_path / "r1.csv", tmp_path / "r2.csv"]
+        for out in outs:
+            assert main(["simulate", "--spec", str(spec), "--out", str(out), "--rows", "8",
+                         "--calibrate"]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        rows = [ln.split(",") for ln in outs[0].read_text().splitlines()[1:]]
+        assert len(rows) == 5
+        # the same run by hand: the block, its inputs and the CLI's default --lr
+        block_spec, formats, seed = io.read_block_spec(spec)
+        block = build_toy_block(block_spec, seed=seed)
+        x = np.random.default_rng(seed + 1).normal(size=(8, 64))
+        calibrate_block(block, x, mq.CalibConfig(lr=0.02), formats)
+        _, after = simulate_block(block, x, formats)
+        for site, _, mse_after in rows:
+            assert np.isfinite(float(mse_after))
+            assert float(mse_after) == after[site]
 
     @pytest.mark.parametrize("line", ["heads = 4", "mlp = 256", "seeed = 3"],
                              ids=lambda line: line.split()[0])

@@ -54,6 +54,11 @@ class TestForward:
         with pytest.raises(ShapeError, match="96"):
             mq.gpk_forward(rng.normal(size=(2, 96)), t)
 
+    def test_zero_d_input_is_shape_error(self):
+        # a scalar has no trailing axis, so it has width 0
+        with pytest.raises(ShapeError, match="trailing dimension 0"):
+            mq.gpk_forward(np.array(1.0), mq.GpkTransform.identity(64))
+
     @pytest.mark.parametrize("g1, g2", [(4, 4), (8, 8)], ids=["4x4-A", "8x8-B"])
     def test_other_split_rejected(self, g1, g2):
         # the split of the 32-element MX block is fixed at G1 x G2 = 8 x 4
