@@ -33,11 +33,6 @@ def sigmoid(z):
     return out
 
 
-def sigmoid_grad(z):
-    s = sigmoid(z)
-    return s * (1.0 - s)
-
-
 @dataclass
 class ClipParams:
     """Per-block clip logits; one (min, max) pair per quantization block."""
@@ -72,7 +67,8 @@ class ClipCtx:
     x_max: np.ndarray  # (k,)
     argmin: np.ndarray  # (k,) flat index into the (rows*BLOCK) slab of block i
     argmax: np.ndarray
-    params: ClipParams
+    s_min: np.ndarray  # (k,) sigmoid(alpha_min)
+    s_max: np.ndarray  # (k,) sigmoid(alpha_max)
 
 
 def _block_extremum(xb, reduce):
@@ -110,14 +106,15 @@ def clip_with_ctx(x, params: ClipParams):
         raise ShapeError(f"{xb.shape[1]} blocks but {params.k} clip logit pairs")
     x_min, argmin = _block_extremum(xb, np.min)
     x_max, argmax = _block_extremum(xb, np.max)
-    lo = sigmoid(params.alpha_min) * x_min
-    hi = sigmoid(params.alpha_max) * x_max
+    s_min, s_max = sigmoid(params.alpha_min), sigmoid(params.alpha_max)
+    lo = s_min * x_min
+    hi = s_max * x_max
 
     y = np.maximum(xb, lo[None, :, None])
     upper = y > hi[None, :, None]
     lower = (xb < lo[None, :, None]) & ~upper
     np.copyto(y, hi[None, :, None], where=upper)
-    ctx = ClipCtx(np.shape(x), upper, lower, x_min, x_max, argmin, argmax, params)
+    ctx = ClipCtx(np.shape(x), upper, lower, x_min, x_max, argmin, argmax, s_min, s_max)
     return y.reshape(np.shape(x)), ctx
 
 
@@ -129,20 +126,20 @@ def clip_backward(ctx: ClipCtx, grad):
     because the bound is built from the block's own extremum, to the
     extremal element itself (bound ratio times the summed clamped grad).
     """
-    p = ctx.params
     gb = blocks(grad)
     dxb = np.where(ctx.upper | ctx.lower, 0.0, gb)
 
     g_up = np.sum(gb, axis=(0, 2), where=ctx.upper)  # (k,)
     g_lo = np.sum(gb, axis=(0, 2), where=ctx.lower)
 
-    d_alpha_max = g_up * sigmoid_grad(p.alpha_max) * ctx.x_max
-    d_alpha_min = g_lo * sigmoid_grad(p.alpha_min) * ctx.x_min
+    # sigmoid'(alpha) = s * (1 - s) with s = sigmoid(alpha), saved by the forward
+    d_alpha_max = g_up * (ctx.s_max * (1.0 - ctx.s_max)) * ctx.x_max
+    d_alpha_min = g_lo * (ctx.s_min * (1.0 - ctx.s_min)) * ctx.x_min
 
     # extremum path: d hi / d x[argmax] = sigmoid(alpha_max), same for min
-    karange = np.arange(p.k)
-    dxb[ctx.argmax // BLOCK, karange, ctx.argmax % BLOCK] += g_up * sigmoid(p.alpha_max)
-    dxb[ctx.argmin // BLOCK, karange, ctx.argmin % BLOCK] += g_lo * sigmoid(p.alpha_min)
+    karange = np.arange(len(ctx.s_max))
+    dxb[ctx.argmax // BLOCK, karange, ctx.argmax % BLOCK] += g_up * ctx.s_max
+    dxb[ctx.argmin // BLOCK, karange, ctx.argmin % BLOCK] += g_lo * ctx.s_min
     return dxb.reshape(ctx.shape), d_alpha_min, d_alpha_max
 
 

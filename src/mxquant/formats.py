@@ -40,6 +40,12 @@ binade) already lies above max_value. Either clamp is saturation.
 The codec works on an (n_blocks, 32) float64 view of blocks(x); scaling by
 2^e is a product with an exact power of two, which rounds only where the
 result leaves the float64 normal range, exactly as ldexp would.
+
+Decode is a table read. The OCP MX spec defines each element code by its
+value, so code_values holds the signed value of every code (-0.0 for the
+negative zero, NaN for E4M3's NaN codes): one gather, then one product with
+2^scale_exp per block. That product is exact: |scale_exp| <= 127 and every
+nonzero magnitude is at least 2^-9, so no result leaves the normal range.
 """
 
 from __future__ import annotations
@@ -114,6 +120,16 @@ class MxFormat:
         vs = np.concatenate(grid)[: (1 << self.sign_shift) - self.nan]
         vs.setflags(write=False)
         return vs
+
+    @cached_property
+    def code_values(self) -> np.ndarray:
+        """The signed value of each of the 2^bits codes: entry ``sign << (bits-1) | i``
+        is +-value_set[i]; the index past the value set (E4M3's NaN slot) is NaN."""
+        half = np.full(1 << self.sign_shift, np.nan)
+        half[: len(self.value_set)] = self.value_set
+        table = np.concatenate([half, -half])
+        table.setflags(write=False)
+        return table
 
     @property
     def max_value(self) -> float:
@@ -192,7 +208,7 @@ class MxTensor:
         return self.scale_exps.shape[0]
 
     def to_dense(self) -> np.ndarray:
-        """Decode to float64. Exact: a value-set lookup scaled by ldexp."""
+        """Decode to float64. Exact: a code_values lookup scaled by 2^scale_exp."""
         return _decode_blocks(self.scale_exps, self.codes, self.fmt).reshape(self.shape)
 
 
@@ -249,9 +265,9 @@ def _encode_blocks(xb, fmt: MxFormat):
 
 
 def _decode_blocks(scale_exps, codes, fmt: MxFormat):
-    idx = codes & np.uint8((1 << fmt.sign_shift) - 1)
-    out = np.ldexp(fmt.value_set[idx], scale_exps.astype(np.int64)[:, None])
-    return np.where((codes >> fmt.sign_shift) != 0, -out, out)
+    out = fmt.code_values[codes]
+    out *= np.ldexp(1.0, scale_exps)[:, None]  # exact (module docstring)
+    return out
 
 
 def _qdq_blocks(xb, fmt: MxFormat):

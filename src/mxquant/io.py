@@ -90,17 +90,24 @@ def _check_mx_width(shape, where) -> None:
         raise FileFormatError(str(e)) from None
 
 
+def _first_outside(a, lo: int, hi: int):
+    """The first element of a outside [lo, hi], or None. A min/max reduction
+    decides; only a failed one searches the elements."""
+    if a.size == 0 or lo <= a.min() and a.max() <= hi:
+        return None
+    return a[(a < lo) | (a > hi)][0]
+
+
 def _check_payload(path, fmt: MxFormat, scale_exps, codes) -> None:
     """Scale exponents lie in [-127, 127]; codes fit fmt.bits and index fmt's value set."""
-    se = np.asarray(scale_exps, dtype=np.int64)
-    bad = se[np.abs(se) > 127]
-    if bad.size:
-        raise FileFormatError(f"{path}: scale exponent {bad[0]} is outside [-127, 127]")
+    bad = _first_outside(np.asarray(scale_exps), -127, 127)
+    if bad is not None:
+        raise FileFormatError(f"{path}: scale exponent {bad} is outside [-127, 127]")
     codes = np.asarray(codes)
-    bad = codes[(codes < 0) | (codes >= 1 << fmt.bits)]
-    if bad.size:
-        raise FileFormatError(f"{path}: code {bad[0]:#x} is not a {fmt.bits}-bit code")
-    if np.any((codes & ((1 << fmt.sign_shift) - 1)) >= len(fmt.value_set)):
+    bad = _first_outside(codes, 0, (1 << fmt.bits) - 1)
+    if bad is not None:
+        raise FileFormatError(f"{path}: code {bad:#x} is not a {fmt.bits}-bit code")
+    if codes.size and (codes & ((1 << fmt.sign_shift) - 1)).max() >= len(fmt.value_set):
         raise FileFormatError(f"{path}: code index outside the {fmt.name} value set")
 
 
@@ -240,7 +247,9 @@ def read_kv_file(path, schema) -> dict:
 
     Raises FileFormatError naming path:line for bytes that are not UTF-8, a
     line that is not `key = value`, a key not in schema, a key set twice, or
-    a value its cast rejects with ValueError or DataError.
+    a value its cast rejects with ValueError or DataError. A rejection gets
+    the prefix `key = value: ` unless it already starts with `key = ` (a
+    check_field message states the field and its value itself).
     """
     raw = Path(path).read_bytes()
     try:
@@ -263,7 +272,10 @@ def read_kv_file(path, schema) -> dict:
         try:
             out[key] = schema[key](value)
         except (ValueError, DataError) as e:
-            raise FileFormatError(f"{path}:{ln}: {key} = {value}: {e}") from e
+            msg = str(e)
+            if not msg.startswith(f"{key} = "):
+                msg = f"{key} = {value}: {msg}"
+            raise FileFormatError(f"{path}:{ln}: {msg}") from e
     return out
 
 

@@ -310,6 +310,18 @@ class TestCosineLr:
         assert abs(cosine_lr(50, 100, 2e-3) - 1e-3) <= 1e-18
 
 
+class TestCalibConfig:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"lr": -1}, "lr = -1 must be non-negative"),
+        ({"lr": math.nan}, "lr = nan is not finite"),
+        ({"epochs": 0}, "epochs = 0 must be at least 1"),
+    ], ids=["lr=-1", "lr=nan", "epochs=0"])
+    def test_direct_construction_states_field_and_value(self, kwargs, message):
+        with pytest.raises(ValueError) as e:
+            CalibConfig(**kwargs)
+        assert str(e.value) == message
+
+
 class TestCalibrateLayer:
     def test_lr_zero_keeps_init_and_matches_rtn(self, rng):
         x = rng.normal(size=(16, 64))

@@ -284,6 +284,44 @@ class TestQuantizeTensor:
         assert np.array_equal(mq.quantize_dequantize(x, None), x)
 
 
+def _ldexp_decode(scale_exps, codes, fmt):
+    """The decode before the code table: value-set gather, ldexp, then the sign."""
+    idx = codes & ((1 << fmt.sign_shift) - 1)
+    out = np.ldexp(fmt.value_set[idx], scale_exps.astype(np.int64)[:, None])
+    return np.where((codes >> fmt.sign_shift) != 0, -out, out)
+
+
+class TestDecode:
+    @pytest.mark.parametrize("fmt", [mq.E2M1, mq.E4M3], ids=lambda f: f.name)
+    def test_every_code_at_every_scale_matches_ldexp(self, fmt):
+        # every code outside E4M3's NaN slot, at every scale exponent in [-127, 127]
+        codes = np.arange(1 << fmt.bits)
+        codes = codes[(codes & ((1 << fmt.sign_shift) - 1)) < len(fmt.value_set)]
+        row = np.resize(codes, -(-len(codes) // 32) * 32).astype(np.uint8)  # whole blocks
+        exps = np.arange(-127, 128)
+        t = mq.MxTensor((len(exps), len(row)), fmt,
+                        np.repeat(exps, len(row) // 32).astype(np.int8),
+                        np.tile(row, len(exps)).reshape(-1, 32))
+        want = _ldexp_decode(t.scale_exps, t.codes, fmt).reshape(t.shape)
+        assert t.to_dense().tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fmt", [mq.E2M1, mq.E4M3], ids=lambda f: f.name)
+    def test_code_values_table(self, fmt):
+        table = fmt.code_values
+        half = 1 << fmt.sign_shift
+        assert table.shape == (1 << fmt.bits,)
+        n = len(fmt.value_set)
+        assert table[:n].tobytes() == fmt.value_set.tobytes()
+        assert table[half:half + n].tobytes() == (-fmt.value_set).tobytes()
+        assert table[0] == 0.0 and not np.signbit(table[0])
+        assert table[half] == 0.0 and np.signbit(table[half])  # -0.0
+        want_nan = [0x7F, 0xFF] if fmt is mq.E4M3 else []
+        assert np.flatnonzero(np.isnan(table)).tolist() == want_nan
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[1] = 7.0
+
+
 class TestInvariants:
     def test_oracle_equivalence_sample(self, rng):
         for fmt in (mq.E2M1, mq.E4M3):

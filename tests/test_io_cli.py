@@ -123,6 +123,51 @@ class TestTensorFile:
             io.write_tensor(p, t)
         assert not p.exists()
 
+    @pytest.mark.parametrize("code", [0x7F, 0xFF])
+    def test_read_checks_the_last_code_of_the_last_block(self, tmp_path, rng, code):
+        t = mq.quantize_tensor(rng.normal(size=(3, 128)), mq.E4M3)
+        p = tmp_path / "c.mxbt"
+        io.write_tensor(p, t)
+        raw = bytearray(p.read_bytes())
+        raw[-1] = code
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError) as e:
+            io.read_tensor(p)
+        assert str(e.value) == f"{p}: code index outside the e4m3 value set"
+
+    @pytest.mark.parametrize("fmt, at, code, message", [
+        (mq.E2M1, -1, 0x13, "code 0x13 is not a 4-bit code"),
+        (mq.E2M1, 0, 0x10, "code 0x10 is not a 4-bit code"),  # ahead of the -7 below
+        (mq.E4M3, -1, 0x7F, "code index outside the e4m3 value set"),
+        (mq.E4M3, 0, 0x100, "code 0x100 is not a 8-bit code"),
+        (mq.E2M1, -1, -1, "code -0x1 is not a 4-bit code"),
+    ], ids=["e2m1-last-0x13", "e2m1-first-0x10", "e4m3-last-0x7f", "e4m3-first-0x100",
+            "e2m1-last-neg"])
+    def test_write_names_the_first_bad_code(self, tmp_path, fmt, at, code, message):
+        # int16 codes; with the bad code in block 0, block 2 also holds a -7, the
+        # smallest code: the message names the first bad code in order, not an extreme
+        codes = np.zeros((4, 32), np.int16)
+        if at == 0:
+            codes[2, 9] = -7
+        codes[at, -1] = code
+        t = mq.MxTensor((4, 32), fmt, np.zeros(4, np.int8), codes)
+        p = tmp_path / "w.mxbt"
+        with pytest.raises(FileFormatError) as e:
+            io.write_tensor(p, t)
+        assert str(e.value) == f"{p}: {message}"
+        assert not p.exists()
+
+    @pytest.mark.parametrize("exps, first", [
+        ([0, 127, -127, -128], -128), ([0, 200, -128, 5], 200), ([-128, 200, 0, 0], -128),
+    ], ids=["last--128", "200-then--128", "-128-then-200"])
+    def test_write_names_the_first_bad_scale_exponent(self, tmp_path, exps, first):
+        t = mq.MxTensor((4, 32), mq.E2M1, np.array(exps), np.zeros((4, 32), np.uint8))
+        p = tmp_path / "w.mxbt"
+        with pytest.raises(FileFormatError) as e:
+            io.write_tensor(p, t)
+        assert str(e.value) == f"{p}: scale exponent {first} is outside [-127, 127]"
+        assert not p.exists()
+
     @pytest.mark.parametrize("tag, dims", [(1, (2, 16)), (2, (32, 1)), (1, ())],
                              ids=["mx4-2x16", "mx8-32x1", "mx4-scalar"])
     def test_mx_width_not_whole_blocks_rejected(self, tmp_path, tag, dims):
@@ -471,10 +516,10 @@ class TestCli:
         ("g = 32.0", ":3: g = 32.0"),
         ("format = W4A4", ":3: format = W4A4"),
         ("lr = 0.1\nlr = 5", ":4: 'lr' is set twice"),
-        ("lr = -1", ":3: lr = -1: "),
-        ("lr = nan", ":3: lr = nan: "),
-        ("epochs = 0", ":3: epochs = 0: "),
-        ("batch_size = 0", ":3: batch_size = 0: "),
+        ("lr = -1", ":3: lr = -1.0 must be non-negative"),
+        ("lr = nan", ":3: lr = nan is not finite"),
+        ("epochs = 0", ":3: epochs = 0 must be at least 1"),
+        ("batch_size = 0", ":3: batch_size = 0 must be at least 1"),
     ], ids=["epochs=1.5", "g=32.0", "format=W4A4", "lr-twice", "lr=-1", "lr=nan", "epochs=0",
             "batch_size=0"])
     def test_calibrate_bad_config_line_names_file_line_and_key(self, tmp_path, capsys, lines,
@@ -519,15 +564,47 @@ class TestCli:
         assert main(["calibrate", "--config", str(cfg)]) == 0
         assert (tmp_path / "out" / "loss_trace.csv").read_bytes() == plain
 
-    @pytest.mark.parametrize("line", [
-        "beta1 = 2", "beta2 = 1", "beta1 = -0.1", "lr = nan", "lr = inf", "eps = 0",
-        "eps = nan", "weight_decay = inf", "clip_init = nan",
-    ], ids=lambda line: line.replace(" = ", "="))
-    def test_bad_hyperparameter_rejected_before_compute(self, tmp_path, capsys, line):
+    @pytest.mark.parametrize("line, at, message", [
+        # a CalibConfig field replaces its own line in the bundle config
+        ("lr = nan", 2, "lr = nan is not finite"),
+        ("lr = inf", 2, "lr = inf is not finite"),
+        ("clip_init = nan", 5, "clip_init = nan is not finite"),
+        # the AdamW constants are fixed, not config keys: an appended line is unknown
+        ("beta1 = 2", 9, "unknown key 'beta1'"),
+        ("beta2 = 1", 9, "unknown key 'beta2'"),
+        ("beta1 = -0.1", 9, "unknown key 'beta1'"),
+        ("eps = 0", 9, "unknown key 'eps'"),
+        ("eps = nan", 9, "unknown key 'eps'"),
+        ("weight_decay = inf", 9, "unknown key 'weight_decay'"),
+    ], ids=["lr=nan", "lr=inf", "clip_init=nan", "beta1=2", "beta2=1", "beta1=-0.1", "eps=0",
+            "eps=nan", "weight_decay=inf"])
+    def test_bad_hyperparameter_rejected_before_compute(self, tmp_path, capsys, line, at,
+                                                        message):
         cfg, _, _ = _write_calib_bundle(tmp_path)
-        cfg.write_text(cfg.read_text() + line + "\n")
-        _expect_one_data_error(["calibrate", "--config", str(cfg)], capsys, line.split()[0])
+        lines = cfg.read_text().splitlines()
+        lines[at - 1:at] = [line]
+        cfg.write_text("\n".join(lines) + "\n")
+        err = _expect_one_data_error(["calibrate", "--config", str(cfg)], capsys, message)
+        assert err == f"mxquant: data: {cfg}:{at}: {message}"
         assert not (tmp_path / "out" / "loss_trace.csv").exists()
+
+    @pytest.mark.parametrize("kind, text, line", [
+        ("run", "weights = w.mxbt\nlr = nan\n", "2: lr = nan is not finite"),
+        ("run", "weights = w.mxbt\nlr = abc\n",
+         "2: lr = abc: could not convert string to float: 'abc'"),
+        ("spec", "hidden = 0\n", "1: hidden = 0 is not a positive multiple of 32"),
+        ("spec", "hidden = 128\nhead_dim = 32\nn_heads = 0\n", "3: n_heads = 0 must be at least 1"),
+    ], ids=["run-lr=nan", "run-lr=abc", "spec-hidden=0", "spec-n_heads=0"])
+    def test_config_error_states_key_and_value_once(self, tmp_path, capsys, kind, text, line):
+        # a field's own rule states `key = value`; only a failed cast gets that prefix
+        path = tmp_path / f"{kind}.cfg"
+        path.write_text(text)
+        out = tmp_path / "report.csv"
+        argv = (["calibrate", "--config", str(path)] if kind == "run"
+                else ["simulate", "--spec", str(path), "--out", str(out)])
+        err = _expect_one_data_error(argv, capsys, line)
+        assert err == f"mxquant: data: {path}:{line}"
+        assert not (tmp_path / "out").exists() and not out.exists()
 
     @pytest.mark.parametrize("command", ["calibrate", "simulate"])
     def test_file_not_utf8_names_file_and_line(self, tmp_path, capsys, command):
