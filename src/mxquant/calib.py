@@ -39,7 +39,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .clipping import ClipCtx, ClipParams, clip_backward, clip_with_ctx
+from .clipping import START_LOGIT, ClipCtx, ClipParams, clip_backward, clip_with_ctx
 from .errors import DivergenceError, ShapeError
 from .formats import FormatConfig, MxTensor, block_count, quantize_dequantize_with_mask
 from .formats import quantize_tensor
@@ -58,7 +58,7 @@ class Theta:
     weight_clip: ClipParams
 
     @classmethod
-    def init(cls, n: int, clip_init: float = 4.0) -> "Theta":
+    def init(cls, n: int, clip_init: float = START_LOGIT) -> "Theta":
         t = GpkTransform.identity(n)
         return cls(t, ClipParams.init(t.k, clip_init), ClipParams.init(t.k, clip_init))
 
@@ -81,7 +81,7 @@ class CalibConfig:
     lr: float = 2e-3
     epochs: int = 5
     batch_size: int = 4
-    clip_init: float = 4.0
+    clip_init: float = START_LOGIT
 
     def __post_init__(self):
         for f in fields(self):
@@ -147,10 +147,11 @@ def _forward(x, w, theta: Theta, formats: FormatConfig) -> _StepCtx:
 def _operand_backward(op: _Operand, grad):
     """Adjoint of _site_operand: grad at op.out -> (d_a, d_b, d_alpha_min, d_alpha_max).
 
-    qdq passes grad straight through where it did not saturate (op.mask).
+    qdq passes grad through where it did not saturate (op.mask), masking in place:
+    grad is the caller's own array.
     """
     if op.mask is not None:
-        grad = grad * op.mask
+        np.multiply(grad, op.mask, out=grad)
     dt, d_min, d_max = clip_backward(op.clip, grad)
     da, db = gpk_backward(op.v, op.t, dt)
     return da, db, d_min, d_max

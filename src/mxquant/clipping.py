@@ -22,6 +22,8 @@ import numpy as np
 from .errors import ShapeError
 from .formats import BLOCK, blocks
 
+START_LOGIT = 4.0  # sigmoid(4) ~ 0.982: near-identity at the start of training
+
 
 def sigmoid(z):
     z = np.asarray(z, dtype=np.float64)
@@ -51,8 +53,7 @@ class ClipParams:
         return self.alpha_min.shape[0]
 
     @classmethod
-    def init(cls, k: int, value: float = 4.0) -> "ClipParams":
-        # sigmoid(4) ~ 0.982: near-identity at the start of training
+    def init(cls, k: int, value: float = START_LOGIT) -> "ClipParams":
         return cls(np.full(k, value), np.full(k, value))
 
 

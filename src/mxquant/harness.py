@@ -118,13 +118,15 @@ def build_toy_block(spec: ToyBlockSpec, seed: int = 0) -> ToyBlock:
     return ToyBlock(spec, weights, sites)
 
 
-def _block_forward(block: ToyBlock, x, formats: FormatConfig | None, record=None):
+def _block_forward(block: ToyBlock, x, formats: FormatConfig | None):
     """Run the block; formats None means the plain full-precision block.
 
-    record, when given, maps each linear site to its (input, weight, output).
+    Returns (y, taps): the block output, and each linear site mapped to its
+    (input, weight, output).
     """
     spec = block.spec
     t = _TEMPLATES[spec.template]
+    taps: dict[str, tuple] = {}
 
     def lin(site, inp):
         w = block.weights[site]
@@ -132,8 +134,7 @@ def _block_forward(block: ToyBlock, x, formats: FormatConfig | None, record=None
             out = inp @ w.T
         else:
             out = quantized_forward(inp, w, block.sites[site], formats)
-        if record is not None:
-            record[site] = (inp, w, out)
+        taps[site] = (inp, w, out)
         return out
 
     qkv = np.split(lin("p_qkv", _rmsnorm(x)), 3, axis=1)
@@ -152,7 +153,7 @@ def _block_forward(block: ToyBlock, x, formats: FormatConfig | None, record=None
     x2 = x + lin("p_o", np.concatenate(outs, axis=1))
 
     mlp_in, mlp_out = t.mlp_sites
-    return x2 + lin(mlp_out, t.act(lin(mlp_in, _rmsnorm(x2))))
+    return x2 + lin(mlp_out, t.act(lin(mlp_in, _rmsnorm(x2)))), taps
 
 
 def simulate_block(block: ToyBlock, x, formats: FormatConfig):
@@ -162,10 +163,8 @@ def simulate_block(block: ToyBlock, x, formats: FormatConfig):
     same site in the unquantized run, and "output" to the whole-block MSE.
     """
     x = np.asarray(x, dtype=np.float64)
-    ref: dict[str, tuple] = {}
-    y_ref = _block_forward(block, x, None, ref)
-    taps: dict[str, tuple] = {}
-    y = _block_forward(block, x, formats, taps)
+    y_ref, ref = _block_forward(block, x, None)
+    y, taps = _block_forward(block, x, formats)
     report = {site: float(np.mean((taps[site][2] - ref[site][2]) ** 2)) for site in taps}
     report["output"] = float(np.mean((y - y_ref) ** 2))
     return y, report
@@ -177,8 +176,7 @@ def calibrate_block(block: ToyBlock, x, config: CalibConfig, formats: FormatConf
     One full-precision forward records each site's input and weight
     matrix, then each site is calibrated layer-wise.
     """
-    record: dict[str, tuple] = {}
-    _block_forward(block, np.asarray(x, dtype=np.float64), None, record)
-    for site, (inp, w, _) in record.items():
+    _, taps = _block_forward(block, np.asarray(x, dtype=np.float64), None)
+    for site, (inp, w, _) in taps.items():
         block.sites[site], _ = calibrate_layer(w, inp, config, formats)
     return block

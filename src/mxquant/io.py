@@ -32,12 +32,13 @@ width whose index lies in its value set) is one check, run by the writer
 before it opens the file and by the reader after it unpacks the codes.
 
 Config files are flat text, one `key = value` per line; blank lines and
-lines starting with # are ignored. Each kind of file has one schema mapping
-its keys to casts (_run_schema, _SPEC_SCHEMA), and read_kv_file is the only
-place a config value is cast. A cast also applies the value's rules: paths
-resolve against the file's directory and calib patterns must match a file,
-and hyperparameters and block spec values pass their dataclass's own
-check_field (CalibConfig, ToyBlockSpec). A file that is not UTF-8 text, an
+lines starting with # are ignored. Both kinds (run configs, block specs)
+are read by _read_config: the fields of one dataclass (CalibConfig,
+ToyBlockSpec), cast to their type hints and then checked by its own
+check_field, plus `format` and the file's own keys (_run_schema, a spec's
+seed). read_kv_file is the only place a config value is cast. A cast also
+applies the value's rules: paths resolve against the file's directory and
+calib patterns must match a file. A file that is not UTF-8 text, an
 unknown key, a key set twice or a value its cast rejects is an error naming
 file:line, so nothing falls back silently.
 """
@@ -306,11 +307,10 @@ _DEFAULT_FORMATS = FormatConfig.from_name("W4A4KV16")
 
 
 def _run_schema(base: Path) -> dict:
-    """Casts of a run config whose paths are relative to base.
+    """Casts of a run config's own keys, whose paths are relative to base.
 
-    Every CalibConfig field is cast to its default's type, then checked. `g`,
-    `g1`, `g2` (fixed by the MX block) and `seed` (ignored: calibration draws
-    no random numbers) keep older configs running.
+    `g`, `g1`, `g2` (fixed by the MX block) and `seed` (ignored: calibration
+    draws no random numbers) keep older configs running.
     """
 
     def path(value: str) -> str:
@@ -331,25 +331,30 @@ def _run_schema(base: Path) -> dict:
         return hits
 
     return {
-        **{f.name: _checked(CalibConfig, f.name, type(f.default)) for f in fields(CalibConfig)},
-        "format": FormatConfig.from_name, "weights": path, "calib": patterns, "out": path,
-        "seed": int,
+        "weights": path, "calib": patterns, "out": path, "seed": int,
         "g": _int_where(lambda n: n == BLOCK, _MX_BLOCK),
         "g1": _int_where(lambda n: n == G1, _MX_BLOCK),
         "g2": _int_where(lambda n: n == G2, _MX_BLOCK),
     }
 
 
-# every ToyBlockSpec field, cast to its annotated type, then checked
-_SPEC_SCHEMA = {
-    **{n: _checked(ToyBlockSpec, n, cast) for n, cast in get_type_hints(ToyBlockSpec).items()},
-    "format": FormatConfig.from_name, "seed": _int_where(lambda n: n >= 0, "must be non-negative"),
-}
+def _read_config(path, cls, own: dict, required: tuple[str, ...], what: str):
+    """Read cls's fields (cast to their type hints, then cls.check_field), `format` and
+    own's keys (cast by own). Fields without a default and the keys of required must be
+    set. Returns (cls instance, formats or _DEFAULT_FORMATS, {own key: value})."""
+    hints = get_type_hints(cls)
+    kv = read_kv_file(path, {**{n: _checked(cls, n, cast) for n, cast in hints.items()},
+                             "format": FormatConfig.from_name, **own})
+    for key in [f.name for f in fields(cls) if f.default is MISSING] + list(required):
+        if key not in kv:
+            raise FileFormatError(f"{path}: missing {what} key {key!r}")
+    obj = cls(**{n: kv.pop(n) for n in hints if n in kv})
+    return obj, kv.pop("format", _DEFAULT_FORMATS), kv
 
 
 @dataclass
 class RunConfig:
-    """A calibration job parsed from a config file (_run_schema).
+    """A calibration job parsed from a config file.
 
     weights and calib are required. Absent hyperparameters take
     CalibConfig's defaults and an absent format takes _DEFAULT_FORMATS.
@@ -365,13 +370,9 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        kv = read_kv_file(path, _run_schema(Path(path).parent))
-        for key in ("weights", "calib"):
-            if key not in kv:
-                raise FileFormatError(f"{path}: missing config key {key!r}")
-        calib = CalibConfig(**{f.name: kv[f.name] for f in fields(CalibConfig) if f.name in kv})
-        return cls(kv.get("format", _DEFAULT_FORMATS), calib, kv["weights"], kv["calib"],
-                   kv.get("out"))
+        calib, formats, kv = _read_config(path, CalibConfig, _run_schema(Path(path).parent),
+                                          ("weights", "calib"), "config")
+        return cls(formats, calib, kv["weights"], kv["calib"], kv.get("out"))
 
 
 # -- CSV reports -----------------------------------------------------------
@@ -404,11 +405,7 @@ def write_error_report(path, rows) -> None:
 
 
 def read_block_spec(path):
-    """Parse a toy-block spec file (_SPEC_SCHEMA) into (ToyBlockSpec, FormatConfig, seed)."""
-    kv = read_kv_file(path, _SPEC_SCHEMA)
-    formats = kv.pop("format", _DEFAULT_FORMATS)
-    seed = kv.pop("seed", 0)
-    for f in fields(ToyBlockSpec):
-        if f.default is MISSING and f.name not in kv:
-            raise FileFormatError(f"{path}: missing block spec key {f.name!r}")
-    return ToyBlockSpec(**kv), formats, seed
+    """Parse a toy-block spec file into (ToyBlockSpec, FormatConfig, seed)."""
+    seed = {"seed": _int_where(lambda n: n >= 0, "must be non-negative")}
+    spec, formats, kv = _read_config(path, ToyBlockSpec, seed, (), "block spec")
+    return spec, formats, kv.get("seed", 0)

@@ -14,7 +14,8 @@ pictures together.
 
 gpk_backward, the adjoint of gpk_forward with respect to A and the B_i,
 sits beside it. DecompositionKind is the one table of decompositions, each
-with its name and matmul cost; param_count gives their parameter counts.
+with its name, matmul cost and parameter count (shared plus per block);
+param_count reads the count for a size-N transform.
 """
 
 from __future__ import annotations
@@ -141,31 +142,25 @@ def gpk_inverse_forward(x: np.ndarray, t: GpkTransform) -> np.ndarray:
 
 
 class DecompositionKind(Enum):
-    """Parameterizations of a size-N transform, in table order: (table name, cost on S rows)."""
+    """Parameterizations of a size-N transform, in table order: (table name, cost on S
+    rows, parameters shared, parameters per MX block); Kronecker kinds split G1 x G2."""
 
-    GLOBAL_KRONECKER = ("global-kronecker", "S*N^(3/2)")  # one N x N map as two sqrt(N) factors
-    FULL = ("full-block", "S*N*g")  # k dense g x g blocks
-    NAIVE_KRONECKER = ("naive-kronecker", "S*N*(g1+g2)")  # per-block pairs (A_i, B_i)
-    GPK = ("global+private-kronecker", "S*N*(g1+g2)")  # shared A, private B_i
+    # one N x N map as a balanced sqrt(N) x sqrt(N) factor pair: 2N parameters
+    GLOBAL_KRONECKER = ("global-kronecker", "S*N^(3/2)", 0, 2 * BLOCK)
+    FULL = ("full-block", "S*N*g", 0, BLOCK * BLOCK)  # k dense g x g blocks
+    NAIVE_KRONECKER = ("naive-kronecker", "S*N*(g1+g2)", 0, G1 * G1 + G2 * G2)  # (A_i, B_i)
+    GPK = ("global+private-kronecker", "S*N*(g1+g2)", G1 * G1, G2 * G2)  # shared A, private B_i
 
-    def __init__(self, table_name: str, cost: str):
+    def __init__(self, table_name: str, cost: str, shared: int, per_block: int):
         self.table_name = table_name
         self.cost = cost
+        self.shared = shared
+        self.per_block = per_block
 
 
 def param_count(kind: DecompositionKind, n: int) -> int:
-    """Learnable parameter count of each decomposition of a size-n transform.
-
-    Blocks are the MX block (BLOCK), split G1 x G2 for the Kronecker kinds;
-    n must be a positive multiple of BLOCK.
-    """
-    k = block_count(n)
-    return {
-        DecompositionKind.GLOBAL_KRONECKER: 2 * n,  # balanced sqrt(N) x sqrt(N) factor pair
-        DecompositionKind.FULL: n * BLOCK,
-        DecompositionKind.NAIVE_KRONECKER: k * (G1 * G1 + G2 * G2),
-        DecompositionKind.GPK: G1 * G1 + k * G2 * G2,
-    }[kind]
+    """Learnable parameter count of kind for size n, a positive multiple of BLOCK."""
+    return kind.shared + kind.per_block * block_count(n)
 
 
 def hadamard(n: int) -> np.ndarray:

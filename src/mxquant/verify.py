@@ -184,5 +184,5 @@ ALL_CHECKS = (
 )
 
 
-def run_all(checks=ALL_CHECKS) -> list[OracleReport]:
-    return [c() for c in checks]
+def run_all() -> list[OracleReport]:
+    return [c() for c in ALL_CHECKS]

@@ -20,8 +20,9 @@ VIT_SITES = {"p_qkv", "p_o", "p_fc1", "p_fc2"}
 KV4 = FormatConfig.from_name("W16A16KV4")
 
 
-def _kv_calls(monkeypatch, block, x, record):
-    """Arrays a KV4 forward hands to harness.quantize_dequantize, in call order."""
+def _kv_calls(monkeypatch, block, x):
+    """The KV4 forward's taps, and the arrays it hands to harness.quantize_dequantize
+    in call order."""
     calls = []
     real = harness.quantize_dequantize
 
@@ -30,8 +31,8 @@ def _kv_calls(monkeypatch, block, x, record):
         return real(vals, fmt)
 
     monkeypatch.setattr(harness, "quantize_dequantize", spy)
-    _block_forward(block, x, KV4, record)
-    return calls
+    _, taps = _block_forward(block, x, KV4)
+    return taps, calls
 
 
 class TestBuild:
@@ -39,8 +40,7 @@ class TestBuild:
         # four linear sites, plus the key and the value cache: one qdq per head each
         block = build_toy_block(SPEC)
         assert set(block.sites) == TEXT_SITES
-        record = {}
-        calls = _kv_calls(monkeypatch, block, rng.normal(size=(4, 128)), record)
+        record, calls = _kv_calls(monkeypatch, block, rng.normal(size=(4, 128)))
         d, attn = SPEC.head_dim, SPEC.n_heads * SPEC.head_dim
         k, v = (record["p_qkv"][2][:, i * attn : (i + 1) * attn] for i in (1, 2))
         heads = [c[:, h * d : (h + 1) * d] for c in (k, v) for h in range(SPEC.n_heads)]
@@ -51,14 +51,13 @@ class TestBuild:
         block = build_toy_block(ToyBlockSpec(128, 32, 4, 256, template="vit"))
         assert len(block.sites) == 4
         assert set(block.sites) == VIT_SITES
-        assert _kv_calls(monkeypatch, block, rng.normal(size=(4, 128)), {}) == []
+        assert _kv_calls(monkeypatch, block, rng.normal(size=(4, 128)))[1] == []
 
     def test_every_linear_has_exactly_one_activation_placement(self, rng):
         # a recorded forward: each weight matrix is a row block of exactly one site's weight
         for template, sites in (("text", TEXT_SITES), ("vit", VIT_SITES)):
             block = build_toy_block(ToyBlockSpec(128, 32, 4, 256, template=template))
-            record = {}
-            _block_forward(block, rng.normal(size=(4, 128)), None, record)
+            _, record = _block_forward(block, rng.normal(size=(4, 128)), None)
             assert set(record) == set(block.sites) == sites
             for w in block.weights.values():
                 feeds = [
@@ -77,8 +76,7 @@ class TestBuild:
         for template in ("text", "vit"):
             block = build_toy_block(ToyBlockSpec(128, 32, 4, 256, template=template))
             assert block.weights.keys() == block.sites.keys()
-            record = {}
-            _block_forward(block, rng.normal(size=(4, 128)), None, record)
+            _, record = _block_forward(block, rng.normal(size=(4, 128)), None)
             for site, theta in block.sites.items():
                 assert record[site][1] is block.weights[site]
                 assert block.weights[site].shape[1] == theta.transform.n
@@ -93,7 +91,7 @@ class TestSimulate:
         block = build_toy_block(SPEC, seed=1)
         x = rng.normal(size=(16, 128))
         y, report = simulate_block(block, x, NO_QUANT)
-        ref = _block_forward(block, x, None)
+        ref, _ = _block_forward(block, x, None)
         assert np.array_equal(y, ref)
         assert all(v == 0.0 for v in report.values())
 

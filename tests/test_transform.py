@@ -196,6 +196,15 @@ class TestParamCount:
             assert naive >= gpk  # sharing A saves (k-1) * g1^2
             assert full >= gpk
 
+    @pytest.mark.parametrize("n", [32, 96, 4096])
+    def test_counts_match_the_transforms_they_describe(self, n):
+        # GPK counts the factors GpkTransform holds; FULL and NAIVE_KRONECKER count
+        # k blocks of their block shapes
+        t = mq.GpkTransform.identity(n)
+        assert mq.param_count(DecompositionKind.GPK, n) == t.a.size + t.b.size
+        assert mq.param_count(DecompositionKind.FULL, n) == t.k * 32**2
+        assert mq.param_count(DecompositionKind.NAIVE_KRONECKER, n) == t.k * (8**2 + 4**2)
+
     def test_inconsistent_dims(self):
         for n in (100, 33, 0, -32):
             with pytest.raises(ShapeError):
