@@ -13,7 +13,15 @@ transform. Both sides run one transform -> clip -> qdq operand path
 (_site_operand); quantized_forward (which the toy block's linear sites in
 harness call), fuse and fused_forward reuse it. Transform and clip blocks
 are the 32-element MX block (formats.BLOCK), so no outlier moves across a
-quantization block.
+quantization block. The operand path clips and quantizes in place in the
+transform's output, which is fresh unless the caller passes an out buffer.
+
+Buffers: calibrate_layer owns the weight side's two full-size arrays and
+reuses them in every step: the operand (transform output, clipped and
+quantized in place) and the weight gradient, which the reverse pass masks
+and clips in place. One step's context is dropped before the next starts,
+so its masks never overlap the next step's. Everything else on the weight
+side is a mask or a temporary of at most formats.CHUNK blocks.
 
 Gradients are a fixed-graph reverse pass hand-derived for this
 pipeline: the quantize-dequantize step is a clipped straight-through
@@ -36,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -106,6 +115,11 @@ class FusedLayer:
     transform: GpkTransform
     act_clip: ClipParams
 
+    @cached_property
+    def weight(self) -> np.ndarray:
+        """w_q as a dense float64 matrix; an MxTensor is decoded on first use, once."""
+        return self.w_q.to_dense() if isinstance(self.w_q, MxTensor) else self.w_q
+
 
 # -- forward / backward engine -------------------------------------------
 
@@ -128,42 +142,53 @@ class _StepCtx:
     y: np.ndarray
 
 
-def _site_operand(v, t: GpkTransform, clip_params: ClipParams, fmt) -> _Operand:
-    """Transform -> clip -> qdq of one matmul operand; fmt None skips qdq."""
-    vc, clip = clip_with_ctx(gpk_forward(v, t), clip_params)
+def _site_operand(v, t: GpkTransform, clip_params: ClipParams, fmt, out=None) -> _Operand:
+    """Transform -> clip -> qdq of one matmul operand; fmt None skips qdq.
+
+    The transform writes into out (a fresh array when None); clip and qdq
+    then run in place in it.
+    """
+    vt = gpk_forward(v, t, out=out)
+    vc, clip = clip_with_ctx(vt, clip_params, out=vt)
     if fmt is None:
         return _Operand(v, t, vc, None, clip)
-    out, mask = quantize_dequantize_with_mask(vc, fmt)
-    return _Operand(v, t, out, mask, clip)
+    vq, mask = quantize_dequantize_with_mask(vc, fmt, out=vc)
+    return _Operand(v, t, vq, mask, clip)
 
 
-def _forward(x, w, theta: Theta, formats: FormatConfig) -> _StepCtx:
+def _forward(x, w, theta: Theta, formats: FormatConfig, w_out=None) -> _StepCtx:
+    """One forward pass; w_out, when given, receives the weight operand."""
     t = theta.transform
     xo = _site_operand(x, t, theta.act_clip, formats.activations)
-    wo = _site_operand(w, t.inverse_transpose(), theta.weight_clip, formats.weights)
+    wo = _site_operand(w, t.inverse_transpose(), theta.weight_clip, formats.weights, w_out)
     return _StepCtx(xo, wo, xo.out @ wo.out.T)
 
 
 def _operand_backward(op: _Operand, grad):
     """Adjoint of _site_operand: grad at op.out -> (d_a, d_b, d_alpha_min, d_alpha_max).
 
-    qdq passes grad through where it did not saturate (op.mask), masking in place:
-    grad is the caller's own array.
+    qdq passes grad through where it did not saturate (op.mask). grad is the
+    caller's own array: the mask and the clip's reverse pass run in place in it.
     """
     if op.mask is not None:
         np.multiply(grad, op.mask, out=grad)
-    dt, d_min, d_max = clip_backward(op.clip, grad)
+    dt, d_min, d_max = clip_backward(op.clip, grad, out=grad)
     da, db = gpk_backward(op.v, op.t, dt)
     return da, db, d_min, d_max
 
 
-def _backward(ctx: _StepCtx, y_ref) -> tuple[float, dict[str, np.ndarray]]:
+def _backward(ctx: _StepCtx, y_ref, w_grad=None) -> tuple[float, dict[str, np.ndarray]]:
+    """Loss and gradients of one step; ctx is left as it is.
+
+    w_grad, when given, is the buffer for the weight operand's gradient.
+    """
     diff = ctx.y - y_ref
     loss = float(np.sum(diff * diff))
 
     dy = 2.0 * diff
     da_act, db_act, d_act_min, d_act_max = _operand_backward(ctx.x, dy @ ctx.w.out)
-    da_p, db_p, d_w_min, d_w_max = _operand_backward(ctx.w, dy.T @ ctx.x.out)
+    w_grad = np.matmul(dy.T, ctx.x.out, out=w_grad)
+    da_p, db_p, d_w_min, d_w_max = _operand_backward(ctx.w, w_grad)
 
     # weight path runs through A' = A^-T, B' = B^-T; map those gradients back
     ait = ctx.w.t.a  # A^-T
@@ -257,12 +282,13 @@ def calibrate_layer(w, calib_set, config: CalibConfig, formats: FormatConfig):
     loss_trace: list[tuple[int, float, float]] = []
 
     y_refs = [x @ w.T for x in batches]
+    w_out, w_grad = np.empty(w.shape), np.empty(w.shape)  # reused by every step
     total_steps = config.epochs * len(batches)
     step = 0
     for _epoch in range(config.epochs):
         for x, y_ref in zip(batches, y_refs):
-            ctx = _forward(x, w, theta, formats)
-            step_loss, grads = _backward(ctx, y_ref)
+            # the step context is a temporary: freed before the next forward
+            step_loss, grads = _backward(_forward(x, w, theta, formats, w_out), y_ref, w_grad)
             if not math.isfinite(step_loss):
                 raise DivergenceError("non-finite loss", step, loss_trace)
             if any(not np.all(np.isfinite(g)) for g in grads.values()):
@@ -286,5 +312,4 @@ def fuse(w, theta: Theta, formats: FormatConfig) -> FusedLayer:
 def fused_forward(x, fused: FusedLayer, formats: FormatConfig) -> np.ndarray:
     """Inference with pre-quantized weights and the online activation path."""
     xq = _site_operand(x, fused.transform, fused.act_clip, formats.activations).out
-    w = fused.w_q.to_dense() if isinstance(fused.w_q, MxTensor) else fused.w_q
-    return xq @ w.T
+    return xq @ fused.weight.T

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .formats import BLOCK, blocks
+from .formats import BLOCK, blocks, out_blocks
 
 START_LOGIT = 4.0  # sigmoid(4) ~ 0.982: near-identity at the start of training
 
@@ -94,11 +94,13 @@ def _block_extremum(xb, reduce):
     return ext, first
 
 
-def clip_with_ctx(x, params: ClipParams):
+def clip_with_ctx(x, params: ClipParams, out=None):
     """Element-wise clamp of each block to its dynamic bounds.
 
-    Returns (clipped, ClipCtx); the context feeds clip_backward. A tensor
-    with no rows has no block extrema and raises ShapeError.
+    Returns (clipped, ClipCtx); the context feeds clip_backward. The clipped
+    tensor is written into out when given (see formats.out_blocks; out=x
+    clips in place), else into a fresh array. A tensor with no rows has no
+    block extrema and raises ShapeError.
     """
     xb = blocks(x)
     if xb.shape[0] == 0:
@@ -108,30 +110,37 @@ def clip_with_ctx(x, params: ClipParams):
     x_min, argmin = _block_extremum(xb, np.min)
     x_max, argmax = _block_extremum(xb, np.max)
     s_min, s_max = sigmoid(params.alpha_min), sigmoid(params.alpha_max)
-    lo = s_min * x_min
-    hi = s_max * x_max
+    lo = (s_min * x_min)[None, :, None]
+    hi = (s_max * x_max)[None, :, None]
 
-    y = np.maximum(xb, lo[None, :, None])
-    upper = y > hi[None, :, None]
-    lower = (xb < lo[None, :, None]) & ~upper
-    np.copyto(y, hi[None, :, None], where=upper)
+    lower = xb < lo  # taken before out, which may be x, is written
+    y = np.maximum(xb, lo, out=out_blocks(out, x))
+    upper = y > hi
+    np.copyto(lower, False, where=upper)
+    np.copyto(y, hi, where=upper)
     ctx = ClipCtx(np.shape(x), upper, lower, x_min, x_max, argmin, argmax, s_min, s_max)
     return y.reshape(np.shape(x)), ctx
 
 
-def clip_backward(ctx: ClipCtx, grad):
+def clip_backward(ctx: ClipCtx, grad, out=None):
     """Exact reverse pass of clip_with_ctx.
 
     Returns (d_x, d_alpha_min, d_alpha_max). Interior elements pass their
     gradient through; clamped elements route gradient to the logits and,
     because the bound is built from the block's own extremum, to the
     extremal element itself (bound ratio times the summed clamped grad).
+    d_x is written into out when given (see formats.out_blocks; out=grad
+    runs in place), else into a fresh array.
     """
     gb = blocks(grad)
-    dxb = np.where(ctx.upper | ctx.lower, 0.0, gb)
-
     g_up = np.sum(gb, axis=(0, 2), where=ctx.upper)  # (k,)
     g_lo = np.sum(gb, axis=(0, 2), where=ctx.lower)
+
+    dxb = out_blocks(out, grad)
+    if not np.may_share_memory(dxb, gb):
+        np.copyto(dxb, gb)
+    np.copyto(dxb, 0.0, where=ctx.upper)
+    np.copyto(dxb, 0.0, where=ctx.lower)
 
     # sigmoid'(alpha) = s * (1 - s) with s = sigmoid(alpha), saved by the forward
     d_alpha_max = g_up * (ctx.s_max * (1.0 - ctx.s_max)) * ctx.x_max

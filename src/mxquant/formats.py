@@ -37,9 +37,15 @@ clamps agree: index -> magnitude is increasing, and the first index past
 the top entry (the excluded E4M3 NaN slot, or E2M1's n = 2^(m+1) in the top
 binade) already lies above max_value. Either clamp is saturation.
 
-The codec works on an (n_blocks, 32) float64 view of blocks(x); scaling by
-2^e is a product with an exact power of two, which rounds only where the
-result leaves the float64 normal range, exactly as ldexp would.
+The codec works on an (n_blocks, 32) float64 view of blocks(x), CHUNK blocks
+at a time: its float temporaries are at most one chunk, whatever the
+tensor's size. Scaling by 2^e is a product with an exact power of two,
+which rounds only where the result leaves the float64 normal range, exactly
+as ldexp would.
+
+Buffer rule: a public function writes only its own fresh arrays, or the
+array a caller passes as ``out=`` (numpy-style: "write the result here";
+it may be the input itself, for an in-place run). out_blocks checks it.
 
 Decode is a table read. The OCP MX spec defines each element code by its
 value, so code_values holds the signed value of every code (-0.0 for the
@@ -58,6 +64,7 @@ import numpy as np
 from .errors import NonFiniteError, ShapeError
 
 BLOCK = 32
+CHUNK = 4096  # blocks per codec (and transform) pass: bounds the float temporaries
 
 
 def block_count(n: int, what: str = "feature dimension") -> int:
@@ -79,6 +86,22 @@ def blocks(x, what: str = "trailing dimension") -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     k = block_count(x.shape[-1] if x.ndim else 0, f"shape {x.shape}: {what}")
     return x.reshape(-1, k, BLOCK)
+
+
+def out_blocks(out, x) -> np.ndarray:
+    """The (rows, k, BLOCK) view of the array that receives a result shaped like x.
+
+    out None gives a fresh array. Otherwise out must be a C-contiguous
+    float64 array of x's shape (it may be x itself); anything else raises
+    ValueError, since reshaping it would copy and lose the writes.
+    """
+    shape = np.shape(x)
+    if out is None:
+        return blocks(np.empty(shape))
+    if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}, got "
+                         f"{out.dtype} {out.shape}")
+    return blocks(out)
 
 
 @dataclass(frozen=True)
@@ -251,17 +274,22 @@ def _binade_round(r, fmt: MxFormat):
 
 def _encode_blocks(xb, fmt: MxFormat):
     m = fmt.mantissa_bits
-    se, r = _scaled_magnitudes(xb, fmt)
-    ui = _binade_round(r, fmt).view(np.int64)
-    idx = r.view(np.int64)
-    idx -= ui  # n
-    ui >>= 52  # biased exponent of u: e - m + 52 + 1023
-    ui -= 1075 - m + fmt.emin
-    ui <<= m
-    idx += ui  # n + ((e - emin) << m)
-    np.minimum(idx, len(fmt.value_set) - 1, out=idx)
-    codes = (np.signbit(xb).astype(np.uint8) << fmt.sign_shift) | idx.astype(np.uint8)
-    return se.astype(np.int8), codes
+    scale_exps = np.empty(len(xb), dtype=np.int8)
+    codes = np.empty(xb.shape, dtype=np.uint8)
+    for s in range(0, len(xb), CHUNK):
+        xc = xb[s : s + CHUNK]
+        se, r = _scaled_magnitudes(xc, fmt)
+        ui = _binade_round(r, fmt).view(np.int64)
+        idx = r.view(np.int64)
+        idx -= ui  # n
+        ui >>= 52  # biased exponent of u: e - m + 52 + 1023
+        ui -= 1075 - m + fmt.emin
+        ui <<= m
+        idx += ui  # n + ((e - emin) << m)
+        np.minimum(idx, len(fmt.value_set) - 1, out=idx)
+        scale_exps[s : s + CHUNK] = se
+        codes[s : s + CHUNK] = (np.signbit(xc).astype(np.uint8) << fmt.sign_shift) | idx
+    return scale_exps, codes
 
 
 def _decode_blocks(scale_exps, codes, fmt: MxFormat):
@@ -270,13 +298,18 @@ def _decode_blocks(scale_exps, codes, fmt: MxFormat):
     return out
 
 
-def _qdq_blocks(xb, fmt: MxFormat):
-    se, r = _scaled_magnitudes(xb, fmt)
-    mask = r <= fmt.max_value
-    r -= _binade_round(r, fmt)  # n * 2^(e - m)
-    np.minimum(r, fmt.max_value, out=r)
-    r *= np.ldexp(1.0, se)[:, None]
-    return np.copysign(r, xb, out=r), mask
+def _qdq_blocks(xb, fmt: MxFormat, out):
+    """qdq of xb into out (both (n_blocks, BLOCK); out may be xb) and the in-range mask."""
+    mask = np.empty(xb.shape, dtype=bool)
+    for s in range(0, len(xb), CHUNK):
+        xc = xb[s : s + CHUNK]
+        se, r = _scaled_magnitudes(xc, fmt)
+        np.less_equal(r, fmt.max_value, out=mask[s : s + CHUNK])
+        r -= _binade_round(r, fmt)  # n * 2^(e - m)
+        np.minimum(r, fmt.max_value, out=r)
+        r *= np.ldexp(1.0, se)[:, None]
+        np.copysign(r, xc, out=out[s : s + CHUNK])
+    return out, mask
 
 
 def _check_finite(x):
@@ -313,12 +346,15 @@ def quantize_dequantize(x, fmt: MxFormat | None) -> np.ndarray:
     return y
 
 
-def quantize_dequantize_with_mask(x, fmt: MxFormat):
+def quantize_dequantize_with_mask(x, fmt: MxFormat, out=None):
     """Round-trip plus the in-range mask used by the straight-through pass.
 
     mask is False exactly where |v| / scale exceeds the largest grid value,
-    i.e. where the element saturated.
+    i.e. where the element saturated. The round-trip is written into out
+    when given (see out_blocks; out=x runs in place), else into a fresh array.
+    On a NonFiniteError, out may hold the chunks before the bad one.
     """
     x = np.asarray(x, dtype=np.float64)
-    y, mask = _qdq_blocks(blocks(x, "innermost dimension").reshape(-1, BLOCK), fmt)
+    xb = blocks(x, "innermost dimension").reshape(-1, BLOCK)
+    y, mask = _qdq_blocks(xb, fmt, out_blocks(out, x).reshape(-1, BLOCK))
     return y.reshape(x.shape), mask.reshape(x.shape)

@@ -174,7 +174,8 @@ def read_tensor(path):
     """Read a .mxbt file; returns a float64 array or an MxTensor.
 
     Sizes, the MX block rule, scale exponents and code indices are checked
-    against the layout before the payload is decoded.
+    against the layout before the payload is decoded; f32 values must be
+    finite.
     """
     raw, (tag, rank) = _read_head(path, TENSOR_MAGIC, _TENSOR_HEAD, "tensor file")
     off = _TENSOR_HEAD.size + 4 * rank
@@ -187,6 +188,9 @@ def read_tensor(path):
     fmt = _DTYPES[tag]
     if fmt is None:
         data = _read_body(path, raw, off, (np.dtype("<f4"), count))
+        if not np.isfinite(data).all():  # the bool mask is freed before the cast below
+            bad = int(np.argmin(np.isfinite(data)))
+            raise FileFormatError(f"{path}: non-finite value {data[bad]} at element {bad}")
         return data.astype(np.float64).reshape(dims)
 
     _check_mx_width(dims, path)

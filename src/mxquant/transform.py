@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ShapeError, SingularTransformError
-from .formats import BLOCK, block_count, blocks
+from .formats import BLOCK, CHUNK, block_count, blocks, out_blocks
 
 G1 = 8  # global factor size
 G2 = 4  # private factor size
@@ -108,17 +108,23 @@ def _split_blocks(x: np.ndarray, t: GpkTransform) -> np.ndarray:
     return xb.reshape(-1, t.k, G2, G1)
 
 
-def gpk_forward(x: np.ndarray, t: GpkTransform) -> np.ndarray:
+def gpk_forward(x: np.ndarray, t: GpkTransform, out=None) -> np.ndarray:
     """Apply the factored transform to the trailing axis of x.
 
-    Two contractions: V @ A for every block at once (A is shared, so one
-    GEMM over all (rows * k * G2, G1) slices), then B_i @ (V @ A) per block.
-    Cost is rows * N * (G1 + G2) multiply-adds.
+    Two contractions: V @ A (A is shared, so one GEMM over the (rows * k *
+    G2, G1) slices), then B_i @ (V @ A) per block, written into out (see
+    formats.out_blocks; out=x runs in place) or a fresh array. Both run on
+    rows holding about CHUNK blocks at a time, so V @ A is one chunk's
+    temporary. Cost is rows * N * (G1 + G2) multiply-adds.
     """
-    lead = np.asarray(x).shape[:-1]
     v = _split_blocks(x, t)
-    va = (v.reshape(-1, G1) @ t.a).reshape(v.shape)
-    return np.matmul(t.b, va).reshape(*lead, t.n)
+    y = out_blocks(out, x).reshape(v.shape)
+    step = max(1, CHUNK // t.k)
+    for s in range(0, len(v), step):
+        vc = v[s : s + step]
+        va = (vc.reshape(-1, G1) @ t.a).reshape(vc.shape)
+        np.matmul(t.b, va, out=y[s : s + step])
+    return y.reshape(np.shape(x))
 
 
 def gpk_backward(x: np.ndarray, t: GpkTransform, grad_out: np.ndarray):

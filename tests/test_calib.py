@@ -382,6 +382,21 @@ class TestCalibrateLayer:
         offline = fused_forward(xb, fuse(w, theta, W4A4KV16), W4A4KV16)
         assert online.tobytes() == offline.tobytes()
 
+    def test_fused_layer_decodes_its_weight_once_on_first_use(self, rng, monkeypatch):
+        x, w = make_outlier_instance(seed=4, rows=32)
+        theta, _ = calibrate_layer(w, x, CalibConfig(lr=0.01, epochs=1), W4A4KV16)
+        decode = mq.MxTensor.to_dense
+        calls = []
+        monkeypatch.setattr(mq.MxTensor, "to_dense", lambda t: calls.append(t) or decode(t))
+        fused = fuse(w, theta, W4A4KV16)
+        assert isinstance(fused.w_q, mq.MxTensor) and calls == []  # not at construction
+        xs = [rng.normal(size=(rows, 128)) for rows in (1, 8, 3, 1)]
+        got = [fused_forward(xb, fused, W4A4KV16) for xb in xs]
+        assert calls == [fused.w_q]
+        dense = mq.FusedLayer(decode(fused.w_q), fused.transform, fused.act_clip)
+        for xb, y in zip(xs, got):
+            assert y.tobytes() == fused_forward(xb, dense, W4A4KV16).tobytes()
+
     def test_divergence_raises_with_step(self):
         x = np.full((4, 64), 1e200)
         w = np.full((4, 64), 1e200)

@@ -202,6 +202,16 @@ class TestTensorFile:
         assert "w.mxbt" in str(e.value)
         assert not (tmp_path / "w.mxbt").exists()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_f32_nonfinite_value_names_file_and_element(self, tmp_path, rng, bad):
+        x = rng.normal(size=(4, 64))
+        x[2, 5] = bad
+        p = tmp_path / "x.mxbt"
+        io.write_tensor(p, x)
+        message = f"{p}: non-finite value {np.float32(bad)} at element 133"
+        with pytest.raises(FileFormatError, match=re.escape(message)):
+            io.read_tensor(p)
+
     def test_all_mx4_codes_accepted(self, tmp_path):
         raw = b"MXBT" + struct.pack("<HBB2I", 1, 1, 2, 1, 32) + struct.pack("<b", -127)
         p = tmp_path / "all.mxbt"
@@ -467,8 +477,8 @@ class TestCli:
         with np.errstate(all="ignore"):
             assert main(["calibrate", "--config", str(cfg)]) == 3
 
-    def test_nonfinite_input_is_data_error(self, tmp_path):
-        # 1e200 overflows the f32 payload to inf; the quantizer rejects it
+    def test_nonfinite_input_is_data_error(self, tmp_path, capsys):
+        # 1e200 overflows the f32 payload to inf; reading the weights rejects it
         with np.errstate(over="ignore"):
             io.write_tensor(tmp_path / "w.mxbt", np.full((4, 64), 1e200))
             io.write_tensor(tmp_path / "acts.mxbt", np.full((8, 64), 1e200))
@@ -476,6 +486,19 @@ class TestCli:
         cfg.write_text("weights = w.mxbt\ncalib = acts.mxbt\nlr = 1e-3\nepochs = 1\n")
         with np.errstate(all="ignore"):
             assert main(["calibrate", "--config", str(cfg)]) == 2
+        assert f"{tmp_path / 'w.mxbt'}: non-finite value inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["w.mxbt", "acts.mxbt"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_nonfinite_f32_input_names_its_file(self, tmp_path, capsys, name, bad):
+        # rejected when read: one stderr line naming the file, no numpy warning
+        cfg, x, w = _write_calib_bundle(tmp_path)
+        v = (w if name == "w.mxbt" else x).copy()
+        v[1, 3] = bad
+        io.write_tensor(tmp_path / name, v)
+        _expect_one_data_error(["calibrate", "--config", str(cfg)], capsys,
+                               f"{tmp_path / name}: non-finite value {np.float32(bad)}")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("blocks", ["g = 64\ng1 = 8\ng2 = 8", "g = 16\ng1 = 4\ng2 = 4",
                                         "g1 = 4", "g = 32\ng1 = 8\ng2 = 2"],
@@ -729,6 +752,8 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("mxquant: data:")
         assert not (tmp_path / "s.csv").exists()
+        if bad != "nan-transform":
+            assert f"{tmp_path / 'x.mxbt'}: non-finite value" in err[0]
 
     @pytest.mark.parametrize("header, a_size, b_size", [
         ((64, 64, 8, 8, 1), 8, 8),  # one transform straddles two MX blocks
