@@ -28,7 +28,6 @@ from .formats import (
     E2M1,
     E4M3,
     FormatConfig,
-    MxBlock,
     MxFormat,
     MxTensor,
     dequantize_block,

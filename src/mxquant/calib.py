@@ -16,12 +16,13 @@ are the 32-element MX block (formats.BLOCK), so no outlier moves across a
 quantization block. The operand path clips and quantizes in place in the
 transform's output, which is fresh unless the caller passes an out buffer.
 
-Buffers: calibrate_layer owns the weight side's two full-size arrays and
-reuses them in every step: the operand (transform output, clipped and
-quantized in place) and the weight gradient, which the reverse pass masks
-and clips in place. One step's context is dropped before the next starts,
-so its masks never overlap the next step's. Everything else on the weight
-side is a mask or a temporary of at most formats.CHUNK blocks.
+Buffers: calibrate_layer owns one full-size weight-side array and reuses
+it in every step. The forward writes the operand there (transform output,
+clipped and quantized in place); the reverse pass reads it for dy @ w~,
+then writes the weight gradient dy.T @ x~ over it and masks and clips that
+in place. One step's context is dropped before the next starts, so its
+masks never overlap the next step's. Everything else on the weight side is
+a mask or a temporary of at most formats.CHUNK blocks.
 
 Gradients are a fixed-graph reverse pass hand-derived for this
 pipeline: the quantize-dequantize step is a clipped straight-through
@@ -178,9 +179,11 @@ def _operand_backward(op: _Operand, grad):
 
 
 def _backward(ctx: _StepCtx, y_ref, w_grad=None) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss and gradients of one step; ctx is left as it is.
+    """Loss and gradients of one step.
 
-    w_grad, when given, is the buffer for the weight operand's gradient.
+    w_grad, when given, is the buffer for the weight operand's gradient. It
+    may be ctx.w.out: the operand is read (dy @ w~) before the gradient is
+    written, and nothing reads it after. Otherwise ctx is left as it is.
     """
     diff = ctx.y - y_ref
     loss = float(np.sum(diff * diff))
@@ -263,7 +266,7 @@ def calibrate_layer(w, calib_set, config: CalibConfig, formats: FormatConfig):
     (step, lr, loss) row per optimizer step. A non-finite loss or gradient
     raises DivergenceError carrying the trace up to that step.
     """
-    w = np.asarray(w, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64, order="C")  # one BLAS path whatever the layout
     if w.ndim != 2 or w.shape[0] == 0:
         raise ShapeError(f"weights must be 2-D (out > 0, in), got shape {w.shape}")
     n = w.shape[1]
@@ -282,13 +285,13 @@ def calibrate_layer(w, calib_set, config: CalibConfig, formats: FormatConfig):
     loss_trace: list[tuple[int, float, float]] = []
 
     y_refs = [x @ w.T for x in batches]
-    w_out, w_grad = np.empty(w.shape), np.empty(w.shape)  # reused by every step
+    w_buf = np.empty(w.shape)  # every step's weight operand, then its gradient
     total_steps = config.epochs * len(batches)
     step = 0
     for _epoch in range(config.epochs):
         for x, y_ref in zip(batches, y_refs):
             # the step context is a temporary: freed before the next forward
-            step_loss, grads = _backward(_forward(x, w, theta, formats, w_out), y_ref, w_grad)
+            step_loss, grads = _backward(_forward(x, w, theta, formats, w_buf), y_ref, w_buf)
             if not math.isfinite(step_loss):
                 raise DivergenceError("non-finite loss", step, loss_trace)
             if any(not np.all(np.isfinite(g)) for g in grads.values()):

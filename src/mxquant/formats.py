@@ -206,14 +206,6 @@ class FormatConfig:
 
 
 @dataclass
-class MxBlock:
-    """One quantized block: a UE8M0 scale exponent plus 32 element codes."""
-
-    scale_exp: int
-    codes: np.ndarray  # uint8, shape (32,)
-
-
-@dataclass
 class MxTensor:
     """A block-quantized tensor.
 
@@ -317,19 +309,17 @@ def _check_finite(x):
         raise NonFiniteError("non-finite values (NaN or inf) in quantizer input")
 
 
-def quantize_block(values, fmt: MxFormat) -> MxBlock:
-    """Quantize exactly 32 finite values to one MX block."""
-    v = np.ascontiguousarray(values, dtype=np.float64)
+def quantize_block(values, fmt: MxFormat) -> MxTensor:
+    """Quantize exactly 32 finite values to a one-block MxTensor."""
+    v = np.asarray(values, dtype=np.float64)
     if v.shape != (BLOCK,):
         raise ShapeError(f"a block holds exactly {BLOCK} elements, got shape {v.shape}")
-    se, codes = _encode_blocks(v.reshape(1, BLOCK), fmt)
-    return MxBlock(int(se[0]), codes[0])
+    return quantize_tensor(v, fmt)
 
 
-def dequantize_block(block: MxBlock, fmt: MxFormat) -> np.ndarray:
-    """Decode one block to 32 float64 values."""
-    se = np.array([block.scale_exp], dtype=np.int8)
-    return _decode_blocks(se, block.codes.reshape(1, BLOCK), fmt)[0]
+def dequantize_block(block: MxTensor) -> np.ndarray:
+    """Decode a one-block MxTensor to its 32 float64 values."""
+    return block.to_dense()
 
 
 def quantize_tensor(x, fmt: MxFormat) -> MxTensor:

@@ -60,16 +60,16 @@ class TestValueSets:
 class TestQuantizeBlock:
     def test_all_zero_block(self):
         blk = mq.quantize_block(np.zeros(32), mq.E2M1)
-        assert blk.scale_exp == 0
-        assert np.all(mq.dequantize_block(blk, mq.E2M1) == 0.0)
+        assert int(blk.scale_exps[0]) == 0
+        assert np.all(mq.dequantize_block(blk) == 0.0)
 
     def test_single_six_exact(self):
         # floor(log2 6) - emax = 2 - 2 = 0, so 6.0 lands on the grid exactly
         v = np.zeros(32)
         v[0] = 6.0
         blk = mq.quantize_block(v, mq.E2M1)
-        assert blk.scale_exp == 0
-        dec = mq.dequantize_block(blk, mq.E2M1)
+        assert int(blk.scale_exps[0]) == 0
+        dec = mq.dequantize_block(blk)
         assert dec[0] == 6.0
         assert np.array_equal(dec, nearest_mx_oracle(v, mq.E2M1))
 
@@ -77,15 +77,15 @@ class TestQuantizeBlock:
         v = rng.choice([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0], size=32)
         v[0] = 6.0  # pin the scale at 2^0
         blk = mq.quantize_block(v, mq.E2M1)
-        assert np.array_equal(mq.dequantize_block(blk, mq.E2M1), v)
+        assert np.array_equal(mq.dequantize_block(blk), v)
 
     def test_half_gap_error_bound(self, rng):
         # derived bound: in-range elements land within half the local grid gap
         for fmt in (mq.E2M1, mq.E4M3):
             v = rng.uniform(-6, 6, size=32)
             blk = mq.quantize_block(v, fmt)
-            dec = mq.dequantize_block(blk, fmt)
-            grid = np.ldexp(fmt.value_set, blk.scale_exp)
+            dec = mq.dequantize_block(blk)
+            grid = np.ldexp(fmt.value_set, int(blk.scale_exps[0]))
             full = np.sort(np.concatenate([-grid, grid]))
             for x, d in zip(v, dec):
                 if abs(x) > grid[-1]:  # saturated: clamps to the max magnitude
@@ -212,8 +212,8 @@ class TestQuantizeTensor:
         t = mq.quantize_tensor(x, mq.E4M3)
         dense = t.to_dense()
         for b in range(t.n_blocks):
-            blk = mq.MxBlock(int(t.scale_exps[b]), t.codes[b])
-            assert np.array_equal(dense.reshape(-1, 32)[b], mq.dequantize_block(blk, mq.E4M3))
+            blk = mq.MxTensor((32,), mq.E4M3, t.scale_exps[b : b + 1], t.codes[b : b + 1])
+            assert np.array_equal(dense.reshape(-1, 32)[b], mq.dequantize_block(blk))
 
     def test_qdq_equals_decode_of_encode(self, rng):
         x = rng.normal(size=(8, 96)) * 37.0
@@ -338,8 +338,8 @@ class TestInvariants:
         v = np.random.default_rng(seed).normal(size=32)
         base = mq.quantize_block(v, mq.E2M1)
         shifted = mq.quantize_block(np.ldexp(v, j), mq.E2M1)
-        assert shifted.scale_exp == base.scale_exp + j
-        assert np.array_equal(shifted.codes, base.codes)
+        assert int(shifted.scale_exps[0]) == int(base.scale_exps[0]) + j
+        assert np.array_equal(shifted.codes[0], base.codes[0])
 
     def test_determinism(self, rng):
         v = rng.normal(size=(100, 32))
@@ -351,8 +351,8 @@ class TestInvariants:
     def test_decoded_magnitude_bounded_by_scale(self, rng):
         v = rng.normal(size=32) * 1e6
         blk = mq.quantize_block(v, mq.E2M1)
-        dec = mq.dequantize_block(blk, mq.E2M1)
-        assert np.all(np.abs(dec) <= np.ldexp(mq.E2M1.max_value, blk.scale_exp))
+        dec = mq.dequantize_block(blk)
+        assert np.all(np.abs(dec) <= np.ldexp(mq.E2M1.max_value, int(blk.scale_exps[0])))
 
 
 class TestFormatConfig:
