@@ -22,11 +22,26 @@ path. Normalization and attention scores stay in full precision. K/V
 quantization is simulated as one quantize-dequantize of each head's key
 and value slice; the cache carries no transform, because calibration
 learns only the linear sites. RoPE is deliberately absent.
+
+calibrate_block runs the sites concurrently: each learns from its own
+recorded input and weight. The sites are split into min(CPUs, sites)
+groups balanced by weight size, since a calibration step costs about the
+same per weight element: largest site first, each site joins the group
+with the fewest weight elements so far. The CPU count is the size of the
+process's affinity set (os.sched_getaffinity), else os.cpu_count(). The
+calling thread runs the first group and one threading.Thread runs each
+other group, so at most one site per CPU is in flight; the caller works
+instead of waiting because each started thread gets its own malloc arena,
+and an idle caller would cost one more arena's peak memory. With one CPU
+no thread starts. Each calibrate_layer call reads and writes only its own
+arrays, so every Theta is byte-identical to a serial loop's.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 
@@ -170,13 +185,62 @@ def simulate_block(block: ToyBlock, x, formats: FormatConfig):
     return y, report
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity set, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _site_groups(sizes: dict[str, int], n_groups: int) -> list[list[str]]:
+    """Split the sites into n_groups groups of about equal weight size.
+
+    Largest site first, each site joins the group with the fewest weight
+    elements so far. Each group lists its sites in the order of sizes.
+    """
+    load = [0] * n_groups
+    group_of = {}
+    for site in sorted(sizes, key=sizes.get, reverse=True):
+        group_of[site] = load.index(min(load))
+        load[group_of[site]] += sizes[site]
+    return [[site for site in sizes if group_of[site] == g] for g in range(n_groups)]
+
+
 def calibrate_block(block: ToyBlock, x, config: CalibConfig, formats: FormatConfig) -> ToyBlock:
     """Calibrate every linear site on the block's own activations.
 
     One full-precision forward records each site's input and weight
-    matrix, then each site is calibrated layer-wise.
+    matrix, then each site is calibrated layer-wise, one group of sites per
+    CPU at a time (see the module docstring). If a site fails, the error of
+    the first failing site in site order is raised once every group has
+    ended: the sites before it keep their new Theta, the later ones their
+    old one, as a serial loop over the sites would leave them.
     """
     _, taps = _block_forward(block, np.asarray(x, dtype=np.float64), None)
-    for site, (inp, w, _) in taps.items():
-        block.sites[site], _ = calibrate_layer(w, inp, config, formats)
+    sizes = {site: w.size for site, (_, w, _) in taps.items()}
+    groups = _site_groups(sizes, min(_cpu_count(), len(sizes)))
+    results: dict[str, Theta | Exception] = {}  # one key per site, so no lock
+
+    def run(group):
+        for site in group:
+            inp, w, _ = taps[site]
+            try:
+                results[site], _ = calibrate_layer(w, inp, config, formats)
+            except Exception as exc:  # re-raised by the caller, in site order
+                results[site] = exc
+                return  # the group's later sites are later in site order too
+
+    threads = [threading.Thread(target=run, args=(group,)) for group in groups[1:]]
+    for t in threads:
+        t.start()
+    try:
+        run(groups[0])
+    finally:
+        for t in threads:
+            t.join()
+    for site in taps:  # every site before the first failure has run
+        if isinstance(results[site], Exception):
+            raise results[site]
+        block.sites[site] = results[site]
     return block

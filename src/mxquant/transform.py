@@ -81,10 +81,32 @@ class GpkTransform:
         if bad.size:
             raise SingularTransformError(int(bad[0]), cb[bad[0]])
 
+    def _inverse_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A^-1, B_i^-1), each factor inverted once; raises as check_invertible does.
+
+        ||M||_F * ||M^-1||_F bounds cond_2(M) from above, so a factor whose
+        bound is at most COND_LIMIT / 16 passes check_invertible and skips its
+        SVD; the margin covers rounding in the computed inverse. A non-finite
+        factor has a non-finite bound, and any factor over the bound sends the
+        whole transform through check_invertible, so the same factors are
+        rejected with the same error.
+        """
+        try:
+            a_inv, b_inv = np.linalg.inv(self.a), np.linalg.inv(self.b)
+        except np.linalg.LinAlgError:  # an exactly singular factor
+            self.check_invertible()
+            raise
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the test below
+            within = _frobenius_cond(self.a, a_inv) <= COND_LIMIT / 16 and np.all(
+                _frobenius_cond(self.b, b_inv) <= COND_LIMIT / 16
+            )
+        if not within:
+            self.check_invertible()
+        return a_inv, b_inv
+
     def inverse(self) -> "GpkTransform":
         """Transform built from A^-1 and B_i^-1; undoes the forward pass."""
-        self.check_invertible()
-        return GpkTransform(np.linalg.inv(self.a), np.linalg.inv(self.b))
+        return GpkTransform(*self._inverse_factors())
 
     def inverse_transpose(self) -> "GpkTransform":
         """Transform built from A^-T and B_i^-T.
@@ -92,10 +114,13 @@ class GpkTransform:
         Applying this to the rows of a weight matrix W realizes W @ P^-T,
         the factor that pairs with x @ P so the product X W^T is preserved.
         """
-        self.check_invertible()
-        return GpkTransform(
-            np.linalg.inv(self.a).T, np.transpose(np.linalg.inv(self.b), (0, 2, 1))
-        )
+        a_inv, b_inv = self._inverse_factors()
+        return GpkTransform(a_inv.T, np.transpose(b_inv, (0, 2, 1)))
+
+
+def _frobenius_cond(m: np.ndarray, m_inv: np.ndarray) -> np.ndarray:
+    """||M||_F * ||M^-1||_F of each trailing square matrix: cond_2(M) <= this."""
+    return np.sqrt(np.sum(m * m, axis=(-2, -1)) * np.sum(m_inv * m_inv, axis=(-2, -1)))
 
 
 def _split_blocks(x: np.ndarray, t: GpkTransform) -> np.ndarray:

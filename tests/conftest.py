@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,3 +24,15 @@ def make_outlier_instance(seed=0, n=128, m=64, rows=128, factor=50.0):
 W4A4KV16 = FormatConfig.from_name("W4A4KV16")
 W4A8KV16 = FormatConfig.from_name("W4A8KV16")
 NO_QUANT = FormatConfig(None, None, None)
+
+
+def traced_peak(call):
+    """Peak bytes traced by tracemalloc while call() runs, and its result."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - base, result

@@ -7,13 +7,12 @@ That bounds the peak of a calibration step; fuse keeps its own bound.
 """
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import mxquant as mq
-from conftest import W4A4KV16
+from conftest import W4A4KV16, traced_peak
 from mxquant.calib import FusedLayer, Theta, _backward, _forward
 from mxquant.clipping import ClipParams, clip_backward, clip_with_ctx
 from mxquant.formats import CHUNK, quantize_dequantize_with_mask, quantize_tensor
@@ -185,18 +184,6 @@ class TestChunks:
                                        for s in range(0, len(x), 500))
 
 
-def _peak_bytes(call):
-    """Peak bytes traced by tracemalloc while call() runs, and its result."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        result = call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return peak - base, result
-
-
 class TestPeakMemory:
     """A 1024 x 1024 W4A4 layer; peaks in units of the weight's own bytes."""
 
@@ -206,8 +193,8 @@ class TestPeakMemory:
         x = rng.normal(size=(64, n))
         x[:, :8] *= 50.0
         cfg = mq.CalibConfig(lr=0.1, epochs=1, batch_size=32)
-        peak, (theta, _) = _peak_bytes(lambda: mq.calibrate_layer(w, x, cfg, W4A4KV16))
+        peak, (theta, _) = traced_peak(lambda: mq.calibrate_layer(w, x, cfg, W4A4KV16))
         assert peak <= 2.25 * w.nbytes, peak / w.nbytes
-        peak, fused = _peak_bytes(lambda: mq.fuse(w, theta, W4A4KV16))
+        peak, fused = traced_peak(lambda: mq.fuse(w, theta, W4A4KV16))
         assert isinstance(fused.w_q, mq.MxTensor)
         assert peak <= 2.5 * w.nbytes, peak / w.nbytes

@@ -1,10 +1,13 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from conftest import NO_QUANT, W4A4KV16
+from conftest import NO_QUANT, W4A4KV16, traced_peak
 from mxquant import harness
-from mxquant.calib import CalibConfig
-from mxquant.errors import ShapeError
+from mxquant.calib import CalibConfig, calibrate_layer
+from mxquant.errors import DivergenceError, ShapeError
 from mxquant.formats import FormatConfig
 from mxquant.harness import (
     ToyBlockSpec,
@@ -18,6 +21,7 @@ SPEC = ToyBlockSpec(hidden=128, head_dim=32, n_heads=4, mlp_dim=256)
 TEXT_SITES = {"p_qkv", "p_o", "p_up", "p_down"}
 VIT_SITES = {"p_qkv", "p_o", "p_fc1", "p_fc2"}
 KV4 = FormatConfig.from_name("W16A16KV4")
+QUICK = CalibConfig(lr=0.02, epochs=1)  # two steps per site on 8 rows
 
 
 def _kv_calls(monkeypatch, block, x):
@@ -148,6 +152,95 @@ class TestCalibrateBlock:
         calibrate_block(block, x, CalibConfig(lr=0.02, epochs=2), W4A4KV16)
         a = block.sites["p_qkv"].transform.a
         assert np.abs(a - np.eye(8)).max() > 1e-3
+
+
+class TestConcurrentCalibration:
+    """calibrate_block runs one group of sites per CPU; the results are a serial loop's."""
+
+    @staticmethod
+    def _instance():
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(8, 128))
+        x[:, 40] *= 30.0
+        return build_toy_block(SPEC, seed=13), x
+
+    @staticmethod
+    def _serial(block, x):
+        _, taps = _block_forward(block, x, None)
+        return {site: calibrate_layer(w, inp, QUICK, W4A4KV16)[0]
+                for site, (inp, w, _) in taps.items()}
+
+    @staticmethod
+    def _same_bits(theta, want):
+        got = theta.params()
+        return all(got[name].tobytes() == p.tobytes() for name, p in want.params().items())
+
+    def test_groups_balance_weight_size(self):
+        block = build_toy_block(ToyBlockSpec(256, 32, 8, 512))
+        sizes = {site: w.size for site, w in block.weights.items()}
+        assert harness._site_groups(sizes, 2) == [["p_o", "p_up"], ["p_qkv", "p_down"]]
+        assert harness._site_groups(sizes, 1) == [list(block.sites)]
+        assert harness._site_groups(sizes, 4) == [["p_up"], ["p_qkv"], ["p_down"], ["p_o"]]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_matches_serial_calibrate_layer_bit_for_bit(self, monkeypatch, cpus):
+        # 4 groups on a 2-core host, with frequent thread switches, is the stress case
+        monkeypatch.setattr(harness, "_cpu_count", lambda: cpus)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+        block, x = self._instance()
+        want = self._serial(block, x)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            calibrate_block(block, x, QUICK, W4A4KV16)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(started) == cpus - 1  # the caller runs the first group itself
+        assert not any(t.is_alive() for t in started)
+        assert list(block.sites) == list(want)
+        for site, theta in want.items():
+            assert self._same_bits(block.sites[site], theta), site
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("failing", [("p_o",), ("p_up",), ("p_down",), ("p_up", "p_qkv")])
+    def test_first_failing_site_in_site_order_raises(self, monkeypatch, cpus, failing):
+        # at 2 CPUs the groups are [p_o, p_up] (the caller's) and [p_qkv, p_down]
+        monkeypatch.setattr(harness, "_cpu_count", lambda: cpus)
+        block, x = self._instance()
+        want = self._serial(block, x)
+        old = dict(block.sites)
+
+        def forced(w, inp, config, formats):
+            for site in failing:
+                if w is block.weights[site]:
+                    raise DivergenceError(f"forced at {site}", 0)
+            return calibrate_layer(w, inp, config, formats)
+
+        monkeypatch.setattr(harness, "calibrate_layer", forced)
+        threads = threading.active_count()
+        with pytest.raises(DivergenceError) as e:
+            calibrate_block(block, x, QUICK, W4A4KV16)
+        assert threading.active_count() == threads
+        order = list(block.sites)
+        first = min(order.index(site) for site in failing)
+        assert str(e.value) == f"forced at {order[first]} (step 0)"
+        for site in order[:first]:
+            assert self._same_bits(block.sites[site], want[site]), site
+        for site in order[first:]:
+            assert block.sites[site] is old[site], site
+
+    def test_at_most_one_site_per_cpu_in_flight(self, monkeypatch):
+        # calibrate_block also holds the recorded taps while two sites run, so its
+        # bound adds the recording forward's own peak to the two largest site peaks
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+        block, x = self._instance()
+        record, (_, taps) = traced_peak(lambda: _block_forward(block, x, None))
+        peaks = sorted(traced_peak(lambda: calibrate_layer(w, inp, QUICK, W4A4KV16))[0]
+                       for inp, w, _ in taps.values())
+        peak, _ = traced_peak(lambda: calibrate_block(block, x, QUICK, W4A4KV16))
+        assert peak <= peaks[-1] + peaks[-2] + record
 
 
 class TestGelu:

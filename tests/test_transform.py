@@ -127,6 +127,33 @@ class TestInverse:
             t.check_invertible()
         assert e.value.block_index == index
 
+    @pytest.mark.parametrize("where", ["a", "b1"])
+    def test_inverse_near_the_condition_limit_matches_check_then_invert(self, rng, where):
+        # the inverses skip check_invertible's SVD only where it must pass: each
+        # raises or returns exactly what the check followed by np.linalg.inv gives
+        for cond in np.logspace(6, 10, 41):
+            g = G1 if where == "a" else G2
+            u, v = (np.linalg.qr(rng.normal(size=(g, g)))[0] for _ in range(2))
+            m = u @ np.diag(np.geomspace(1.0, 1.0 / cond, g)) @ v.T
+            t = mq.GpkTransform.identity(96)
+            if where == "a":
+                t.a[:] = m
+            else:
+                t.b[1] = m
+            try:
+                t.check_invertible()
+            except SingularTransformError as e:
+                for inverse in (t.inverse, t.inverse_transpose):
+                    with pytest.raises(SingularTransformError) as got:
+                        inverse()
+                    assert (got.value.block_index, got.value.cond) == (e.block_index, e.cond)
+                continue
+            a_inv, b_inv = np.linalg.inv(t.a), np.linalg.inv(t.b)
+            inv, inv_t = t.inverse(), t.inverse_transpose()
+            assert inv.a.tobytes() == a_inv.tobytes() and inv.b.tobytes() == b_inv.tobytes()
+            assert inv_t.a.tobytes() == a_inv.T.copy().tobytes()
+            assert inv_t.b.tobytes() == b_inv.transpose(0, 2, 1).copy().tobytes()
+
     def test_inverse_transpose_pairing(self, rng):
         # x @ P paired with w @ P^-T preserves the product exactly
         t = random_transform(rng, 96)
