@@ -22,7 +22,7 @@ clipped and quantized in place); the reverse pass reads it for dy @ w~,
 then writes the weight gradient dy.T @ x~ over it and masks and clips that
 in place. One step's context is dropped before the next starts, so its
 masks never overlap the next step's. Everything else on the weight side is
-a mask or a temporary of at most formats.CHUNK blocks.
+a mask or a temporary of at most formats.CHUNK blocks per busy thread.
 
 Gradients are a fixed-graph reverse pass hand-derived for this
 pipeline: the quantize-dequantize step is a clipped straight-through

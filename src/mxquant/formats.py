@@ -38,10 +38,24 @@ the top entry (the excluded E4M3 NaN slot, or E2M1's n = 2^(m+1) in the top
 binade) already lies above max_value. Either clamp is saturation.
 
 The codec works on an (n_blocks, 32) float64 view of blocks(x), CHUNK blocks
-at a time: its float temporaries are at most one chunk, whatever the
-tensor's size. Scaling by 2^e is a product with an exact power of two,
-which rounds only where the result leaves the float64 normal range, exactly
-as ldexp would.
+at a time: its float temporaries are at most one chunk per busy thread,
+whatever the tensor's size. Scaling by 2^e is a product with an exact power
+of two, which rounds only where the result leaves the float64 normal range,
+exactly as ldexp would.
+
+Chunks are independent, so run_chunks spreads a loop's chunks over the
+CPUs that no thread of this process is using. The CPU count (the process's
+affinity set, else os.cpu_count()) and the number of helper threads in use
+live here, read and changed under one lock: a loop of s chunks takes
+min(free, s - 1) helpers, free = CPUs - 1 - helpers in use, and splits its
+chunks into that many + 1 contiguous runs of near-equal length. The caller
+runs the first run and one threading.Thread runs each other run; the call
+returns once all have ended, so no thread outlives it. harness.calibrate_block
+takes its site groups from the same budget, so a codec call inside a running
+site group finds no free CPU and runs inline. A loop of one chunk runs
+inline without reading the budget, and no loop on one CPU starts a thread.
+Each chunk's arithmetic is the same on any thread, so the bits do not
+depend on the CPU count.
 
 Buffer rule: a public function writes only its own fresh arrays, or the
 array a caller passes as ``out=`` (numpy-style: "write the result here";
@@ -56,15 +70,96 @@ nonzero magnitude is at least 2^-9, so no result leaves the normal range.
 
 from __future__ import annotations
 
+import os
+import threading
+from collections.abc import Callable, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import NonFiniteError, ShapeError
 
 BLOCK = 32
-CHUNK = 4096  # blocks per codec (and transform) pass: bounds the float temporaries
+CHUNK = 4096  # blocks per codec (and transform) pass: bounds one thread's float temporaries
+
+_cpu_lock = threading.Lock()
+_helpers_in_use = 0  # helper threads running for any caller in this process
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity set, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def claim_cpus(parts: int):
+    """Yield how many parts to split a job of at most parts parts into: 1 + the
+    helpers taken from the free CPUs (module docstring), given back on exit."""
+    global _helpers_in_use
+    with _cpu_lock:
+        helpers = max(0, min(parts - 1, _cpu_count() - 1 - _helpers_in_use))
+        _helpers_in_use += helpers
+    try:
+        yield helpers + 1
+    finally:
+        with _cpu_lock:
+            _helpers_in_use -= helpers
+
+
+def run_jobs(jobs: Sequence[Callable[[], None]]) -> None:
+    """Run jobs[0] on the calling thread and each other job on its own
+    threading.Thread, under the caller's numpy error state; return once all
+    have ended. A job that runs on a thread must catch its own errors."""
+    err = np.geterr()
+
+    def with_caller_errstate(job):
+        with np.errstate(**err):
+            job()
+
+    started = []
+    try:
+        for job in jobs[1:]:
+            t = threading.Thread(target=with_caller_errstate, args=(job,))
+            t.start()
+            started.append(t)
+        jobs[0]()
+    finally:
+        for t in started:
+            t.join()
+
+
+def run_chunks(n: int, step: int, body: Callable[[int, int], None]) -> None:
+    """Call body(s, min(s + step, n)) for every s in range(0, n, step), one
+    contiguous run of spans per claimed CPU (module docstring).
+
+    A run stops at its first failing span. Once every run has ended, the
+    error of the first failing span in span order is raised.
+    """
+    starts = range(0, n, step)
+    if len(starts) < 2:  # one chunk: the budget's per-call cost would show on small calls
+        for s in starts:
+            body(s, n)
+        return
+    errors: dict[int, Exception] = {}  # one key per failing run, so no lock
+
+    def run(part):
+        for s in part:
+            try:
+                body(s, min(s + step, n))
+            except Exception as exc:  # re-raised by the caller, in span order
+                errors[s] = exc
+                return  # the run's later spans are later in span order too
+
+    with claim_cpus(len(starts)) as parts:
+        cuts = [len(starts) * i // parts for i in range(parts + 1)]
+        run_jobs([partial(run, starts[a:b]) for a, b in zip(cuts, cuts[1:])])
+    if errors:
+        raise errors[min(errors)]
 
 
 def block_count(n: int, what: str = "feature dimension") -> int:
@@ -266,10 +361,12 @@ def _binade_round(r, fmt: MxFormat):
 
 def _encode_blocks(xb, fmt: MxFormat):
     m = fmt.mantissa_bits
+    top = len(fmt.value_set) - 1
     scale_exps = np.empty(len(xb), dtype=np.int8)
     codes = np.empty(xb.shape, dtype=np.uint8)
-    for s in range(0, len(xb), CHUNK):
-        xc = xb[s : s + CHUNK]
+
+    def chunk(s, e):
+        xc = xb[s:e]
         se, r = _scaled_magnitudes(xc, fmt)
         ui = _binade_round(r, fmt).view(np.int64)
         idx = r.view(np.int64)
@@ -278,29 +375,44 @@ def _encode_blocks(xb, fmt: MxFormat):
         ui -= 1075 - m + fmt.emin
         ui <<= m
         idx += ui  # n + ((e - emin) << m)
-        np.minimum(idx, len(fmt.value_set) - 1, out=idx)
-        scale_exps[s : s + CHUNK] = se
-        codes[s : s + CHUNK] = (np.signbit(xc).astype(np.uint8) << fmt.sign_shift) | idx
+        np.minimum(idx, top, out=idx)
+        scale_exps[s:e] = se
+        codes[s:e] = (np.signbit(xc).astype(np.uint8) << fmt.sign_shift) | idx
+
+    run_chunks(len(xb), CHUNK, chunk)
     return scale_exps, codes
 
 
 def _decode_blocks(scale_exps, codes, fmt: MxFormat):
-    out = fmt.code_values[codes]
-    out *= np.ldexp(1.0, scale_exps)[:, None]  # exact (module docstring)
+    table = fmt.code_values
+    out = np.empty(codes.shape)
+
+    def chunk(s, e):
+        c = codes[s:e]
+        if c.max() >= len(table):  # table[c] raises here; take's own check buffers out
+            raise IndexError(f"code {c.max()} is out of bounds for {len(table)} codes")
+        np.take(table, c, out=out[s:e], mode="wrap")
+        out[s:e] *= np.ldexp(1.0, scale_exps[s:e])[:, None]  # exact (module docstring)
+
+    run_chunks(len(codes), CHUNK, chunk)
     return out
 
 
 def _qdq_blocks(xb, fmt: MxFormat, out):
     """qdq of xb into out (both (n_blocks, BLOCK); out may be xb) and the in-range mask."""
+    top = fmt.max_value
     mask = np.empty(xb.shape, dtype=bool)
-    for s in range(0, len(xb), CHUNK):
-        xc = xb[s : s + CHUNK]
+
+    def chunk(s, e):
+        xc = xb[s:e]
         se, r = _scaled_magnitudes(xc, fmt)
-        np.less_equal(r, fmt.max_value, out=mask[s : s + CHUNK])
+        np.less_equal(r, top, out=mask[s:e])
         r -= _binade_round(r, fmt)  # n * 2^(e - m)
-        np.minimum(r, fmt.max_value, out=r)
+        np.minimum(r, top, out=r)
         r *= np.ldexp(1.0, se)[:, None]
-        np.copysign(r, xc, out=out[s : s + CHUNK])
+        np.copysign(r, xc, out=out[s:e])
+
+    run_chunks(len(xb), CHUNK, chunk)
     return out, mask
 
 
@@ -342,7 +454,8 @@ def quantize_dequantize_with_mask(x, fmt: MxFormat, out=None):
     mask is False exactly where |v| / scale exceeds the largest grid value,
     i.e. where the element saturated. The round-trip is written into out
     when given (see out_blocks; out=x runs in place), else into a fresh array.
-    On a NonFiniteError, out may hold the chunks before the bad one.
+    On a NonFiniteError, out may hold the round-trip of any chunk but the
+    bad one (chunks run concurrently), and its old values elsewhere.
     """
     x = np.asarray(x, dtype=np.float64)
     xb = blocks(x, "innermost dimension").reshape(-1, BLOCK)

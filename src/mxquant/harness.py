@@ -24,32 +24,33 @@ and value slice; the cache carries no transform, because calibration
 learns only the linear sites. RoPE is deliberately absent.
 
 calibrate_block runs the sites concurrently: each learns from its own
-recorded input and weight. The sites are split into min(CPUs, sites)
-groups balanced by weight size, since a calibration step costs about the
-same per weight element: largest site first, each site joins the group
-with the fewest weight elements so far. The CPU count is the size of the
-process's affinity set (os.sched_getaffinity), else os.cpu_count(). The
-calling thread runs the first group and one threading.Thread runs each
-other group, so at most one site per CPU is in flight; the caller works
-instead of waiting because each started thread gets its own malloc arena,
-and an idle caller would cost one more arena's peak memory. With one CPU
-no thread starts. Each calibrate_layer call reads and writes only its own
-arrays, so every Theta is byte-identical to a serial loop's.
+recorded input and weight. It claims up to sites - 1 helper threads from
+the one CPU budget of formats.claim_cpus (the free CPUs of the process's
+affinity set), and splits the sites into 1 + that many groups balanced by
+weight size, since a calibration step costs about the same per weight
+element: largest site first, each site joins the group with the fewest
+weight elements so far. The calling thread runs the first group and one
+threading.Thread runs each other group (formats.run_jobs), so at most one
+site per CPU is in flight, and the codec and transform calls inside a
+running group find no free CPU and run their chunks inline. The caller
+works instead of waiting because each started thread gets its own malloc
+arena, and an idle caller would cost one more arena's peak memory. With one
+CPU no thread starts. Each calibrate_layer call reads and writes only its
+own arrays, so every Theta is byte-identical to a serial loop's.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
 from .calib import CalibConfig, Theta, calibrate_layer, quantized_forward
 from .errors import ShapeError
-from .formats import FormatConfig, block_count, quantize_dequantize
+from .formats import FormatConfig, block_count, claim_cpus, quantize_dequantize, run_jobs
 
 SATURATED_LOGIT = 40.0  # sigmoid is exactly 1.0 in float64
 
@@ -185,14 +186,6 @@ def simulate_block(block: ToyBlock, x, formats: FormatConfig):
     return y, report
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on: its affinity set, else the machine's count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
 def _site_groups(sizes: dict[str, int], n_groups: int) -> list[list[str]]:
     """Split the sites into n_groups groups of about equal weight size.
 
@@ -219,7 +212,6 @@ def calibrate_block(block: ToyBlock, x, config: CalibConfig, formats: FormatConf
     """
     _, taps = _block_forward(block, np.asarray(x, dtype=np.float64), None)
     sizes = {site: w.size for site, (_, w, _) in taps.items()}
-    groups = _site_groups(sizes, min(_cpu_count(), len(sizes)))
     results: dict[str, Theta | Exception] = {}  # one key per site, so no lock
 
     def run(group):
@@ -231,14 +223,8 @@ def calibrate_block(block: ToyBlock, x, config: CalibConfig, formats: FormatConf
                 results[site] = exc
                 return  # the group's later sites are later in site order too
 
-    threads = [threading.Thread(target=run, args=(group,)) for group in groups[1:]]
-    for t in threads:
-        t.start()
-    try:
-        run(groups[0])
-    finally:
-        for t in threads:
-            t.join()
+    with claim_cpus(len(sizes)) as parts:
+        run_jobs([partial(run, group) for group in _site_groups(sizes, parts)])
     for site in taps:  # every site before the first failure has run
         if isinstance(results[site], Exception):
             raise results[site]

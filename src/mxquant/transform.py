@@ -12,10 +12,14 @@ is what oracle.dense_block_matrices() builds. The identity
 vec(V) @ kron(B, A) == vec(B.T @ V @ A) (row-major vec) ties the two
 pictures together.
 
-gpk_backward, the adjoint of gpk_forward with respect to A and the B_i,
-sits beside it. DecompositionKind is the one table of decompositions, each
-with its name, matmul cost and parameter count (shared plus per block);
-param_count reads the count for a size-N transform.
+gpk_forward runs on about formats.CHUNK blocks of rows at a time, and
+formats.run_chunks spreads those chunks over the CPUs that no thread of the
+process is using; each chunk's arithmetic is the same on any thread, so
+the bits do not depend on the CPU count. gpk_backward, the adjoint of
+gpk_forward with respect to A and the B_i, sits beside it.
+DecompositionKind is the one table of decompositions, each with its name,
+matmul cost and parameter count (shared plus per block); param_count reads
+the count for a size-N transform.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ShapeError, SingularTransformError
-from .formats import BLOCK, CHUNK, block_count, blocks, out_blocks
+from .formats import BLOCK, CHUNK, block_count, blocks, out_blocks, run_chunks
 
 G1 = 8  # global factor size
 G2 = 4  # private factor size
@@ -139,16 +143,19 @@ def gpk_forward(x: np.ndarray, t: GpkTransform, out=None) -> np.ndarray:
     Two contractions: V @ A (A is shared, so one GEMM over the (rows * k *
     G2, G1) slices), then B_i @ (V @ A) per block, written into out (see
     formats.out_blocks; out=x runs in place) or a fresh array. Both run on
-    rows holding about CHUNK blocks at a time, so V @ A is one chunk's
-    temporary. Cost is rows * N * (G1 + G2) multiply-adds.
+    rows holding about CHUNK blocks at a time, spread over the free CPUs by
+    formats.run_chunks, so V @ A is one chunk's temporary per busy thread.
+    Cost is rows * N * (G1 + G2) multiply-adds.
     """
     v = _split_blocks(x, t)
     y = out_blocks(out, x).reshape(v.shape)
-    step = max(1, CHUNK // t.k)
-    for s in range(0, len(v), step):
-        vc = v[s : s + step]
+
+    def chunk(s, e):
+        vc = v[s:e]
         va = (vc.reshape(-1, G1) @ t.a).reshape(vc.shape)
-        np.matmul(t.b, va, out=y[s : s + step])
+        np.matmul(t.b, va, out=y[s:e])
+
+    run_chunks(len(v), max(1, CHUNK // t.k), chunk)
     return y.reshape(np.shape(x))
 
 

@@ -185,16 +185,22 @@ class TestChunks:
 
 
 class TestPeakMemory:
-    """A 1024 x 1024 W4A4 layer; peaks in units of the weight's own bytes."""
+    """A 1024 x 1024 W4A4 layer; peaks in units of the weight's own bytes.
 
-    def test_calibrate_layer_and_fuse_peaks(self, rng):
+    Each busy thread holds one chunk's temporaries, so the peak grows with the
+    CPU count; it is pinned to 1 and 2 CPUs here, whatever the host has.
+    """
+
+    def test_calibrate_layer_and_fuse_peaks(self, rng, monkeypatch):
         n = 1024
         w = rng.normal(size=(n, n)) / np.sqrt(n)
         x = rng.normal(size=(64, n))
         x[:, :8] *= 50.0
         cfg = mq.CalibConfig(lr=0.1, epochs=1, batch_size=32)
-        peak, (theta, _) = traced_peak(lambda: mq.calibrate_layer(w, x, cfg, W4A4KV16))
-        assert peak <= 2.25 * w.nbytes, peak / w.nbytes
-        peak, fused = traced_peak(lambda: mq.fuse(w, theta, W4A4KV16))
-        assert isinstance(fused.w_q, mq.MxTensor)
-        assert peak <= 2.5 * w.nbytes, peak / w.nbytes
+        for cpus in (1, 2):
+            monkeypatch.setattr(mq.formats, "_cpu_count", lambda: cpus)
+            peak, (theta, _) = traced_peak(lambda: mq.calibrate_layer(w, x, cfg, W4A4KV16))
+            assert peak <= 2.25 * w.nbytes, (cpus, peak / w.nbytes)
+            peak, fused = traced_peak(lambda: mq.fuse(w, theta, W4A4KV16))
+            assert isinstance(fused.w_q, mq.MxTensor)
+            assert peak <= 2.5 * w.nbytes, (cpus, peak / w.nbytes)

@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mxquant as mq
+from mxquant import formats
 from mxquant.errors import NonFiniteError, ShapeError
-from mxquant.formats import blocks
+from mxquant.formats import CHUNK, blocks
 from mxquant.oracle import nearest_mx_oracle, nearest_mx_oracle_batch
+from mxquant.transform import gpk_forward
+from mxquant.verify import random_transform
 
 
 class TestValueSets:
@@ -305,6 +310,13 @@ class TestDecode:
         want = _ldexp_decode(t.scale_exps, t.codes, fmt).reshape(t.shape)
         assert t.to_dense().tobytes() == want.tobytes()
 
+    def test_a_code_past_the_table_raises(self):
+        codes = np.zeros((2, 32), dtype=np.uint8)
+        codes[1, 3] = 1 << mq.E2M1.bits  # a uint8 holds it; the 4-bit table does not
+        t = mq.MxTensor((64,), mq.E2M1, np.zeros(2, dtype=np.int8), codes)
+        with pytest.raises(IndexError):
+            t.to_dense()
+
     @pytest.mark.parametrize("fmt", [mq.E2M1, mq.E4M3], ids=lambda f: f.name)
     def test_code_values_table(self, fmt):
         table = fmt.code_values
@@ -320,6 +332,110 @@ class TestDecode:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[1] = 7.0
+
+
+class TestChunkRunner:
+    """run_chunks spreads the chunks of the codec and of gpk_forward over the free
+    CPUs; the bits never depend on how many there are."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """A function that patches the CPU count to n and returns the threads started
+        since the test began; the test runs with frequent thread switches, so that
+        chunks interleave."""
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+
+        def patch(n):
+            monkeypatch.setattr(formats, "_cpu_count", lambda: n)
+            return started
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield patch
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def _tensor(n_chunks):
+        # 4 blocks per row, so gpk_forward's chunks (CHUNK // 4 rows) are the codec's
+        rng = np.random.default_rng(n_chunks)
+        rows = n_chunks * CHUNK // 4
+        return rng.normal(size=(rows, 128)) * rng.lognormal(0.0, 2.0, size=(rows, 1))
+
+    @staticmethod
+    def _outputs(x, t):
+        out = []
+        for fmt in (mq.E2M1, mq.E4M3):
+            q = mq.quantize_tensor(x, fmt)
+            out += [q.scale_exps, q.codes, q.to_dense(), *mq.quantize_dequantize_with_mask(x, fmt)]
+        return [a.tobytes() for a in out + [gpk_forward(x, t)]]
+
+    @pytest.mark.parametrize("n_chunks", [1, 2, 9])
+    def test_bits_do_not_depend_on_the_cpu_count(self, cpus, n_chunks):
+        x = self._tensor(n_chunks)
+        t = random_transform(np.random.default_rng(5), 128)
+        started = cpus(1)
+        want = self._outputs(x, t)
+        assert started == []  # one CPU: every loop is the serial loop
+        for n in (2, 4):
+            cpus(n)
+            threads = threading.active_count()
+            assert self._outputs(x, t) == want, n
+            assert threading.active_count() == threads
+        assert not any(t.is_alive() for t in started)
+        # 7 runner calls (2 encodes, 2 decodes, 2 qdqs, gpk_forward), one helper per free
+        # CPU at most, and none for a one-chunk loop
+        assert len(started) == 7 * (min(1, n_chunks - 1) + min(3, n_chunks - 1))
+
+    @pytest.mark.parametrize("cpus_n", [1, 2, 4])
+    def test_nonfinite_in_a_helper_chunk_raises(self, cpus, cpus_n):
+        x = self._tensor(9)
+        x[-1, 7] = np.nan  # in the last chunk: a helper's run unless there is one CPU
+        started = cpus(cpus_n)
+        threads = threading.active_count()
+        out = np.zeros_like(x)
+        for call in (lambda: mq.quantize_tensor(x, mq.E2M1),
+                     lambda: mq.quantize_dequantize_with_mask(x, mq.E4M3, out=out)):
+            with pytest.raises(NonFiniteError):
+                call()
+            assert threading.active_count() == threads
+        assert len(started) == 2 * (cpus_n - 1)
+        assert not out[-CHUNK // 4:].any()  # the bad chunk's round-trip is never written
+
+    @pytest.mark.parametrize("cpus_n", [1, 2, 4])
+    def test_first_failing_span_in_span_order_raises(self, cpus, cpus_n):
+        # 9 spans; at 2 CPUs the runs are spans 0-3 (the caller's) and 4-8
+        cpus(cpus_n)
+        done = []
+
+        def body(s, e):
+            if s // 2 in (1, 4, 7):
+                raise ValueError(f"span {s // 2}")
+            done.append((s, e))
+
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="^span 1$"):
+            formats.run_chunks(17, 2, body)
+        assert threading.active_count() == threads
+        assert (0, 2) in done and (16, 17) not in done  # span 8 runs after span 4 or 7
+        assert all(e == min(s + 2, 17) for s, e in done)
+
+    def test_helpers_run_under_the_callers_error_state(self, cpus):
+        # the last of 2 spans runs on a helper at 2 CPUs; numpy's error state is
+        # per thread, and a warning is an error under this suite's filter
+        cpus(2)
+
+        def body(s, e):
+            if e == 2:
+                np.divide(np.ones(1), np.zeros(1))
+
+        with np.errstate(divide="ignore"):
+            formats.run_chunks(2, 1, body)
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            formats.run_chunks(2, 1, body)
 
 
 class TestInvariants:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import NO_QUANT, W4A4KV16, traced_peak
-from mxquant import harness
+from mxquant import formats, harness, transform
 from mxquant.calib import CalibConfig, calibrate_layer
 from mxquant.errors import DivergenceError, ShapeError
 from mxquant.formats import FormatConfig
@@ -185,7 +185,7 @@ class TestConcurrentCalibration:
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     def test_matches_serial_calibrate_layer_bit_for_bit(self, monkeypatch, cpus):
         # 4 groups on a 2-core host, with frequent thread switches, is the stress case
-        monkeypatch.setattr(harness, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(formats, "_cpu_count", lambda: cpus)
         started = []
         start = threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
@@ -207,7 +207,7 @@ class TestConcurrentCalibration:
     @pytest.mark.parametrize("failing", [("p_o",), ("p_up",), ("p_down",), ("p_up", "p_qkv")])
     def test_first_failing_site_in_site_order_raises(self, monkeypatch, cpus, failing):
         # at 2 CPUs the groups are [p_o, p_up] (the caller's) and [p_qkv, p_down]
-        monkeypatch.setattr(harness, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(formats, "_cpu_count", lambda: cpus)
         block, x = self._instance()
         want = self._serial(block, x)
         old = dict(block.sites)
@@ -234,13 +234,38 @@ class TestConcurrentCalibration:
     def test_at_most_one_site_per_cpu_in_flight(self, monkeypatch):
         # calibrate_block also holds the recorded taps while two sites run, so its
         # bound adds the recording forward's own peak to the two largest site peaks
-        monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(formats, "_cpu_count", lambda: 2)
         block, x = self._instance()
         record, (_, taps) = traced_peak(lambda: _block_forward(block, x, None))
         peaks = sorted(traced_peak(lambda: calibrate_layer(w, inp, QUICK, W4A4KV16))[0]
                        for inp, w, _ in taps.values())
         peak, _ = traced_peak(lambda: calibrate_block(block, x, QUICK, W4A4KV16))
         assert peak <= peaks[-1] + peaks[-2] + record
+
+    def test_codec_calls_inside_site_groups_start_no_thread(self, monkeypatch):
+        # perfbench's text block: p_up's weight and its transform are 2 chunks each,
+        # so its chunk loops would take the second CPU if the site groups did not hold it
+        monkeypatch.setattr(formats, "_cpu_count", lambda: 2)
+        block = build_toy_block(ToyBlockSpec(256, 32, 8, 512), seed=13)
+        x = np.random.default_rng(13).normal(size=(8, 256))
+        base = threading.active_count()
+        calls = []  # (live threads, spans) at each chunk-runner call
+        real = formats.run_chunks
+
+        def spy(n, step, body):
+            calls.append((threading.active_count(), -(-n // step)))
+            return real(n, step, body)
+
+        monkeypatch.setattr(formats, "run_chunks", spy)
+        monkeypatch.setattr(transform, "run_chunks", spy)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+        calibrate_block(block, x, QUICK, W4A4KV16)
+        assert max(spans for _, spans in calls) == 2
+        assert max(live for live, _ in calls) <= base + 1  # 2 CPUs: the caller and one more
+        assert len(started) == 1  # the second site group's thread
+        assert threading.active_count() == base
 
 
 class TestGelu:
