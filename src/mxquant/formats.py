@@ -43,19 +43,24 @@ whatever the tensor's size. Scaling by 2^e is a product with an exact power
 of two, which rounds only where the result leaves the float64 normal range,
 exactly as ldexp would.
 
-Chunks are independent, so run_chunks spreads a loop's chunks over the
-CPUs that no thread of this process is using. The CPU count (the process's
-affinity set, else os.cpu_count()) and the number of helper threads in use
-live here, read and changed under one lock: a loop of s chunks takes
-min(free, s - 1) helpers, free = CPUs - 1 - helpers in use, and splits its
-chunks into that many + 1 contiguous runs of near-equal length. The caller
-runs the first run and one threading.Thread runs each other run; the call
-returns once all have ended, so no thread outlives it. harness.calibrate_block
-takes its site groups from the same budget, so a codec call inside a running
-site group finds no free CPU and runs inline. A loop of one chunk runs
-inline without reading the budget, and no loop on one CPU starts a thread.
-Each chunk's arithmetic is the same on any thread, so the bits do not
-depend on the CPU count.
+Chunks are independent, so run_chunks runs a loop of two or more chunks
+on the calling thread and, when a CPU is free, on one helper
+threading.Thread: it splits the chunks into two contiguous runs of
+near-equal length, the caller runs the first and the helper the second,
+and the call returns once both have ended, so no thread outlives it. One
+helper at most (LOOP_HELPERS): each busy thread holds one chunk's
+temporaries, so a loop's peak memory stays that of two threads on any
+host, and a wider split is unmeasured. The CPU count (the process's
+affinity set, else os.cpu_count()) and the number of helper threads in
+use live here, read and changed under one lock: free = CPUs - 1 - helpers
+in use. The budget counts helper threads only; each calling thread is
+taken to hold a CPU of its own, so threads that call the codec at the
+same time can keep more threads busy than there are CPUs.
+harness.calibrate_block takes its site groups from the same budget, so a
+codec call inside a running site group finds no free CPU and runs inline.
+A loop of one chunk runs inline without reading the budget, and no loop on
+one CPU starts a thread. Each chunk's arithmetic is the same on any
+thread, so the bits do not depend on the CPU count.
 
 Buffer rule: a public function writes only its own fresh arrays, or the
 array a caller passes as ``out=`` (numpy-style: "write the result here";
@@ -83,6 +88,7 @@ from .errors import NonFiniteError, ShapeError
 
 BLOCK = 32
 CHUNK = 4096  # blocks per codec (and transform) pass: bounds one thread's float temporaries
+LOOP_HELPERS = 1  # helper threads one chunk loop takes at most (module docstring)
 
 _cpu_lock = threading.Lock()
 _helpers_in_use = 0  # helper threads running for any caller in this process
@@ -135,7 +141,8 @@ def run_jobs(jobs: Sequence[Callable[[], None]]) -> None:
 
 def run_chunks(n: int, step: int, body: Callable[[int, int], None]) -> None:
     """Call body(s, min(s + step, n)) for every s in range(0, n, step), one
-    contiguous run of spans per claimed CPU (module docstring).
+    contiguous run of spans on the caller and one on each claimed helper
+    (module docstring).
 
     A run stops at its first failing span. Once every run has ended, the
     error of the first failing span in span order is raised.
@@ -155,7 +162,7 @@ def run_chunks(n: int, step: int, body: Callable[[int, int], None]) -> None:
                 errors[s] = exc
                 return  # the run's later spans are later in span order too
 
-    with claim_cpus(len(starts)) as parts:
+    with claim_cpus(min(len(starts), 1 + LOOP_HELPERS)) as parts:
         cuts = [len(starts) * i // parts for i in range(parts + 1)]
         run_jobs([partial(run, starts[a:b]) for a, b in zip(cuts, cuts[1:])])
     if errors:
@@ -385,12 +392,14 @@ def _encode_blocks(xb, fmt: MxFormat):
 
 def _decode_blocks(scale_exps, codes, fmt: MxFormat):
     table = fmt.code_values
+    lo = -len(table) if codes.dtype.kind == "i" else 0  # table[c] wraps c in [lo, 0)
     out = np.empty(codes.shape)
 
     def chunk(s, e):
         c = codes[s:e]
-        if c.max() >= len(table):  # table[c] raises here; take's own check buffers out
-            raise IndexError(f"code {c.max()} is out of bounds for {len(table)} codes")
+        # table[c]'s bounds: take's own check buffers out, so mode="wrap" skips it
+        if c.max() >= len(table) or (lo and c.min() < lo):
+            raise IndexError(f"a code is out of bounds for {len(table)} codes")
         np.take(table, c, out=out[s:e], mode="wrap")
         out[s:e] *= np.ldexp(1.0, scale_exps[s:e])[:, None]  # exact (module docstring)
 

@@ -25,13 +25,14 @@ learns only the linear sites. RoPE is deliberately absent.
 
 calibrate_block runs the sites concurrently: each learns from its own
 recorded input and weight. It claims up to sites - 1 helper threads from
-the one CPU budget of formats.claim_cpus (the free CPUs of the process's
-affinity set), and splits the sites into 1 + that many groups balanced by
+the one CPU budget of formats.claim_cpus (the CPUs of the process's
+affinity set, less the caller's and the helper threads already running),
+and splits the sites into 1 + that many groups balanced by
 weight size, since a calibration step costs about the same per weight
 element: largest site first, each site joins the group with the fewest
 weight elements so far. The calling thread runs the first group and one
-threading.Thread runs each other group (formats.run_jobs), so at most one
-site per CPU is in flight, and the codec and transform calls inside a
+threading.Thread runs each other group (formats.run_jobs), so with one
+caller at most one site per CPU is in flight, and the codec and transform calls inside a
 running group find no free CPU and run their chunks inline. The caller
 works instead of waiting because each started thread gets its own malloc
 arena, and an idle caller would cost one more arena's peak memory. With one

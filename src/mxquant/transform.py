@@ -13,9 +13,10 @@ vec(V) @ kron(B, A) == vec(B.T @ V @ A) (row-major vec) ties the two
 pictures together.
 
 gpk_forward runs on about formats.CHUNK blocks of rows at a time, and
-formats.run_chunks spreads those chunks over the CPUs that no thread of the
-process is using; each chunk's arithmetic is the same on any thread, so
-the bits do not depend on the CPU count. gpk_backward, the adjoint of
+formats.run_chunks runs those chunks on the calling thread and on one
+helper thread when the process's CPU budget has a CPU free; each chunk's
+arithmetic is the same on any thread, so the bits do not depend on the
+CPU count. gpk_backward, the adjoint of
 gpk_forward with respect to A and the B_i, sits beside it.
 DecompositionKind is the one table of decompositions, each with its name,
 matmul cost and parameter count (shared plus per block); param_count reads
@@ -143,8 +144,9 @@ def gpk_forward(x: np.ndarray, t: GpkTransform, out=None) -> np.ndarray:
     Two contractions: V @ A (A is shared, so one GEMM over the (rows * k *
     G2, G1) slices), then B_i @ (V @ A) per block, written into out (see
     formats.out_blocks; out=x runs in place) or a fresh array. Both run on
-    rows holding about CHUNK blocks at a time, spread over the free CPUs by
-    formats.run_chunks, so V @ A is one chunk's temporary per busy thread.
+    rows holding about CHUNK blocks at a time, split between the caller and
+    at most one helper thread by formats.run_chunks, so V @ A is one chunk's
+    temporary per busy thread.
     Cost is rows * N * (G1 + G2) multiply-adds.
     """
     v = _split_blocks(x, t)

@@ -317,6 +317,17 @@ class TestDecode:
         with pytest.raises(IndexError):
             t.to_dense()
 
+    def test_signed_codes_index_as_the_table_does(self):
+        # a hand-built tensor's signed codes: [-len, 0) wraps as table[c] does,
+        # anything below raises
+        n = len(mq.E2M1.code_values)
+        codes = np.arange(64, dtype=np.int16).reshape(2, 32) % (2 * n) - n  # -n .. n - 1
+        t = mq.MxTensor((64,), mq.E2M1, np.zeros(2, dtype=np.int8), codes)
+        assert t.to_dense().tobytes() == mq.E2M1.code_values[codes].reshape(64).tobytes()
+        codes[1, 3] = -n - 1
+        with pytest.raises(IndexError):
+            t.to_dense()
+
     @pytest.mark.parametrize("fmt", [mq.E2M1, mq.E4M3], ids=lambda f: f.name)
     def test_code_values_table(self, fmt):
         table = fmt.code_values
@@ -335,8 +346,8 @@ class TestDecode:
 
 
 class TestChunkRunner:
-    """run_chunks spreads the chunks of the codec and of gpk_forward over the free
-    CPUs; the bits never depend on how many there are."""
+    """run_chunks runs the chunks of the codec and of gpk_forward on the caller and
+    at most one free CPU; the bits never depend on how many there are."""
 
     @pytest.fixture
     def cpus(self, monkeypatch):
@@ -380,17 +391,17 @@ class TestChunkRunner:
         started = cpus(1)
         want = self._outputs(x, t)
         assert started == []  # one CPU: every loop is the serial loop
-        for n in (2, 4):
+        for n in (2, 4, 8):
             cpus(n)
             threads = threading.active_count()
             assert self._outputs(x, t) == want, n
             assert threading.active_count() == threads
         assert not any(t.is_alive() for t in started)
-        # 7 runner calls (2 encodes, 2 decodes, 2 qdqs, gpk_forward), one helper per free
-        # CPU at most, and none for a one-chunk loop
-        assert len(started) == 7 * (min(1, n_chunks - 1) + min(3, n_chunks - 1))
+        # 7 runner calls (2 encodes, 2 decodes, 2 qdqs, gpk_forward) at each of 2, 4 and
+        # 8 CPUs, one helper per loop at most, and none for a one-chunk loop
+        assert len(started) == 3 * 7 * min(1, n_chunks - 1)
 
-    @pytest.mark.parametrize("cpus_n", [1, 2, 4])
+    @pytest.mark.parametrize("cpus_n", [1, 2, 8])
     def test_nonfinite_in_a_helper_chunk_raises(self, cpus, cpus_n):
         x = self._tensor(9)
         x[-1, 7] = np.nan  # in the last chunk: a helper's run unless there is one CPU
@@ -402,12 +413,12 @@ class TestChunkRunner:
             with pytest.raises(NonFiniteError):
                 call()
             assert threading.active_count() == threads
-        assert len(started) == 2 * (cpus_n - 1)
+        assert len(started) == 2 * min(1, cpus_n - 1)
         assert not out[-CHUNK // 4:].any()  # the bad chunk's round-trip is never written
 
     @pytest.mark.parametrize("cpus_n", [1, 2, 4])
     def test_first_failing_span_in_span_order_raises(self, cpus, cpus_n):
-        # 9 spans; at 2 CPUs the runs are spans 0-3 (the caller's) and 4-8
+        # 9 spans; above 1 CPU the runs are spans 0-3 (the caller's) and 4-8
         cpus(cpus_n)
         done = []
 
