@@ -202,6 +202,9 @@ def main(argv=None) -> int:
     except (MxQuantError, OSError, ValueError) as e:
         print(f"mxquant: data: {e}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as e:  # the data is too large for this host, e.g. a huge --rows
+        print(f"mxquant: data: out of memory: {str(e) or 'allocation failed'}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -43,24 +43,35 @@ whatever the tensor's size. Scaling by 2^e is a product with an exact power
 of two, which rounds only where the result leaves the float64 normal range,
 exactly as ldexp would.
 
-Chunks are independent, so run_chunks runs a loop of two or more chunks
-on the calling thread and, when a CPU is free, on one helper
-threading.Thread: it splits the chunks into two contiguous runs of
-near-equal length, the caller runs the first and the helper the second,
-and the call returns once both have ended, so no thread outlives it. One
-helper at most (LOOP_HELPERS): each busy thread holds one chunk's
-temporaries, so a loop's peak memory stays that of two threads on any
-host, and a wider split is unmeasured. The CPU count (the process's
-affinity set, else os.cpu_count()) and the number of helper threads in
-use live here, read and changed under one lock: free = CPUs - 1 - helpers
-in use. The budget counts helper threads only; each calling thread is
-taken to hold a CPU of its own, so threads that call the codec at the
-same time can keep more threads busy than there are CPUs.
-harness.calibrate_block takes its site groups from the same budget, so a
-codec call inside a running site group finds no free CPU and runs inline.
-A loop of one chunk runs inline without reading the budget, and no loop on
-one CPU starts a thread. Each chunk's arithmetic is the same on any
-thread, so the bits do not depend on the CPU count.
+One parallel runner serves the whole package: run_parts(sizes, body)
+calls body(i) for every index of sizes, independent parts of one job.
+run_chunks adapts it to chunk spans (the codec's and gpk_forward's loops)
+and harness.calibrate_block passes it a block's linear sites. The rule:
+- Budget. The CPU count (the process's affinity set, else os.cpu_count())
+  and the number of helper threads in use live here, read and changed
+  under one lock: free = CPUs - 1 - helpers in use. The budget counts
+  helper threads only; each calling thread is taken to hold a CPU of its
+  own, so threads that call the runner at the same time can keep more
+  threads busy than there are CPUs. A call inside a running part (a codec
+  loop inside a site's calibration) draws on the same budget.
+- Cap. One call claims at most LOOP_HELPERS = 1 helper, and none on one
+  CPU: each busy thread holds one part's temporaries, so one call adds at
+  most one thread's worth to its caller's peak memory on any host, and a
+  wider split is unmeasured.
+- Split. The indices go into 1 + helpers groups balanced by size
+  (_balanced_groups): largest first, each to the group with the smallest
+  total so far. Equal-size chunks alternate between the groups. The caller
+  runs group 0 and one threading.Thread each other group, under the
+  caller's numpy error state; the call returns once all have ended, so no
+  thread outlives it. The caller works rather than waits because each
+  started thread gets its own malloc arena, and an idle caller would cost
+  one more arena's peak memory.
+- Errors. A group stops at its first failing index, and the error of the
+  smallest failing index is raised after the join: every smaller index
+  has run, as in a serial loop.
+A call with one part runs inline without reading the budget. Each part's
+arithmetic is the same on any thread, so the bits do not depend on the
+CPU count.
 
 Buffer rule: a public function writes only its own fresh arrays, or the
 array a caller passes as ``out=`` (numpy-style: "write the result here";
@@ -78,9 +89,8 @@ from __future__ import annotations
 import os
 import threading
 from collections.abc import Callable, Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -88,7 +98,7 @@ from .errors import NonFiniteError, ShapeError
 
 BLOCK = 32
 CHUNK = 4096  # blocks per codec (and transform) pass: bounds one thread's float temporaries
-LOOP_HELPERS = 1  # helper threads one chunk loop takes at most (module docstring)
+LOOP_HELPERS = 1  # helper threads one run_parts call takes at most (module docstring)
 
 _cpu_lock = threading.Lock()
 _helpers_in_use = 0  # helper threads running for any caller in this process
@@ -102,71 +112,71 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-@contextmanager
-def claim_cpus(parts: int):
-    """Yield how many parts to split a job of at most parts parts into: 1 + the
-    helpers taken from the free CPUs (module docstring), given back on exit."""
+def _balanced_groups(sizes: Sequence[int], n_groups: int) -> list[list[int]]:
+    """Split the indices of sizes into n_groups groups of about equal total size.
+
+    Largest item first, each item joins the group with the smallest total so
+    far. Each group lists its indices in ascending order.
+    """
+    load = [0] * n_groups
+    groups: list[list[int]] = [[] for _ in range(n_groups)]
+    for i in sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True):
+        g = load.index(min(load))
+        groups[g].append(i)
+        load[g] += sizes[i]
+    return [sorted(group) for group in groups]
+
+
+def run_parts(sizes: Sequence[int], body: Callable[[int], None]) -> None:
+    """Call body(i) for every index i of sizes, on the caller and on the
+    helpers it claims, split by size (module docstring).
+
+    A group stops at its first failing index. Once every group has ended,
+    the error of the smallest failing index is raised.
+    """
+    if len(sizes) < 2:  # one part: the budget's per-call cost would show on small calls
+        for i in range(len(sizes)):
+            body(i)
+        return
     global _helpers_in_use
     with _cpu_lock:
-        helpers = max(0, min(parts - 1, _cpu_count() - 1 - _helpers_in_use))
+        helpers = max(0, min(len(sizes) - 1, LOOP_HELPERS, _cpu_count() - 1 - _helpers_in_use))
         _helpers_in_use += helpers
-    try:
-        yield helpers + 1
-    finally:
-        with _cpu_lock:
-            _helpers_in_use -= helpers
-
-
-def run_jobs(jobs: Sequence[Callable[[], None]]) -> None:
-    """Run jobs[0] on the calling thread and each other job on its own
-    threading.Thread, under the caller's numpy error state; return once all
-    have ended. A job that runs on a thread must catch its own errors."""
+    errors: dict[int, Exception] = {}  # one key per failing group, so no lock
     err = np.geterr()
 
-    def with_caller_errstate(job):
-        with np.errstate(**err):
-            job()
+    def run(group):
+        with np.errstate(**err):  # a started thread begins in numpy's default state
+            for i in group:
+                try:
+                    body(i)
+                except Exception as exc:  # re-raised by the caller, smallest index first
+                    errors[i] = exc
+                    return  # the group's later indices are larger
 
+    groups = _balanced_groups(sizes, 1 + helpers)
     started = []
     try:
-        for job in jobs[1:]:
-            t = threading.Thread(target=with_caller_errstate, args=(job,))
+        for group in groups[1:]:
+            t = threading.Thread(target=run, args=(group,))
             t.start()
             started.append(t)
-        jobs[0]()
+        run(groups[0])
     finally:
         for t in started:
             t.join()
+        with _cpu_lock:
+            _helpers_in_use -= helpers
+    if errors:
+        raise errors[min(errors)]
 
 
 def run_chunks(n: int, step: int, body: Callable[[int, int], None]) -> None:
-    """Call body(s, min(s + step, n)) for every s in range(0, n, step), one
-    contiguous run of spans on the caller and one on each claimed helper
-    (module docstring).
-
-    A run stops at its first failing span. Once every run has ended, the
-    error of the first failing span in span order is raised.
-    """
+    """Call body(s, min(s + step, n)) for every s in range(0, n, step), through
+    run_parts with each span's length as its size."""
     starts = range(0, n, step)
-    if len(starts) < 2:  # one chunk: the budget's per-call cost would show on small calls
-        for s in starts:
-            body(s, n)
-        return
-    errors: dict[int, Exception] = {}  # one key per failing run, so no lock
-
-    def run(part):
-        for s in part:
-            try:
-                body(s, min(s + step, n))
-            except Exception as exc:  # re-raised by the caller, in span order
-                errors[s] = exc
-                return  # the run's later spans are later in span order too
-
-    with claim_cpus(min(len(starts), 1 + LOOP_HELPERS)) as parts:
-        cuts = [len(starts) * i // parts for i in range(parts + 1)]
-        run_jobs([partial(run, starts[a:b]) for a, b in zip(cuts, cuts[1:])])
-    if errors:
-        raise errors[min(errors)]
+    run_parts([min(step, n - s) for s in starts],
+              lambda i: body(starts[i], min(starts[i] + step, n)))
 
 
 def block_count(n: int, what: str = "feature dimension") -> int:

@@ -23,21 +23,12 @@ quantization is simulated as one quantize-dequantize of each head's key
 and value slice; the cache carries no transform, because calibration
 learns only the linear sites. RoPE is deliberately absent.
 
-calibrate_block runs the sites concurrently: each learns from its own
-recorded input and weight. It claims up to sites - 1 helper threads from
-the one CPU budget of formats.claim_cpus (the CPUs of the process's
-affinity set, less the caller's and the helper threads already running),
-and splits the sites into 1 + that many groups balanced by
-weight size, since a calibration step costs about the same per weight
-element: largest site first, each site joins the group with the fewest
-weight elements so far. The calling thread runs the first group and one
-threading.Thread runs each other group (formats.run_jobs), so with one
-caller at most one site per CPU is in flight, and the codec and transform calls inside a
-running group find no free CPU and run their chunks inline. The caller
-works instead of waiting because each started thread gets its own malloc
-arena, and an idle caller would cost one more arena's peak memory. With one
-CPU no thread starts. Each calibrate_layer call reads and writes only its
-own arrays, so every Theta is byte-identical to a serial loop's.
+calibrate_block runs the sites concurrently through formats.run_parts,
+split by weight size, since a calibration step costs about the same per
+weight element and each site learns from its own recorded input and
+weight. Each calibrate_layer call reads and writes only its own arrays, so
+every Theta is byte-identical to a serial loop's, and a failing site
+leaves the block as a serial loop over the sites would.
 """
 
 from __future__ import annotations
@@ -45,13 +36,12 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, fields
-from functools import partial
 
 import numpy as np
 
 from .calib import CalibConfig, Theta, calibrate_layer, quantized_forward
 from .errors import ShapeError
-from .formats import FormatConfig, block_count, claim_cpus, quantize_dequantize, run_jobs
+from .formats import FormatConfig, block_count, quantize_dequantize, run_parts
 
 SATURATED_LOGIT = 40.0  # sigmoid is exactly 1.0 in float64
 
@@ -187,47 +177,29 @@ def simulate_block(block: ToyBlock, x, formats: FormatConfig):
     return y, report
 
 
-def _site_groups(sizes: dict[str, int], n_groups: int) -> list[list[str]]:
-    """Split the sites into n_groups groups of about equal weight size.
-
-    Largest site first, each site joins the group with the fewest weight
-    elements so far. Each group lists its sites in the order of sizes.
-    """
-    load = [0] * n_groups
-    group_of = {}
-    for site in sorted(sizes, key=sizes.get, reverse=True):
-        group_of[site] = load.index(min(load))
-        load[group_of[site]] += sizes[site]
-    return [[site for site in sizes if group_of[site] == g] for g in range(n_groups)]
-
-
 def calibrate_block(block: ToyBlock, x, config: CalibConfig, formats: FormatConfig) -> ToyBlock:
     """Calibrate every linear site on the block's own activations.
 
     One full-precision forward records each site's input and weight
-    matrix, then each site is calibrated layer-wise, one group of sites per
-    CPU at a time (see the module docstring). If a site fails, the error of
-    the first failing site in site order is raised once every group has
-    ended: the sites before it keep their new Theta, the later ones their
-    old one, as a serial loop over the sites would leave them.
+    matrix, then each site is calibrated layer-wise through
+    formats.run_parts. If a site fails, the error of the first failing site
+    in site order is raised once every site group has ended: the sites
+    before it keep their new Theta, the later ones their old one, as a
+    serial loop over the sites would leave them.
     """
     _, taps = _block_forward(block, np.asarray(x, dtype=np.float64), None)
-    sizes = {site: w.size for site, (_, w, _) in taps.items()}
-    results: dict[str, Theta | Exception] = {}  # one key per site, so no lock
+    order = list(taps)
+    thetas: dict[str, Theta] = {}  # one key per site, so no lock
 
-    def run(group):
-        for site in group:
-            inp, w, _ = taps[site]
-            try:
-                results[site], _ = calibrate_layer(w, inp, config, formats)
-            except Exception as exc:  # re-raised by the caller, in site order
-                results[site] = exc
-                return  # the group's later sites are later in site order too
+    def run(i):
+        inp, w, _ = taps[order[i]]
+        thetas[order[i]], _ = calibrate_layer(w, inp, config, formats)
 
-    with claim_cpus(len(sizes)) as parts:
-        run_jobs([partial(run, group) for group in _site_groups(sizes, parts)])
-    for site in taps:  # every site before the first failure has run
-        if isinstance(results[site], Exception):
-            raise results[site]
-        block.sites[site] = results[site]
+    try:
+        run_parts([taps[site][1].size for site in order], run)
+    finally:  # the first site without a Theta is the first failing one
+        for site in order:
+            if site not in thetas:
+                break
+            block.sites[site] = thetas[site]
     return block

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import mxquant as mq
-from mxquant import io
+from mxquant import cli, io
 from mxquant.cli import _build_parser, main
 from mxquant.errors import FileFormatError
 from mxquant.harness import build_toy_block, calibrate_block, simulate_block
@@ -882,6 +882,25 @@ class TestCli:
         for site, _, mse_after in rows:
             assert np.isfinite(float(mse_after))
             assert float(mse_after) == after[site]
+
+    @pytest.mark.parametrize("exc, mention", [
+        (MemoryError("Unable to allocate 46.6 TiB for an array"), "out of memory: Unable to"),
+        (MemoryError(), "out of memory: allocation failed"),
+    ], ids=["numpy", "bare"])
+    def test_simulate_out_of_memory_is_data_error(self, tmp_path, capsys, monkeypatch, exc,
+                                                   mention):
+        # stands in for a --rows too large to allocate; the test allocates nothing
+        # large, since under memory overcommit a real 46 TiB allocation can succeed
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "simulate_block", fail)
+        spec = tmp_path / "block.cfg"
+        spec.write_text("hidden = 128\nhead_dim = 32\nn_heads = 4\nmlp_dim = 256\n")
+        out = tmp_path / "report.csv"
+        _expect_one_data_error(["simulate", "--spec", str(spec), "--out", str(out),
+                                "--rows", "16"], capsys, mention)
+        assert not out.exists()
 
     @pytest.mark.parametrize("line", ["heads = 4", "mlp = 256", "seeed = 3"],
                              ids=lambda line: line.split()[0])
