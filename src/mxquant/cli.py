@@ -92,10 +92,11 @@ def _cmd_calibrate(args) -> int:
 
     theta, trace = calibrate_layer(w, calib_data, cfg.calib, cfg.formats)
 
+    fused = fuse(w, theta, cfg.formats).w_q  # before any file, so a failure writes none
     out_dir.mkdir(parents=True, exist_ok=True)
     io.write_transform_record(out_dir / "transform.gpkt", theta.transform,
                               theta.act_clip, theta.weight_clip)
-    io.write_tensor(out_dir / "fused_weights.mxbt", fuse(w, theta, cfg.formats).w_q)
+    io.write_tensor(out_dir / "fused_weights.mxbt", fused)
     io.write_loss_csv(out_dir / "loss_trace.csv", trace)
 
     first, last = trace[0][2], trace[-1][2]

@@ -47,31 +47,24 @@ One parallel runner serves the whole package: run_parts(sizes, body)
 calls body(i) for every index of sizes, independent parts of one job.
 run_chunks adapts it to chunk spans (the codec's and gpk_forward's loops)
 and harness.calibrate_block passes it a block's linear sites. The rule:
-- Budget. The CPU count (the process's affinity set, else os.cpu_count())
-  and the number of helper threads in use live here, read and changed
-  under one lock: free = CPUs - 1 - helpers in use. The budget counts
-  helper threads only; each calling thread is taken to hold a CPU of its
-  own, so threads that call the runner at the same time can keep more
-  threads busy than there are CPUs. A call inside a running part (a codec
-  loop inside a site's calibration) draws on the same budget.
-- Cap. One call claims at most LOOP_HELPERS = 1 helper, and none on one
-  CPU: each busy thread holds one part's temporaries, so one call adds at
-  most one thread's worth to its caller's peak memory on any host, and a
-  wider split is unmeasured.
-- Split. The indices go into 1 + helpers groups balanced by size
-  (_balanced_groups): largest first, each to the group with the smallest
-  total so far. Equal-size chunks alternate between the groups. The caller
-  runs group 0 and one threading.Thread each other group, under the
-  caller's numpy error state; the call returns once all have ended, so no
-  thread outlives it. The caller works rather than waits because each
+- One helper thread per process, taken without waiting (the lock
+  _helper); a call that cannot take it, such as one inside a running
+  part, runs serially on its caller, as does a call of one part or on one
+  CPU (the process's affinity set, else os.cpu_count()). At most two
+  threads hold a part's temporaries, and a wider split is unmeasured.
+- Split. The holder splits the indices into 2 groups balanced by size
+  (_balanced_groups): largest first, each to the group with the smaller
+  total so far, so equal-size chunks alternate between the groups. The
+  caller runs group 0 and one threading.Thread group 1, under the
+  caller's numpy error state; the call returns once both have ended, so
+  no thread outlives it. The caller works rather than waits because each
   started thread gets its own malloc arena, and an idle caller would cost
   one more arena's peak memory.
 - Errors. A group stops at its first failing index, and the error of the
   smallest failing index is raised after the join: every smaller index
   has run, as in a serial loop.
-A call with one part runs inline without reading the budget. Each part's
-arithmetic is the same on any thread, so the bits do not depend on the
-CPU count.
+Each part's arithmetic is the same on any thread, so the bits do not
+depend on the CPU count.
 
 Buffer rule: a public function writes only its own fresh arrays, or the
 array a caller passes as ``out=`` (numpy-style: "write the result here";
@@ -98,10 +91,8 @@ from .errors import NonFiniteError, ShapeError
 
 BLOCK = 32
 CHUNK = 4096  # blocks per codec (and transform) pass: bounds one thread's float temporaries
-LOOP_HELPERS = 1  # helper threads one run_parts call takes at most (module docstring)
 
-_cpu_lock = threading.Lock()
-_helpers_in_use = 0  # helper threads running for any caller in this process
+_helper = threading.Lock()  # held while the process's one helper thread runs
 
 
 def _cpu_count() -> int:
@@ -128,20 +119,17 @@ def _balanced_groups(sizes: Sequence[int], n_groups: int) -> list[list[int]]:
 
 
 def run_parts(sizes: Sequence[int], body: Callable[[int], None]) -> None:
-    """Call body(i) for every index i of sizes, on the caller and on the
-    helpers it claims, split by size (module docstring).
+    """Call body(i) for every index i of sizes, split by size between the
+    caller and, if the call takes it, the process's one helper thread
+    (module docstring).
 
-    A group stops at its first failing index. Once every group has ended,
+    A group stops at its first failing index. Once both groups have ended,
     the error of the smallest failing index is raised.
     """
-    if len(sizes) < 2:  # one part: the budget's per-call cost would show on small calls
+    if len(sizes) < 2 or _cpu_count() < 2 or not _helper.acquire(blocking=False):
         for i in range(len(sizes)):
             body(i)
         return
-    global _helpers_in_use
-    with _cpu_lock:
-        helpers = max(0, min(len(sizes) - 1, LOOP_HELPERS, _cpu_count() - 1 - _helpers_in_use))
-        _helpers_in_use += helpers
     errors: dict[int, Exception] = {}  # one key per failing group, so no lock
     err = np.geterr()
 
@@ -154,19 +142,16 @@ def run_parts(sizes: Sequence[int], body: Callable[[int], None]) -> None:
                     errors[i] = exc
                     return  # the group's later indices are larger
 
-    groups = _balanced_groups(sizes, 1 + helpers)
-    started = []
+    mine, theirs = _balanced_groups(sizes, 2)
     try:
-        for group in groups[1:]:
-            t = threading.Thread(target=run, args=(group,))
-            t.start()
-            started.append(t)
-        run(groups[0])
+        helper = threading.Thread(target=run, args=(theirs,))
+        helper.start()
+        try:
+            run(mine)
+        finally:
+            helper.join()
     finally:
-        for t in started:
-            t.join()
-        with _cpu_lock:
-            _helpers_in_use -= helpers
+        _helper.release()
     if errors:
         raise errors[min(errors)]
 

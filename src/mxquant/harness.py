@@ -23,12 +23,12 @@ quantization is simulated as one quantize-dequantize of each head's key
 and value slice; the cache carries no transform, because calibration
 learns only the linear sites. RoPE is deliberately absent.
 
-calibrate_block runs the sites concurrently through formats.run_parts,
-split by weight size, since a calibration step costs about the same per
-weight element and each site learns from its own recorded input and
-weight. Each calibrate_layer call reads and writes only its own arrays, so
-every Theta is byte-identical to a serial loop's, and a failing site
-leaves the block as a serial loop over the sites would.
+calibrate_block runs the sites through formats.run_parts, split by weight
+size, since a calibration step costs about the same per weight element
+and each site learns from its own recorded input and weight. Each
+calibrate_layer call reads and writes only its own arrays, so every Theta
+is byte-identical to a serial loop's, and a failing site leaves the block
+as a serial loop over the sites would.
 """
 
 from __future__ import annotations

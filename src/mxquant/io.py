@@ -27,9 +27,10 @@ Transform record (.gpkt):
 
 Each layout is one header struct and one body dtype, shared by writer and
 reader. Both readers check magic, version and exact payload size first.
-The mx payload rule (scale exponents in [-127, 127], codes of the format's
-width whose index lies in its value set) is one check, run by the writer
-before it opens the file and by the reader after it unpacks the codes.
+Each payload rule is one check, run by the writer before it opens the file
+and by the reader after it unpacks the payload: mx scale exponents lie in
+[-127, 127] and codes index the format's value set (_check_payload), and
+f32 values and record sections are finite, once cast (_check_finite).
 
 Config files are flat text, one `key = value` per line; blank lines and
 lines starting with # are ignored. Both kinds (run configs, block specs)
@@ -112,6 +113,13 @@ def _check_payload(path, fmt: MxFormat, scale_exps, codes) -> None:
         raise FileFormatError(f"{path}: code index outside the {fmt.name} value set")
 
 
+def _check_finite(path, a, where: str = "") -> None:
+    """Every element of the float array a is finite; else name the first bad one."""
+    if not (ok := np.isfinite(a)).all():
+        bad = int(np.argmin(ok))
+        raise FileFormatError(f"{path}: non-finite value {a.flat[bad]} at element {bad}{where}")
+
+
 def _read_head(path, magic: bytes, head: struct.Struct, what: str):
     """The file's bytes and its header fields after magic and version."""
     raw = Path(path).read_bytes()
@@ -161,7 +169,10 @@ def write_tensor(path, tensor) -> None:
     else:
         tag = _TAGS[None]
         tensor = np.asarray(tensor)
-        payload = np.ascontiguousarray(tensor, dtype="<f4").tobytes()
+        with np.errstate(over="ignore"):  # an overflow to inf is reported just below
+            data = np.ascontiguousarray(tensor, dtype="<f4")
+        _check_finite(path, data)
+        payload = data.tobytes()
 
     shape = tensor.shape
     with open(path, "wb") as f:
@@ -188,9 +199,7 @@ def read_tensor(path):
     fmt = _DTYPES[tag]
     if fmt is None:
         data = _read_body(path, raw, off, (np.dtype("<f4"), count))
-        if not np.isfinite(data).all():  # the bool mask is freed before the cast below
-            bad = int(np.argmin(np.isfinite(data)))
-            raise FileFormatError(f"{path}: non-finite value {data[bad]} at element {bad}")
+        _check_finite(path, data)  # its bool mask is freed before the cast below
         return data.astype(np.float64).reshape(dims)
 
     _check_mx_width(dims, path)
@@ -212,10 +221,13 @@ def write_transform_record(path, t: GpkTransform, act_clip=None, weight_clip=Non
     if act_clip is not None and not act_clip.k == weight_clip.k == t.k:
         raise ValueError(f"clip sections need {t.k} logit pairs, one per block")
     body = np.empty((), dtype=_record_dtype(t.k, act_clip is not None))
-    body["A"], body["B"] = t.a, t.b
-    if act_clip is not None:
-        body["clip"] = (act_clip.alpha_min, act_clip.alpha_max,
-                        weight_clip.alpha_min, weight_clip.alpha_max)
+    with np.errstate(over="ignore"):  # an overflow to inf is reported just below
+        body["A"], body["B"] = t.a, t.b
+        if act_clip is not None:
+            body["clip"] = (act_clip.alpha_min, act_clip.alpha_max,
+                            weight_clip.alpha_min, weight_clip.alpha_max)
+    for name in body.dtype.names:
+        _check_finite(path, body[name], f" of section {name}")
     with open(path, "wb") as f:
         f.write(_RECORD_HEAD.pack(RECORD_MAGIC, VERSION, t.n, BLOCK, G1, G2, t.k))
         f.write(body.tobytes())
@@ -236,8 +248,7 @@ def read_transform_record(path):
         raise FileFormatError(f"{path}: header k={k} needs a body over 2 GiB") from None
     rec = _read_body(path, raw, _RECORD_HEAD.size, *layouts)[0]
     for name in rec.dtype.names:
-        if not np.all(np.isfinite(rec[name])):
-            raise FileFormatError(f"{path}: non-finite value in section {name}")
+        _check_finite(path, rec[name], f" of section {name}")
     t = GpkTransform(rec["A"], rec["B"])
     if "clip" not in rec.dtype.names:
         return t, None, None

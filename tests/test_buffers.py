@@ -187,7 +187,7 @@ class TestChunks:
 class TestPeakMemory:
     """A 1024 x 1024 W4A4 layer; peaks in units of the weight's own bytes.
 
-    Each busy thread holds one chunk's temporaries and a chunk loop takes one
+    Each busy thread holds one chunk's temporaries and the process runs one
     helper thread at most, so the bounds hold at any CPU count: the host's own,
     then 1, 4 and 8 patched CPUs.
     """

@@ -347,7 +347,8 @@ class TestDecode:
 
 class TestChunkRunner:
     """run_parts, through run_chunks, runs the chunks of the codec and of gpk_forward
-    on the caller and at most one free CPU; the bits never depend on how many there are."""
+    on the caller and at most one helper thread per process; the bits never depend on
+    the CPU count."""
 
     @pytest.fixture
     def cpus(self, monkeypatch):
@@ -434,6 +435,31 @@ class TestChunkRunner:
             formats.run_chunks(17, 2, body)
         assert threading.active_count() == threads
         assert sorted(done) == ([(0, 2)] if cpus_n == 1 else [(0, 2), (4, 6)])
+
+    @pytest.mark.parametrize("cpus_n", [2, 8])
+    def test_a_call_while_the_helper_runs_is_serial(self, cpus, cpus_n):
+        # one thread's call holds the helper until its part 1 is released; a second
+        # call meanwhile runs all its parts on its own caller and starts no thread
+        started = cpus(cpus_n)
+        entered, release = threading.Event(), threading.Event()
+
+        def first(i):
+            if i == 1:
+                entered.set()
+                assert release.wait(10)
+
+        outer = threading.Thread(target=formats.run_parts, args=([1, 1], first))
+        outer.start()
+        try:
+            assert entered.wait(10)
+            ran = []
+            formats.run_parts([1, 1, 1], lambda i: ran.append((i, threading.get_ident())))
+        finally:
+            release.set()
+            outer.join(10)
+        assert not outer.is_alive()
+        assert ran == [(i, threading.get_ident()) for i in range(3)]
+        assert len(started) == 2  # the outer thread and its one helper
 
     def test_helpers_run_under_the_callers_error_state(self, cpus):
         # the last of 2 spans runs on a helper at 2 CPUs; numpy's error state is

@@ -18,6 +18,14 @@ from mxquant.harness import build_toy_block, calibrate_block, simulate_block
 from mxquant.verify import check_quantizer, random_transform
 
 
+def _write_unchecked(write, path, *args):
+    """Call an io writer with its finiteness check off, so that it writes the non-finite
+    file another program could, for a reader's own check to reject."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(io, "_check_finite", lambda *_: None)
+        write(path, *args)
+
+
 class TestTensorFile:
     def test_f32_round_trip(self, tmp_path, rng):
         x = rng.normal(size=(3, 5, 64)).astype(np.float32).astype(np.float64)
@@ -207,10 +215,22 @@ class TestTensorFile:
         x = rng.normal(size=(4, 64))
         x[2, 5] = bad
         p = tmp_path / "x.mxbt"
-        io.write_tensor(p, x)
+        _write_unchecked(io.write_tensor, p, x)
         message = f"{p}: non-finite value {np.float32(bad)} at element 133"
         with pytest.raises(FileFormatError, match=re.escape(message)):
             io.read_tensor(p)
+
+    @pytest.mark.parametrize("bad, shown", [(np.nan, "nan"), (np.inf, "inf"), (1e39, "inf")],
+                             ids=["nan", "inf", "1e39"])
+    def test_write_rejects_what_the_reader_rejects(self, tmp_path, rng, bad, shown):
+        # 1e39 overflows float32 to inf, silently: the suite makes a warning an error
+        x = rng.normal(size=(4, 64))
+        x[2, 5] = bad
+        p = tmp_path / "x.mxbt"
+        message = f"{p}: non-finite value {shown} at element 133"
+        with pytest.raises(FileFormatError, match=re.escape(message)):
+            io.write_tensor(p, x)
+        assert not p.exists()
 
     def test_all_mx4_codes_accepted(self, tmp_path):
         raw = b"MXBT" + struct.pack("<HBB2I", 1, 1, 2, 1, 32) + struct.pack("<b", -127)
@@ -326,9 +346,30 @@ class TestTransformRecord:
         else:
             wgt.alpha_max[1] = bad
         p = tmp_path / "t.gpkt"
-        io.write_transform_record(p, t, act, wgt)
+        _write_unchecked(io.write_transform_record, p, t, act, wgt)
         with pytest.raises(FileFormatError, match="non-finite"):
             io.read_transform_record(p)
+
+    @pytest.mark.parametrize("where, section, element",
+                             [("a", "A", 10), ("b", "B", 19), ("clip", "clip", 7)])
+    @pytest.mark.parametrize("bad, shown", [(np.nan, "nan"), (np.inf, "inf"), (1e39, "inf")],
+                             ids=["nan", "inf", "1e39"])
+    def test_write_rejects_what_the_reader_rejects(self, tmp_path, rng, where, section,
+                                                   element, bad, shown):
+        t = random_transform(rng, 64)
+        act = mq.ClipParams(rng.normal(size=2), rng.normal(size=2))
+        wgt = mq.ClipParams(rng.normal(size=2), rng.normal(size=2))
+        if where == "a":
+            t.a[1, 2] = bad
+        elif where == "b":
+            t.b[1, 0, 3] = bad
+        else:
+            wgt.alpha_max[1] = bad
+        p = tmp_path / "t.gpkt"
+        message = f"{p}: non-finite value {shown} at element {element} of section {section}"
+        with pytest.raises(FileFormatError, match=re.escape(message)):
+            io.write_transform_record(p, t, act, wgt)
+        assert not p.exists()
 
 
 class TestKvConfig:
@@ -479,9 +520,8 @@ class TestCli:
 
     def test_nonfinite_input_is_data_error(self, tmp_path, capsys):
         # 1e200 overflows the f32 payload to inf; reading the weights rejects it
-        with np.errstate(over="ignore"):
-            io.write_tensor(tmp_path / "w.mxbt", np.full((4, 64), 1e200))
-            io.write_tensor(tmp_path / "acts.mxbt", np.full((8, 64), 1e200))
+        _write_unchecked(io.write_tensor, tmp_path / "w.mxbt", np.full((4, 64), 1e200))
+        _write_unchecked(io.write_tensor, tmp_path / "acts.mxbt", np.full((8, 64), 1e200))
         cfg = tmp_path / "run.cfg"
         cfg.write_text("weights = w.mxbt\ncalib = acts.mxbt\nlr = 1e-3\nepochs = 1\n")
         with np.errstate(all="ignore"):
@@ -495,7 +535,7 @@ class TestCli:
         cfg, x, w = _write_calib_bundle(tmp_path)
         v = (w if name == "w.mxbt" else x).copy()
         v[1, 3] = bad
-        io.write_tensor(tmp_path / name, v)
+        _write_unchecked(io.write_tensor, tmp_path / name, v)
         _expect_one_data_error(["calibrate", "--config", str(cfg)], capsys,
                                f"{tmp_path / name}: non-finite value {np.float32(bad)}")
         assert not (tmp_path / "out").exists()
@@ -740,12 +780,12 @@ class TestCli:
         x = rng.normal(size=(16, 64))
         if bad != "nan-transform":
             x[3, 5] = np.nan if bad == "nan-tensor" else np.inf
-        io.write_tensor(tmp_path / "x.mxbt", x)
+        _write_unchecked(io.write_tensor, tmp_path / "x.mxbt", x)
         args = ["stats", "--tensor", str(tmp_path / "x.mxbt"), "--out", str(tmp_path / "s.csv")]
         if bad == "nan-transform":
             t = mq.GpkTransform.identity(64)
             t.a[2, 3] = np.nan
-            io.write_transform_record(tmp_path / "t.gpkt", t)
+            _write_unchecked(io.write_transform_record, tmp_path / "t.gpkt", t)
             args += ["--transform", str(tmp_path / "t.gpkt")]
         capsys.readouterr()
         assert main(args) == 2
