@@ -37,6 +37,15 @@ clamps agree: index -> magnitude is increasing, and the first index past
 the top entry (the excluded E4M3 NaN slot, or E2M1's n = 2^(m+1) in the top
 binade) already lies above max_value. Either clamp is saturation.
 
+Encode reads e off u's bits too. u's mantissa field is zero, so
+``bits(u) >> (52 - m)`` is u's biased exponent field e - m + 1075 shifted
+left by m, and ``(bits(r + u) - bits(u)) + (bits(u) >> (52 - m))`` is the
+index plus bias = (1075 - m + emin) << m: three int64 passes, then the clamp
+to top + bias. The index is below 256, so the bias can come off after the
+store into the uint8 codes: that store keeps the value modulo 256, and
+subtracting bias % 256 there wraps to the same index. The sign bit is then
+or-ed in as uint8.
+
 The codec works on an (n_blocks, 32) float64 view of blocks(x), CHUNK blocks
 at a time: its float temporaries are at most one chunk per busy thread,
 whatever the tensor's size. Scaling by 2^e is a product with an exact power
@@ -367,19 +376,24 @@ def _encode_blocks(xb, fmt: MxFormat):
     scale_exps = np.empty(len(xb), dtype=np.int8)
     codes = np.empty(xb.shape, dtype=np.uint8)
 
+    bias = (1075 - m + fmt.emin) << m  # the biased exponent field of u at e = emin, << m
+
     def chunk(s, e):
         xc = xb[s:e]
         se, r = _scaled_magnitudes(xc, fmt)
         ui = _binade_round(r, fmt).view(np.int64)
         idx = r.view(np.int64)
         idx -= ui  # n
-        ui >>= 52  # biased exponent of u: e - m + 52 + 1023
-        ui -= 1075 - m + fmt.emin
-        ui <<= m
-        idx += ui  # n + ((e - emin) << m)
-        np.minimum(idx, top, out=idx)
+        ui >>= 52 - m  # u's biased exponent e - m + 1075, << m
+        idx += ui  # index + bias
+        np.minimum(idx, top + bias, out=idx)
         scale_exps[s:e] = se
-        codes[s:e] = (np.signbit(xc).astype(np.uint8) << fmt.sign_shift) | idx
+        c = codes[s:e]
+        c[...] = idx  # wraps modulo 256
+        c -= bias % 256
+        sign = np.signbit(xc).view(np.uint8)
+        sign <<= fmt.sign_shift
+        c |= sign
 
     run_chunks(len(xb), CHUNK, chunk)
     return scale_exps, codes

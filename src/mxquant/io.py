@@ -26,11 +26,26 @@ Transform record (.gpkt):
             weight alpha_max
 
 Each layout is one header struct and one body dtype, shared by writer and
-reader. Both readers check magic, version and exact payload size first.
+reader. Both readers read the fixed header (and a tensor's dims) alone,
+check magic and version, and compare the payload size the header implies
+with the file's size from os.fstat, all before any payload byte is read or
+allocated; then readinto fills one array of the body dtype. Each writer
+fills one array that is the file body and hands its buffer to f.write.
 Each payload rule is one check, run by the writer before it opens the file
 and by the reader after it unpacks the payload: mx scale exponents lie in
 [-127, 127] and codes index the format's value set (_check_payload), and
 f32 values and record sections are finite, once cast (_check_finite).
+
+A tensor body is filled and unpacked in chunks on formats.run_chunks:
+CHUNK blocks of an mx body, CHUNK * BLOCK values of an f32 one. The
+writer's chunk casts (f32) or packs (mx4) its part of the body, and an f32
+chunk is then checked; the reader's f32 chunk is checked, then widened into
+the float64 result. mx4 packs a code pair by viewing it as one '<u2' v:
+both codes are below 16, so the low byte of v | v >> 4 is lo | hi << 4;
+the reader reverses it in place, v |= v << 4, v &= 0x0F0F. A failing chunk
+reports its first bad value by its index in the whole tensor, and
+run_chunks raises the error of the smallest failing chunk, so the message
+names the first bad value, as a serial check would.
 
 Config files are flat text, one `key = value` per line; blank lines and
 lines starting with # are ignored. Both kinds (run configs, block specs)
@@ -48,6 +63,7 @@ from __future__ import annotations
 
 import glob
 import math
+import os
 import struct
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -58,7 +74,8 @@ import numpy as np
 from .calib import CalibConfig
 from .clipping import ClipParams
 from .errors import DataError, FileFormatError, ShapeError
-from .formats import BLOCK, E2M1, E4M3, FormatConfig, MxFormat, MxTensor, block_count
+from .formats import (BLOCK, CHUNK, E2M1, E4M3, FormatConfig, MxFormat, MxTensor,
+                      block_count, run_chunks)
 from .harness import ToyBlockSpec
 from .transform import G1, G2, GpkTransform
 
@@ -72,6 +89,7 @@ _RECORD_HEAD = struct.Struct("<4sH5I")  # magic, version, N, g, g1, g2, k
 # dtype tag -> element format, None for f32
 _DTYPES = {0: None, 1: E2M1, 2: E4M3}
 _TAGS = {fmt: tag for tag, fmt in _DTYPES.items()}
+_F32_CHUNK = CHUNK * BLOCK  # f32 values per chunk of a tensor body
 
 
 def _block_dtype(fmt: MxFormat) -> np.dtype:
@@ -100,12 +118,25 @@ def _first_outside(a, lo: int, hi: int):
     return a[(a < lo) | (a > hi)][0]
 
 
+def _u8_codes_valid(codes, fmt: MxFormat) -> bool:
+    """One reduction decides for uint8 codes: where the indices fill their
+    bits (e2m1) a code need only fit fmt.bits; an 8-bit code always fits, so
+    only its index counts. False if it fails, or if neither applies."""
+    if codes.size == 0:
+        return True
+    if len(fmt.value_set) == 1 << fmt.sign_shift:
+        return codes.max() < 1 << fmt.bits
+    return fmt.bits == 8 and (codes & ((1 << fmt.sign_shift) - 1)).max() < len(fmt.value_set)
+
+
 def _check_payload(path, fmt: MxFormat, scale_exps, codes) -> None:
     """Scale exponents lie in [-127, 127]; codes fit fmt.bits and index fmt's value set."""
     bad = _first_outside(np.asarray(scale_exps), -127, 127)
     if bad is not None:
         raise FileFormatError(f"{path}: scale exponent {bad} is outside [-127, 127]")
     codes = np.asarray(codes)
+    if codes.dtype == np.uint8 and _u8_codes_valid(codes, fmt):
+        return
     bad = _first_outside(codes, 0, (1 << fmt.bits) - 1)
     if bad is not None:
         raise FileFormatError(f"{path}: code {bad:#x} is not a {fmt.bits}-bit code")
@@ -113,39 +144,50 @@ def _check_payload(path, fmt: MxFormat, scale_exps, codes) -> None:
         raise FileFormatError(f"{path}: code index outside the {fmt.name} value set")
 
 
-def _check_finite(path, a, where: str = "") -> None:
-    """Every element of the float array a is finite; else name the first bad one."""
+def _check_finite(path, a, where: str = "", start: int = 0) -> None:
+    """Every element of the float array a is finite; else name the first bad one,
+    numbering a's elements from start."""
     if not (ok := np.isfinite(a)).all():
         bad = int(np.argmin(ok))
-        raise FileFormatError(f"{path}: non-finite value {a.flat[bad]} at element {bad}{where}")
+        raise FileFormatError(
+            f"{path}: non-finite value {a.flat[bad]} at element {start + bad}{where}")
 
 
-def _read_head(path, magic: bytes, head: struct.Struct, what: str):
-    """The file's bytes and its header fields after magic and version."""
-    raw = Path(path).read_bytes()
+def _read_head(f, path, magic: bytes, head: struct.Struct, what: str):
+    """The header fields after magic and version, read from the open file f."""
+    raw = f.read(head.size)
     if len(raw) < head.size or raw[:4] != magic:
         raise FileFormatError(f"{path}: not a {what} (bad magic)")
-    _, version, *fields = head.unpack_from(raw)
+    _, version, *fields = head.unpack(raw)
     if version != VERSION:
         raise FileFormatError(f"{path}: unsupported version {version}")
-    return raw, fields
+    return fields
 
 
-def _read_body(path, raw: bytes, off: int, *layouts) -> np.ndarray:
-    """raw[off:] viewed as the first (dtype, count) layout whose size it has exactly.
+def _read_body(f, path, *layouts) -> np.ndarray:
+    """The rest of the open file f as the first (dtype, count) layout whose size it
+    has exactly. The size is the file's, so a wrong one is refused before any
+    payload byte is read or allocated.
 
     Sizes are Python ints, so a product of header fields cannot wrap.
     """
-    size = len(raw) - off
+    size = os.fstat(f.fileno()).st_size - f.tell()
     for dt, count in layouts:
         if size == count * dt.itemsize:
-            return np.frombuffer(raw, dtype=dt, count=count, offset=off)
+            body = np.empty(count, dtype=dt)
+            if (got := f.readinto(body)) != size:  # the file shrank since fstat
+                raise FileFormatError(f"{path}: payload is {got} bytes, expected {size}")
+            return body
     expect = " or ".join(str(count * dt.itemsize) for dt, count in layouts)
     raise FileFormatError(f"{path}: payload is {size} bytes, expected {expect}")
 
 
 def write_tensor(path, tensor) -> None:
-    """Write a float array (as f32) or an MxTensor to a .mxbt file."""
+    """Write a float array (as f32) or an MxTensor to a .mxbt file.
+
+    The body is filled, and every payload rule checked, before the file is
+    opened, so a refused tensor leaves no file.
+    """
     if isinstance(tensor, MxTensor):
         fmt = tensor.fmt
         if fmt not in _TAGS:
@@ -153,32 +195,42 @@ def write_tensor(path, tensor) -> None:
         tag = _TAGS[fmt]
         _check_mx_width(tensor.shape, path)
         blocks = math.prod(tensor.shape) // BLOCK
-        if tensor.scale_exps.shape != (blocks,) or tensor.codes.shape != (blocks, BLOCK):
+        scale_exps, codes = tensor.scale_exps, tensor.codes
+        if scale_exps.shape != (blocks,) or codes.shape != (blocks, BLOCK):
             raise FileFormatError(
                 f"{path}: shape {tensor.shape} needs {blocks} blocks of {BLOCK} codes, got "
-                f"scale exponents {tensor.scale_exps.shape} and codes {tensor.codes.shape}")
-        _check_payload(path, fmt, tensor.scale_exps, tensor.codes)
-        rec = np.empty(blocks, dtype=_block_dtype(fmt))
-        rec["e"] = tensor.scale_exps
-        c = tensor.codes
-        if fmt.bits == 4:
-            # two codes per byte, first code in the low nibble
-            c = c[:, 0::2] | (c[:, 1::2] << 4)
-        rec["c"] = c
-        payload = rec.tobytes()
+                f"scale exponents {scale_exps.shape} and codes {codes.shape}")
+        _check_payload(path, fmt, scale_exps, codes)
+        body = np.empty(blocks, dtype=_block_dtype(fmt))
+
+        def fill(s, e):
+            body["e"][s:e] = scale_exps[s:e]
+            c = np.ascontiguousarray(codes[s:e], dtype=np.uint8)
+            if fmt.bits == 4:  # code pair v = lo | hi << 8: v >> 4 | v ends in lo | hi << 4
+                v = c.view("<u2")
+                c = v >> 4
+                c |= v
+            body["c"][s:e] = c
+
+        run_chunks(blocks, CHUNK, fill)
     else:
         tag = _TAGS[None]
         tensor = np.asarray(tensor)
-        with np.errstate(over="ignore"):  # an overflow to inf is reported just below
-            data = np.ascontiguousarray(tensor, dtype="<f4")
-        _check_finite(path, data)
-        payload = data.tobytes()
+        src = tensor.reshape(-1)
+        body = np.empty(src.size, dtype="<f4")
+
+        def fill(s, e):
+            body[s:e] = src[s:e]
+            _check_finite(path, body[s:e], "", s)
+
+        with np.errstate(over="ignore"):  # an overflow to inf is reported by the check
+            run_chunks(src.size, _F32_CHUNK, fill)
 
     shape = tensor.shape
     with open(path, "wb") as f:
         f.write(_TENSOR_HEAD.pack(TENSOR_MAGIC, VERSION, tag, len(shape)))
         f.write(struct.pack(f"<{len(shape)}I", *shape))
-        f.write(payload)
+        f.write(body)
 
 
 def read_tensor(path):
@@ -188,27 +240,43 @@ def read_tensor(path):
     against the layout before the payload is decoded; f32 values must be
     finite.
     """
-    raw, (tag, rank) = _read_head(path, TENSOR_MAGIC, _TENSOR_HEAD, "tensor file")
-    off = _TENSOR_HEAD.size + 4 * rank
-    if len(raw) < off:
-        raise FileFormatError(f"{path}: truncated header")
-    dims = struct.unpack_from(f"<{rank}I", raw, _TENSOR_HEAD.size)
-    count = math.prod(dims)  # Python ints: no overflow
-    if tag not in _DTYPES:
-        raise FileFormatError(f"{path}: unknown dtype tag {tag}")
-    fmt = _DTYPES[tag]
-    if fmt is None:
-        data = _read_body(path, raw, off, (np.dtype("<f4"), count))
-        _check_finite(path, data)  # its bool mask is freed before the cast below
-        return data.astype(np.float64).reshape(dims)
+    with open(path, "rb") as f:
+        tag, rank = _read_head(f, path, TENSOR_MAGIC, _TENSOR_HEAD, "tensor file")
+        raw = f.read(4 * rank)
+        if len(raw) < 4 * rank:
+            raise FileFormatError(f"{path}: truncated header")
+        dims = struct.unpack(f"<{rank}I", raw)
+        count = math.prod(dims)  # Python ints: no overflow
+        if tag not in _DTYPES:
+            raise FileFormatError(f"{path}: unknown dtype tag {tag}")
+        fmt = _DTYPES[tag]
+        if fmt is None:
+            data = _read_body(f, path, (np.dtype("<f4"), count))
+        else:
+            _check_mx_width(dims, path)
+            rec = _read_body(f, path, (_block_dtype(fmt), count // BLOCK))
 
-    _check_mx_width(dims, path)
-    rec = _read_body(path, raw, off, (_block_dtype(fmt), count // BLOCK))
+    if fmt is None:
+        out = np.empty(count)
+
+        def widen(s, e):
+            _check_finite(path, data[s:e], "", s)
+            out[s:e] = data[s:e]
+
+        run_chunks(count, _F32_CHUNK, widen)
+        return out.reshape(dims)
+
     scale_exps = rec["e"].copy()
     if fmt.bits == 4:
         codes = np.empty((len(rec), BLOCK), dtype=np.uint8)
-        codes[:, 0::2] = rec["c"] & 0x0F
-        codes[:, 1::2] = rec["c"] >> 4
+
+        def unpack(s, e):
+            v = codes[s:e].view("<u2")  # one code pair per packed byte, low nibble first
+            v[...] = rec["c"][s:e]
+            v |= v << 4
+            v &= 0x0F0F
+
+        run_chunks(len(rec), CHUNK, unpack)
     else:
         codes = rec["c"].copy()
     _check_payload(path, fmt, scale_exps, codes)
@@ -230,23 +298,24 @@ def write_transform_record(path, t: GpkTransform, act_clip=None, weight_clip=Non
         _check_finite(path, body[name], f" of section {name}")
     with open(path, "wb") as f:
         f.write(_RECORD_HEAD.pack(RECORD_MAGIC, VERSION, t.n, BLOCK, G1, G2, t.k))
-        f.write(body.tobytes())
+        f.write(body)
 
 
 def read_transform_record(path):
     """Returns (transform, act_clip | None, weight_clip | None)."""
-    raw, (n, g, g1, g2, k) = _read_head(path, RECORD_MAGIC, _RECORD_HEAD, "transform record")
-    if k == 0 or (n, g, g1, g2) != (k * BLOCK, BLOCK, G1, G2):
-        raise FileFormatError(
-            f"{path}: header (N={n}, g={g}, g1={g1}, g2={g2}, k={k}) is not "
-            f"(N={BLOCK}k, g={BLOCK}, g1={G1}, g2={G2}, k) with k >= 1: transforms act on the "
-            f"{BLOCK}-element MX block split {G1}x{G2}"
-        )
-    try:  # numpy caps a record below 2 GiB
-        layouts = [(_record_dtype(k, clips), 1) for clips in (False, True)]
-    except ValueError:
-        raise FileFormatError(f"{path}: header k={k} needs a body over 2 GiB") from None
-    rec = _read_body(path, raw, _RECORD_HEAD.size, *layouts)[0]
+    with open(path, "rb") as f:
+        n, g, g1, g2, k = _read_head(f, path, RECORD_MAGIC, _RECORD_HEAD, "transform record")
+        if k == 0 or (n, g, g1, g2) != (k * BLOCK, BLOCK, G1, G2):
+            raise FileFormatError(
+                f"{path}: header (N={n}, g={g}, g1={g1}, g2={g2}, k={k}) is not "
+                f"(N={BLOCK}k, g={BLOCK}, g1={G1}, g2={G2}, k) with k >= 1: transforms act "
+                f"on the {BLOCK}-element MX block split {G1}x{G2}"
+            )
+        try:  # numpy caps a record below 2 GiB
+            layouts = [(_record_dtype(k, clips), 1) for clips in (False, True)]
+        except ValueError:
+            raise FileFormatError(f"{path}: header k={k} needs a body over 2 GiB") from None
+        rec = _read_body(f, path, *layouts)[0]
     for name in rec.dtype.names:
         _check_finite(path, rec[name], f" of section {name}")
     t = GpkTransform(rec["A"], rec["B"])

@@ -13,6 +13,7 @@ import pytest
 
 import mxquant as mq
 from conftest import W4A4KV16, traced_peak
+from mxquant import io
 from mxquant.calib import FusedLayer, Theta, _backward, _forward
 from mxquant.clipping import ClipParams, clip_backward, clip_with_ctx
 from mxquant.formats import CHUNK, quantize_dequantize_with_mask, quantize_tensor
@@ -205,3 +206,18 @@ class TestPeakMemory:
             peak, fused = traced_peak(lambda: mq.fuse(w, theta, W4A4KV16))
             assert isinstance(fused.w_q, mq.MxTensor)
             assert peak <= 2.5 * w.nbytes, (cpus, peak / w.nbytes)
+
+    def test_write_tensor_peaks(self, rng, monkeypatch, tmp_path):
+        # the writer fills the file body in place: f32 holds its float32 body,
+        # mx4 and mx8 their payload, plus one chunk's temporaries per busy thread
+        x = rng.normal(size=(2048, 1024))
+        tensors = [(x, 0.6 * x.nbytes)]
+        for fmt in (mq.E2M1, mq.E4M3):
+            t = quantize_tensor(x, fmt)
+            tensors.append((t, 1.3 * t.n_blocks * (1 + 32 * fmt.bits // 8)))
+        p = tmp_path / "w.mxbt"
+        for cpus in (mq.formats._cpu_count(), 1):
+            monkeypatch.setattr(mq.formats, "_cpu_count", lambda: cpus)
+            for t, bound in tensors:
+                peak, _ = traced_peak(lambda: io.write_tensor(p, t))
+                assert peak <= bound, (cpus, type(t).__name__, peak / bound)

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 import mxquant as mq
+from conftest import traced_peak
 from mxquant import cli, io
 from mxquant.cli import _build_parser, main
 from mxquant.errors import FileFormatError
+from mxquant.formats import CHUNK
 from mxquant.harness import build_toy_block, calibrate_block, simulate_block
 from mxquant.verify import check_quantizer, random_transform
 
@@ -63,6 +65,65 @@ class TestTensorFile:
         first_byte = raw[header + 1]
         assert first_byte & 0x0F == 7  # code of 6.0 in the low nibble
         assert first_byte >> 4 == 2  # code of 1.0 in the high nibble
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("n_blocks", [1, CHUNK, 2 * CHUNK + 5],
+                             ids=["1", "CHUNK", "2CHUNK+5"])
+    @pytest.mark.parametrize("fmt", [mq.E2M1, mq.E4M3], ids=lambda f: f.name)
+    def test_body_is_the_documented_layout(self, tmp_path, monkeypatch, rng, fmt, n_blocks,
+                                           cpus):
+        # every valid code (16 for e2m1; 254 for e4m3, all but the two NaN codes) and
+        # every scale exponent, against a packing of the layout built here
+        monkeypatch.setattr(mq.formats, "_cpu_count", lambda: cpus)
+        valid = np.array([c for c in range(1 << fmt.bits)
+                          if c & ((1 << fmt.sign_shift) - 1) < len(fmt.value_set)], np.uint8)
+        assert len(valid) == {4: 16, 8: 254}[fmt.bits]
+        codes = rng.choice(valid, size=(n_blocks, 32))
+        head = min(len(valid), codes.size)
+        codes.reshape(-1)[:head] = valid[:head]
+        scale_exps = rng.integers(-127, 128, size=n_blocks).astype(np.int8)
+        scale_exps[: min(255, n_blocks)] = np.arange(-127, 128)[: min(255, n_blocks)]
+        t = mq.MxTensor((n_blocks, 32), fmt, scale_exps, codes)
+        p = tmp_path / "l.mxbt"
+        io.write_tensor(p, t)
+
+        packed = codes[:, 0::2] | codes[:, 1::2] << 4 if fmt.bits == 4 else codes
+        blocks = [bytes([e & 0xFF]) + bytes(c) for e, c in zip(scale_exps.tolist(), packed)]
+        raw = p.read_bytes()
+        head_size = 8 + 4 * 2
+        assert raw[:head_size] == b"MXBT" + struct.pack("<HBB2I", 1, io._TAGS[fmt], 2,
+                                                        n_blocks, 32)
+        assert raw[head_size:] == b"".join(blocks)
+        r = io.read_tensor(p)
+        assert r.shape == t.shape and r.fmt is fmt
+        assert r.scale_exps.dtype == np.int8 and np.array_equal(r.scale_exps, scale_exps)
+        assert r.codes.dtype == np.uint8 and np.array_equal(r.codes, codes)
+        assert r.to_dense().tobytes() == t.to_dense().tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("side", ["writer", "reader"])
+    def test_first_nonfinite_in_a_later_chunk_named_by_global_index(self, tmp_path,
+                                                                    monkeypatch, rng, side,
+                                                                    cpus):
+        # 9 chunks of CHUNK blocks' values: at 2 CPUs the helper thread runs chunk 7
+        span = CHUNK * 32
+        sizes = [span] * 8 + [100]
+        assert 7 in mq.formats._balanced_groups(sizes, 2)[1]
+        monkeypatch.setattr(mq.formats, "_cpu_count", lambda: cpus)
+        p = tmp_path / "x.mxbt"
+        for bad in ([7 * span + 5], [7 * span + 5, 2 * span + 3]):
+            x = rng.normal(size=sum(sizes))
+            x[bad] = np.nan
+            message = f"{p}: non-finite value nan at element {min(bad)}"
+            if side == "writer":
+                with pytest.raises(FileFormatError) as e:
+                    io.write_tensor(p, x)
+                assert not p.exists()
+            else:
+                _write_unchecked(io.write_tensor, p, x)
+                with pytest.raises(FileFormatError) as e:
+                    io.read_tensor(p)
+            assert str(e.value) == message
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.mxbt"
@@ -370,6 +431,32 @@ class TestTransformRecord:
         with pytest.raises(FileFormatError, match=re.escape(message)):
             io.write_transform_record(p, t, act, wgt)
         assert not p.exists()
+
+
+class TestHeaderFirst:
+    """A reader reads the header and checks the payload size against the file's
+    before it reads or allocates any payload byte: sparse files of 64 and 256 MiB
+    are refused within a traced peak of 64 KiB."""
+
+    @pytest.mark.parametrize("read, what", [(io.read_tensor, "tensor file"),
+                                            (io.read_transform_record, "transform record")],
+                             ids=["tensor", "record"])
+    def test_huge_file_without_magic(self, tmp_path, read, what):
+        p = tmp_path / "big.bin"
+        with open(p, "wb") as f:
+            f.truncate(256 << 20)
+        peak, e = traced_peak(lambda: pytest.raises(FileFormatError, read, p))
+        assert str(e.value) == f"{p}: not a {what} (bad magic)"
+        assert peak < 64 << 10, peak
+
+    def test_short_payload_of_a_huge_header(self, tmp_path):
+        p = tmp_path / "short.mxbt"
+        with open(p, "wb") as f:
+            f.write(b"MXBT" + struct.pack("<HBB2I", 1, 0, 2, 4096, 4096))
+            f.truncate(64 << 20)
+        peak, e = traced_peak(lambda: pytest.raises(FileFormatError, io.read_tensor, p))
+        assert str(e.value) == f"{p}: payload is 67108848 bytes, expected 67108864"
+        assert peak < 64 << 10, peak
 
 
 class TestKvConfig:
