@@ -29,7 +29,8 @@ Each layout is one header struct and one body dtype, shared by writer and
 reader. Both readers read the fixed header (and a tensor's dims) alone,
 check magic and version, and compare the payload size the header implies
 with the file's size from os.fstat, all before any payload byte is read or
-allocated; then readinto fills one array of the body dtype. Each writer
+allocated (so a path that is not a regular file, such as a pipe, is
+refused); then readinto fills one array of the body dtype. Each writer
 fills one array that is the file body and hands its buffer to f.write.
 Each payload rule is one check, run by the writer before it opens the file
 and by the reader after it unpacks the payload: mx scale exponents lie in
@@ -64,6 +65,7 @@ from __future__ import annotations
 import glob
 import math
 import os
+import stat
 import struct
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -112,35 +114,32 @@ def _check_mx_width(shape, where) -> None:
 
 def _first_outside(a, lo: int, hi: int):
     """The first element of a outside [lo, hi], or None. A min/max reduction
-    decides; only a failed one searches the elements."""
-    if a.size == 0 or lo <= a.min() and a.max() <= hi:
+    decides, and a bound that a's integer dtype already keeps is not reduced;
+    only a failed one searches the elements."""
+    if a.size == 0:
+        return None
+    low_ok = high_ok = False
+    if a.dtype.kind in "ui":
+        info = np.iinfo(a.dtype)
+        low_ok, high_ok = lo <= info.min, hi >= info.max
+    if (low_ok or lo <= a.min()) and (high_ok or a.max() <= hi):
         return None
     return a[(a < lo) | (a > hi)][0]
 
 
-def _u8_codes_valid(codes, fmt: MxFormat) -> bool:
-    """One reduction decides for uint8 codes: where the indices fill their
-    bits (e2m1) a code need only fit fmt.bits; an 8-bit code always fits, so
-    only its index counts. False if it fails, or if neither applies."""
-    if codes.size == 0:
-        return True
-    if len(fmt.value_set) == 1 << fmt.sign_shift:
-        return codes.max() < 1 << fmt.bits
-    return fmt.bits == 8 and (codes & ((1 << fmt.sign_shift) - 1)).max() < len(fmt.value_set)
-
-
 def _check_payload(path, fmt: MxFormat, scale_exps, codes) -> None:
-    """Scale exponents lie in [-127, 127]; codes fit fmt.bits and index fmt's value set."""
+    """Scale exponents lie in [-127, 127]; codes fit fmt.bits and index fmt's value
+    set. An index check is skipped where the value set fills the index bits (e2m1),
+    so uint8 codes take one reduction: e2m1 a max, e4m3 a masked max."""
     bad = _first_outside(np.asarray(scale_exps), -127, 127)
     if bad is not None:
         raise FileFormatError(f"{path}: scale exponent {bad} is outside [-127, 127]")
     codes = np.asarray(codes)
-    if codes.dtype == np.uint8 and _u8_codes_valid(codes, fmt):
-        return
     bad = _first_outside(codes, 0, (1 << fmt.bits) - 1)
     if bad is not None:
         raise FileFormatError(f"{path}: code {bad:#x} is not a {fmt.bits}-bit code")
-    if codes.size and (codes & ((1 << fmt.sign_shift) - 1)).max() >= len(fmt.value_set):
+    if (codes.size and len(fmt.value_set) < 1 << fmt.sign_shift
+            and (codes & ((1 << fmt.sign_shift) - 1)).max() >= len(fmt.value_set)):
         raise FileFormatError(f"{path}: code index outside the {fmt.name} value set")
 
 
@@ -169,9 +168,13 @@ def _read_body(f, path, *layouts) -> np.ndarray:
     has exactly. The size is the file's, so a wrong one is refused before any
     payload byte is read or allocated.
 
-    Sizes are Python ints, so a product of header fields cannot wrap.
+    Sizes are Python ints, so a product of header fields cannot wrap. A pipe or
+    other stream has no size to check, so it is refused.
     """
-    size = os.fstat(f.fileno()).st_size - f.tell()
+    st = os.fstat(f.fileno())
+    if not stat.S_ISREG(st.st_mode):
+        raise FileFormatError(f"{path}: not a regular file")
+    size = st.st_size - f.tell()
     for dt, count in layouts:
         if size == count * dt.itemsize:
             body = np.empty(count, dtype=dt)

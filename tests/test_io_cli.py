@@ -458,6 +458,26 @@ class TestHeaderFirst:
         assert str(e.value) == f"{p}: payload is 67108848 bytes, expected 67108864"
         assert peak < 64 << 10, peak
 
+    @pytest.mark.parametrize("read", [io.read_tensor, io.read_transform_record],
+                             ids=["tensor", "record"])
+    def test_pipe_refused_by_name(self, tmp_path, rng, read):
+        # a pipe has no size to check the header against: refused, naming the path
+        p = tmp_path / "x.bin"
+        if read is io.read_tensor:
+            io.write_tensor(p, rng.normal(size=(4, 32)))
+        else:
+            io.write_transform_record(p, random_transform(rng, 32))
+        r, w = os.pipe()
+        try:
+            os.write(w, p.read_bytes())  # a few hundred bytes: fits the pipe buffer
+            os.close(w)
+            src = f"/dev/fd/{r}"
+            with pytest.raises(FileFormatError) as e:
+                read(src)
+            assert str(e.value) == f"{src}: not a regular file"
+        finally:
+            os.close(r)
+
 
 class TestKvConfig:
     def test_parse_and_defaults(self, tmp_path):
