@@ -34,7 +34,7 @@ class SingularTransformError(NumericalError):
     Attributes:
         block_index: index of the offending private factor, or None for the
             shared global factor.
-        cond: the offending condition-number estimate.
+        cond: the factor's Frobenius condition number ||M||_F * ||M^-1||_F.
     """
 
     def __init__(self, block_index, cond):

@@ -57,7 +57,10 @@ seed). read_kv_file is the only place a config value is cast. A cast also
 applies the value's rules: paths resolve against the file's directory and
 calib patterns must match a file. A file that is not UTF-8 text, an
 unknown key, a key set twice or a value its cast rejects is an error naming
-file:line, so nothing falls back silently.
+file:line, so nothing falls back silently; the message quotes at most
+_ECHO_CHARS characters of each piece of file text. A config file is read
+with one bounded read, so it may be a pipe, and one over CONFIG_MAX_BYTES
+(1 MiB) is refused by name without being read whole.
 """
 
 from __future__ import annotations
@@ -330,16 +333,30 @@ def read_transform_record(path):
 # -- flat key=value config files ------------------------------------------
 
 
+CONFIG_MAX_BYTES = 1 << 20  # a longer file is refused; every config here is under 1 KB
+_ECHO_CHARS = 80  # a message quotes at most this much of each piece of file text
+
+
+def _echo(text: str) -> str:
+    """text, cut to _ECHO_CHARS characters for a message."""
+    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "..."
+
+
 def read_kv_file(path, schema) -> dict:
     """Parse a config file into {key: schema[key](value)}.
 
-    Raises FileFormatError naming path:line for bytes that are not UTF-8, a
-    line that is not `key = value`, a key not in schema, a key set twice, or
-    a value its cast rejects with ValueError or DataError. A rejection gets
-    the prefix `key = value: ` unless it already starts with `key = ` (a
-    check_field message states the field and its value itself).
+    Raises FileFormatError naming path for a file over CONFIG_MAX_BYTES, and
+    naming path:line for bytes that are not UTF-8, a line that is not
+    `key = value`, a key not in schema, a key set twice, or a value its cast
+    rejects with ValueError or DataError. A rejection gets the prefix
+    `key = value: ` unless it already starts with `key = ` (a check_field
+    message states the field and its value itself). The line, key, value and
+    cast message a message quotes are each cut by _echo.
     """
-    raw = Path(path).read_bytes()
+    with open(path, "rb") as f:
+        raw = f.read(CONFIG_MAX_BYTES + 1)
+    if len(raw) > CONFIG_MAX_BYTES:
+        raise FileFormatError(f"{path}: over {CONFIG_MAX_BYTES} bytes, not a config file")
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as e:
@@ -352,17 +369,17 @@ def read_kv_file(path, schema) -> dict:
             continue
         key, eq, value = (part.strip() for part in line.partition("="))
         if not eq:
-            raise FileFormatError(f"{path}:{ln}: expected 'key = value', got {line!r}")
+            raise FileFormatError(f"{path}:{ln}: expected 'key = value', got {_echo(line)!r}")
         if key not in schema:
-            raise FileFormatError(f"{path}:{ln}: unknown key {key!r}")
+            raise FileFormatError(f"{path}:{ln}: unknown key {_echo(key)!r}")
         if key in out:
             raise FileFormatError(f"{path}:{ln}: {key!r} is set twice")
         try:
             out[key] = schema[key](value)
         except (ValueError, DataError) as e:
-            msg = str(e)
+            msg = _echo(str(e))
             if not msg.startswith(f"{key} = "):
-                msg = f"{key} = {value}: {msg}"
+                msg = f"{key} = {_echo(value)}: {msg}"
             raise FileFormatError(f"{path}:{ln}: {msg}") from e
     return out
 

@@ -36,7 +36,7 @@ from .formats import BLOCK, CHUNK, block_count, blocks, out_blocks, run_chunks
 G1 = 8  # global factor size
 G2 = 4  # private factor size
 assert G1 * G2 == BLOCK
-COND_LIMIT = 1e8  # factors beyond this are treated as singular
+COND_LIMIT = 1e8  # factors whose ||M||_F * ||M^-1||_F exceeds this are treated as singular
 
 
 @dataclass
@@ -75,38 +75,29 @@ class GpkTransform:
 
     def check_invertible(self) -> None:
         """Raise SingularTransformError if any factor is non-finite or near-singular."""
-        # np.linalg.cond raises on NaN (its SVD does not converge): test finiteness first
-        ca = np.linalg.cond(self.a) if np.all(np.isfinite(self.a)) else np.nan
-        if not ca <= COND_LIMIT:
-            raise SingularTransformError(None, ca)
-        finite = np.all(np.isfinite(self.b), axis=(1, 2))
-        cb = np.linalg.cond(np.where(finite[:, None, None], self.b, np.eye(G2)))
-        cb[~finite] = np.nan
-        bad = np.flatnonzero(~(cb <= COND_LIMIT))
-        if bad.size:
-            raise SingularTransformError(int(bad[0]), cb[bad[0]])
+        self._inverse_factors()
 
     def _inverse_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(A^-1, B_i^-1), each factor inverted once; raises as check_invertible does.
+        """(A^-1, B_i^-1), each factor inverted once.
 
-        ||M||_F * ||M^-1||_F bounds cond_2(M) from above, so a factor whose
-        bound is at most COND_LIMIT / 16 passes check_invertible and skips its
-        SVD; the margin covers rounding in the computed inverse. A non-finite
-        factor has a non-finite bound, and any factor over the bound sends the
-        whole transform through check_invertible, so the same factors are
-        rejected with the same error.
+        Raises SingularTransformError naming the global factor, else the first
+        block, whose Frobenius condition number ||M||_F * ||M^-1||_F exceeds
+        COND_LIMIT or is not finite. When inv finds some factor exactly
+        singular it does not say which, so the numbers come from
+        np.linalg.cond(M, "fro"), the same product: inf for a singular factor,
+        NaN for one holding a NaN.
         """
         try:
             a_inv, b_inv = np.linalg.inv(self.a), np.linalg.inv(self.b)
+            with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails below
+                ca, cb = _frobenius_cond(self.a, a_inv), _frobenius_cond(self.b, b_inv)
         except np.linalg.LinAlgError:  # an exactly singular factor
-            self.check_invertible()
-            raise
-        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the test below
-            within = _frobenius_cond(self.a, a_inv) <= COND_LIMIT / 16 and np.all(
-                _frobenius_cond(self.b, b_inv) <= COND_LIMIT / 16
-            )
-        if not within:
-            self.check_invertible()
+            ca, cb = np.linalg.cond(self.a, "fro"), np.linalg.cond(self.b, "fro")
+        if not ca <= COND_LIMIT:
+            raise SingularTransformError(None, ca)
+        bad = np.flatnonzero(~(cb <= COND_LIMIT))
+        if bad.size:
+            raise SingularTransformError(int(bad[0]), cb[bad[0]])
         return a_inv, b_inv
 
     def inverse(self) -> "GpkTransform":
@@ -124,8 +115,8 @@ class GpkTransform:
 
 
 def _frobenius_cond(m: np.ndarray, m_inv: np.ndarray) -> np.ndarray:
-    """||M||_F * ||M^-1||_F of each trailing square matrix: cond_2(M) <= this."""
-    return np.sqrt(np.sum(m * m, axis=(-2, -1)) * np.sum(m_inv * m_inv, axis=(-2, -1)))
+    """||M||_F * ||M^-1||_F of each trailing square matrix, rounded as np.linalg.cond(M, "fro")."""
+    return np.sqrt(np.sum(m * m, axis=(-2, -1))) * np.sqrt(np.sum(m_inv * m_inv, axis=(-2, -1)))
 
 
 def _split_blocks(x: np.ndarray, t: GpkTransform) -> np.ndarray:

@@ -777,6 +777,40 @@ class TestCli:
         assert not (tmp_path / "out").exists() and not out.exists()
 
     @pytest.mark.parametrize("command", ["calibrate", "simulate"])
+    def test_huge_config_refused_by_name(self, tmp_path, capsys, command):
+        # a 64 MiB sparse file is refused after one bounded read, in one short line
+        big = tmp_path / "big.cfg"
+        with open(big, "wb") as f:
+            f.truncate(64 << 20)
+        argv = (["calibrate", "--config", str(big)] if command == "calibrate"
+                else ["simulate", "--spec", str(big), "--out", str(tmp_path / "report.csv")])
+        peak, err = traced_peak(lambda: _expect_one_data_error(argv, capsys, str(big)))
+        assert err == f"mxquant: data: {big}: over {io.CONFIG_MAX_BYTES} bytes, not a config file"
+        assert len(err) < 300 and peak < 4 << 20, (len(err), peak)
+
+    @pytest.mark.parametrize("line, message", [
+        ("k" * 5000 + " = 1", "2: unknown key 'kkk"),
+        ("lr = " + "x" * 5000, "2: lr = xxx"),
+    ], ids=["key", "value"])
+    def test_long_config_text_is_cut_in_the_message(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"weights = w.mxbt\n{line}\n")
+        err = _expect_one_data_error(["calibrate", "--config", str(cfg)], capsys, message)
+        assert err.startswith(f"mxquant: data: {cfg}:{message}") and len(err) < 300, err
+
+    def test_spec_read_from_a_pipe(self, tmp_path):
+        r, w = os.pipe()
+        try:
+            os.write(w, _SPEC.encode())  # a few dozen bytes: fits the pipe buffer
+            os.close(w)
+            out = tmp_path / "report.csv"
+            assert main(["simulate", "--spec", f"/dev/fd/{r}", "--out", str(out),
+                         "--rows", "16"]) == 0
+            assert out.exists()
+        finally:
+            os.close(r)
+
+    @pytest.mark.parametrize("command", ["calibrate", "simulate"])
     def test_file_not_utf8_names_file_and_line(self, tmp_path, capsys, command):
         cfg, _, _ = _write_calib_bundle(tmp_path)
         out = tmp_path / "report.csv"

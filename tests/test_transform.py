@@ -116,7 +116,7 @@ class TestInverse:
 
     @pytest.mark.parametrize("where, index", [("a", None), ("b2", 2)], ids=["a", "b2"])
     def test_nonfinite_factor_is_singular(self, where, index):
-        # np.linalg.cond raises LinAlgError on NaN; the check must come first
+        # a NaN factor's condition number is NaN, which must count as over the limit
         t = mq.GpkTransform.identity(128)
         t.b[3] = 0.0  # a later singular block must not mask the first bad one
         if where == "a":
@@ -129,8 +129,8 @@ class TestInverse:
 
     @pytest.mark.parametrize("where", ["a", "b1"])
     def test_inverse_near_the_condition_limit_matches_check_then_invert(self, rng, where):
-        # the inverses skip check_invertible's SVD only where it must pass: each
-        # raises or returns exactly what the check followed by np.linalg.inv gives
+        # the inverses decide through the same condition number as check_invertible:
+        # each raises or returns exactly what the check followed by np.linalg.inv gives
         for cond in np.logspace(6, 10, 41):
             g = G1 if where == "a" else G2
             u, v = (np.linalg.qr(rng.normal(size=(g, g)))[0] for _ in range(2))
@@ -153,6 +153,49 @@ class TestInverse:
             assert inv.a.tobytes() == a_inv.tobytes() and inv.b.tobytes() == b_inv.tobytes()
             assert inv_t.a.tobytes() == a_inv.T.copy().tobytes()
             assert inv_t.b.tobytes() == b_inv.transpose(0, 2, 1).copy().tobytes()
+
+    @pytest.mark.parametrize(
+        "where, diag, index, cond",
+        [("a", [1.0] * 4 + [2e-8] * 4, None, 2e8), ("b1", [1.0, 1.0, 1.6e-8, 1.6e-8], 1, 1.25e8)],
+        ids=["a", "b1"],
+    )
+    def test_frobenius_condition_number_decides(self, where, diag, index, cond):
+        # cond_2 of these factors is within COND_LIMIT and ||M||_F * ||M^-1||_F is
+        # not: all three entry points reject them and report np.linalg.cond(M, "fro")
+        m = np.diag(diag)
+        assert np.linalg.cond(m) <= COND_LIMIT < np.linalg.cond(m, "fro")
+        t = mq.GpkTransform.identity(96)
+        if where == "a":
+            t.a[:] = m
+        else:
+            t.b[1] = m
+        for entry in (t.check_invertible, t.inverse, t.inverse_transpose):
+            with pytest.raises(SingularTransformError) as e:
+                entry()
+            assert (e.value.block_index, e.value.cond) == (index, np.linalg.cond(m, "fro"))
+        assert e.value.cond == pytest.approx(cond)
+
+    @pytest.mark.parametrize("where", ["a", "b1"])
+    def test_accepted_exactly_within_the_frobenius_limit(self, rng, where):
+        outcomes = set()
+        for cond in np.logspace(6, 10, 41):
+            g = G1 if where == "a" else G2
+            u, v = (np.linalg.qr(rng.normal(size=(g, g)))[0] for _ in range(2))
+            m = u @ np.diag(np.geomspace(1.0, 1.0 / cond, g)) @ v.T
+            t = mq.GpkTransform.identity(96)
+            if where == "a":
+                t.a[:] = m
+            else:
+                t.b[1] = m
+            accepted = bool(np.linalg.cond(m, "fro") <= COND_LIMIT)
+            outcomes.add(accepted)
+            for entry in (t.check_invertible, t.inverse, t.inverse_transpose):
+                if accepted:
+                    entry()
+                else:
+                    with pytest.raises(SingularTransformError):
+                        entry()
+        assert outcomes == {True, False}
 
     def test_inverse_transpose_pairing(self, rng):
         # x @ P paired with w @ P^-T preserves the product exactly
