@@ -10,7 +10,8 @@ Blocks are the 32-element MX quantization blocks (formats.BLOCK), so a
 clip never straddles two quantization blocks. Extrema are taken over all
 rows of the tensor for each block index, so a (rows, N) tensor yields
 k = N/BLOCK bound pairs. Elements exactly on a bound count as interior (the
-pass-through gradient branch).
+pass-through gradient branch). Each bound's extremum term goes to the first
+element that holds the extremum in element-major (element, row) order.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ class ClipParams:
 class ClipCtx:
     """Saved forward state for the backward pass."""
 
-    shape: tuple
     upper: np.ndarray  # bool (rows, k, BLOCK): clamped at beta_max
     lower: np.ndarray  # bool (rows, k, BLOCK): clamped at beta_min
     x_min: np.ndarray  # (k,)
@@ -74,24 +74,16 @@ class ClipCtx:
 
 def _block_extremum(xb, reduce):
     """Each block's extremum under reduce (np.min or np.max), shape (k,), and
-    the flat (row * BLOCK + element) index of its first occurrence.
+    the flat (row * BLOCK + element) index of the element that holds it.
 
-    The reduction runs over rows first, which is contiguous work, and then
-    over the 32 columns of the (k, BLOCK) result; reducing each row's block
-    first costs several times more. Only the columns whose extremum equals
-    the block's hold it; the smallest row * BLOCK + element over their first
-    hit rows is the first occurrence in row-major (row, element) order.
-    Usually one column per block is a candidate; if ties fill all of them
-    the gather is one copy of the tensor. A NaN block matches no column: it
-    keeps the last index, and its gradients are NaN either way.
+    The reduction runs over rows first, which is contiguous work; reducing
+    each row's block first costs several times more.
     """
     col = reduce(xb, axis=0)
     ext = reduce(col, axis=1)
-    ci, ce = np.nonzero(col == ext[:, None])
-    cols = np.take(xb.reshape(xb.shape[0], -1), ci * BLOCK + ce, axis=1)
-    first = np.full(ext.shape, xb.shape[0] * BLOCK - 1)
-    np.minimum.at(first, ci, np.argmax(cols == ext[ci], axis=0) * BLOCK + ce)
-    return ext, first
+    c = np.arange(len(ext)) * BLOCK + np.argmax(col == ext[:, None], axis=1)
+    r = np.argmax(np.take(xb.reshape(len(xb), -1), c, axis=1) == ext, axis=0)
+    return ext, r * BLOCK + c % BLOCK
 
 
 def clip_with_ctx(x, params: ClipParams, out=None):
@@ -118,7 +110,7 @@ def clip_with_ctx(x, params: ClipParams, out=None):
     upper = y > hi
     np.copyto(lower, False, where=upper)
     np.copyto(y, hi, where=upper)
-    ctx = ClipCtx(np.shape(x), upper, lower, x_min, x_max, argmin, argmax, s_min, s_max)
+    ctx = ClipCtx(upper, lower, x_min, x_max, argmin, argmax, s_min, s_max)
     return y.reshape(np.shape(x)), ctx
 
 
@@ -150,7 +142,7 @@ def clip_backward(ctx: ClipCtx, grad, out=None):
     karange = np.arange(len(ctx.s_max))
     dxb[ctx.argmax // BLOCK, karange, ctx.argmax % BLOCK] += g_up * ctx.s_max
     dxb[ctx.argmin // BLOCK, karange, ctx.argmin % BLOCK] += g_lo * ctx.s_min
-    return dxb.reshape(ctx.shape), d_alpha_min, d_alpha_max
+    return dxb.reshape(np.shape(grad)), d_alpha_min, d_alpha_max
 
 
 def clip_gradients(x, params: ClipParams, upstream=None):

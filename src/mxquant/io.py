@@ -283,8 +283,8 @@ def read_tensor(path):
             v &= 0x0F0F
 
         run_chunks(len(rec), CHUNK, unpack)
-    else:
-        codes = rec["c"].copy()
+    else:  # a view: the body holds nothing but these codes and the scale bytes
+        codes = rec["c"]
     _check_payload(path, fmt, scale_exps, codes)
     return MxTensor(tuple(dims), fmt, scale_exps, codes)
 

@@ -221,3 +221,13 @@ class TestPeakMemory:
             for t, bound in tensors:
                 peak, _ = traced_peak(lambda: io.write_tensor(p, t))
                 assert peak <= bound, (cpus, type(t).__name__, peak / bound)
+
+    def test_read_tensor_mx8_peak(self, rng, tmp_path):
+        # the codes stay a view of the file body, which holds only them and the
+        # scale bytes; the payload check adds one code-sized temporary
+        t = quantize_tensor(rng.normal(size=(2048, 1024)), mq.E4M3)
+        p = tmp_path / "w.mxbt"
+        io.write_tensor(p, t)
+        peak, got = traced_peak(lambda: io.read_tensor(p))
+        assert np.array_equal(got.codes, t.codes)
+        assert peak <= 2.25 * t.codes.nbytes, peak / t.codes.nbytes

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mxquant as mq
-from mxquant.clipping import ClipParams, clip_gradients, clip_with_ctx, sigmoid
+from mxquant.clipping import ClipParams, clip_backward, clip_gradients, clip_with_ctx, sigmoid
 from mxquant.errors import ShapeError
 from mxquant.oracle import finite_diff_oracle
 
@@ -15,6 +15,19 @@ def bounds(x, p, g=32):
     """The documented bounds: sigmoid(alpha) times the block's own extremum."""
     xb = x.reshape(-1, x.shape[-1] // g, g)
     return sigmoid(p.alpha_min) * xb.min(axis=(0, 2)), sigmoid(p.alpha_max) * xb.max(axis=(0, 2))
+
+
+def first_hit(xb, arg):
+    """The documented extremum position under arg (np.argmin or np.argmax): the
+    first occurrence in element-major (element, row) order, as row * g + element."""
+    rows, k, g = xb.shape
+    j = arg(xb.transpose(1, 2, 0).reshape(k, -1), axis=1)
+    return j % rows * g + j // rows
+
+
+def row_major_first(xb, arg):
+    """The first occurrence in row-major (row, element) order, for contrast."""
+    return arg(xb.transpose(1, 0, 2).reshape(xb.shape[1], -1), axis=1)
 
 
 class TestClipForward:
@@ -165,7 +178,8 @@ class TestClipGradients:
 
     def test_tied_extrema_take_first_occurrence(self, rng):
         # small integers: each block's max and min repeat within a row and
-        # across rows; in blocks 1 and 2 they first appear below row 0
+        # across rows, and element-major order finds a different first
+        # occurrence than row-major order does
         x = rng.integers(-3, 4, size=(6, 96)).astype(np.float64)
         x[:2, 32:64] = np.clip(x[:2, 32:64], -2, 2)
         x[:4, 64:] = np.clip(x[:4, 64:], -2, 2)
@@ -175,9 +189,9 @@ class TestClipGradients:
             assert np.all(hits.any(axis=2).sum(axis=0) > 1)  # in several rows
             first = hits.any(axis=2).argmax(axis=0)
             assert np.all(hits[first, np.arange(3)].sum(axis=1) > 1)  # twice in that row
-        slabs = xb.transpose(1, 0, 2).reshape(3, -1)
-        want_max, want_min = slabs.argmax(axis=1), slabs.argmin(axis=1)
-        assert want_max[2] >= 4 * 32 and want_min[2] >= 4 * 32
+        want_max, want_min = first_hit(xb, np.argmax), first_hit(xb, np.argmin)
+        assert np.any(want_max != row_major_first(xb, np.argmax))
+        assert np.any(want_min != row_major_first(xb, np.argmin))
 
         p = ClipParams(np.array([0.0, 0.3, -0.2]), np.array([0.0, -0.4, 0.5]))
         _, ctx = clip_with_ctx(x, p)
@@ -224,15 +238,18 @@ class TestClipGradients:
         slabs = xb.transpose(1, 0, 2).reshape(8, -1)
         hits_min = (slabs == slabs.min(axis=1)[:, None]).reshape(8, 64, 32)
         hits_max = (slabs == slabs.max(axis=1)[:, None]).reshape(8, 64, 32)
+        want_min, want_max = first_hit(xb, np.argmin), first_hit(xb, np.argmax)
         if case == "min-tied":
             assert np.all(hits_min.any(axis=1))  # the min, 0, lies in every column of every block
+            assert np.any(want_min != row_major_first(xb, np.argmin))
         elif case == "max-tied":
             assert np.all(hits_max.any(axis=1))
+            assert np.any(want_max != row_major_first(xb, np.argmax))
         else:
             assert np.all(hits_min.sum(axis=(1, 2)) == 1) and np.all(hits_max.sum(axis=(1, 2)) == 1)
         _, ctx = clip_with_ctx(x, ClipParams.init(8))
-        assert np.array_equal(ctx.argmin, slabs.argmin(axis=1))
-        assert np.array_equal(ctx.argmax, slabs.argmax(axis=1))
+        assert np.array_equal(ctx.argmin, want_min)
+        assert np.array_equal(ctx.argmax, want_max)
 
     def test_nan_block_leaves_other_blocks_finite(self, rng):
         # a NaN block has no extremum position; the others still get theirs
@@ -241,6 +258,16 @@ class TestClipGradients:
         _, d_min, d_max = clip_gradients(x, ClipParams(np.full(3, -1.0), np.full(3, -1.0)))
         assert np.isnan(d_min[0]) and np.isnan(d_max[0])
         assert np.all(np.isfinite(d_min[1:])) and np.all(np.isfinite(d_max[1:]))
+
+    def test_nan_block_keeps_extremum_indices_in_range(self, rng):
+        x = rng.normal(size=(8, 96))
+        x[5, 40] = np.nan  # block 1
+        _, ctx = clip_with_ctx(x, ClipParams(np.full(3, -1.0), np.full(3, -1.0)))
+        for idx in (ctx.argmin, ctx.argmax):
+            assert np.all((idx >= 0) & (idx < 8 * 32))
+        _, d_min, d_max = clip_backward(ctx, rng.normal(size=x.shape))
+        for d in (d_min, d_max):
+            assert np.isnan(d[1]) and np.all(np.isfinite(d[[0, 2]]))
 
     def test_saturated_gradient_bound(self, rng):
         # |d/d_alpha| <= sigmoid'(alpha) * max|x| and vanishes as alpha grows
