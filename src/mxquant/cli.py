@@ -107,7 +107,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _stats_rows(x: np.ndarray, k: int, transform: GpkTransform | None, where):
-    """One row per MX block of x's last axis (k blocks), scaled by the E2M1 scale rule."""
+    """One row per MX block of x's last axis (k blocks), scaled by the E2M1 scale rule;
+    a block scaled outside HIST_RANGE (its scale exponent clamped) is a DataError."""
     post = gpk_forward(x, transform) if transform is not None else x
 
     def scaled(vals):
@@ -122,9 +123,12 @@ def _stats_rows(x: np.ndarray, k: int, transform: GpkTransform | None, where):
         for side, r in sides:
             vals = r[:, b, :].reshape(-1)
             try:
+                if (top := np.abs(vals).max(initial=0.0)) > (hi := HIST_RANGE[1]):
+                    raise DataError(f"scaled values reach {top:.3g}, outside [-{hi:g}, {hi:g}]: "
+                                    "the E2M1 scale exponent is clamped at 127")
                 row[f"bimodality_{side}"] = bimodality_score(vals)
-            except ShapeError as e:
-                raise ShapeError(f"{where}: block {b} ({side}-transform): {e}") from None
+            except DataError as e:
+                raise type(e)(f"{where}: block {b} ({side}-transform): {e}") from None
             row[side] = np.histogram(vals, bins=HIST_BINS, range=HIST_RANGE)[0]
         rows.append(row)
     return rows

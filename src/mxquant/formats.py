@@ -112,16 +112,16 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _balanced_groups(sizes: Sequence[int], n_groups: int) -> list[list[int]]:
-    """Split the indices of sizes into n_groups groups of about equal total size.
+def _balanced_groups(sizes: Sequence[int]) -> list[list[int]]:
+    """Split the indices of sizes into 2 groups of about equal total size.
 
-    Largest item first, each item joins the group with the smallest total so
-    far. Each group lists its indices in ascending order.
+    Largest item first, each item joins the group with the smaller total so
+    far (group 0 on a tie). Each group lists its indices in ascending order.
     """
-    load = [0] * n_groups
-    groups: list[list[int]] = [[] for _ in range(n_groups)]
+    load = [0, 0]
+    groups: list[list[int]] = [[], []]
     for i in sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True):
-        g = load.index(min(load))
+        g = 1 if load[1] < load[0] else 0
         groups[g].append(i)
         load[g] += sizes[i]
     return [sorted(group) for group in groups]
@@ -151,7 +151,7 @@ def run_parts(sizes: Sequence[int], body: Callable[[int], None]) -> None:
                     errors[i] = exc
                     return  # the group's later indices are larger
 
-    mine, theirs = _balanced_groups(sizes, 2)
+    mine, theirs = _balanced_groups(sizes)
     try:
         helper = threading.Thread(target=run, args=(theirs,))
         helper.start()
@@ -401,13 +401,13 @@ def _encode_blocks(xb, fmt: MxFormat):
 
 def _decode_blocks(scale_exps, codes, fmt: MxFormat):
     table = fmt.code_values
-    lo = -len(table) if codes.dtype.kind == "i" else 0  # table[c] wraps c in [lo, 0)
+    signed = codes.dtype.kind == "i"  # uint8 codes, as encode and read_tensor make, are >= 0
     out = np.empty(codes.shape)
 
     def chunk(s, e):
         c = codes[s:e]
-        # table[c]'s bounds: take's own check buffers out, so mode="wrap" skips it
-        if c.max() >= len(table) or (lo and c.min() < lo):
+        # take's own bounds check buffers out, so mode="wrap" skips it
+        if c.max() >= len(table) or (signed and c.min() < 0):
             raise IndexError(f"a code is out of bounds for {len(table)} codes")
         np.take(table, c, out=out[s:e], mode="wrap")
         out[s:e] *= np.ldexp(1.0, scale_exps[s:e])[:, None]  # exact (module docstring)

@@ -21,9 +21,9 @@ Transform record (.gpkt):
                      k >= 1: the MX block and the fixed split
                      transform.G1 x transform.G2
     body    float32, row-major: A (g1, g1), then B (k, g2, g2) (block 0
-            first), then an optional (4, k) clip section whose rows are
+            first), then the (4, k) clip logits, whose rows are
             activation alpha_min, activation alpha_max, weight alpha_min,
-            weight alpha_max
+            weight alpha_max; (64 + 20k) * 4 bytes, the one legal size
 
 Each layout is one header struct and one body dtype, shared by writer and
 reader. Both readers read the fixed header (and a tensor's dims) alone,
@@ -54,13 +54,14 @@ are read by _read_config: the fields of one dataclass (CalibConfig,
 ToyBlockSpec), cast to their type hints and then checked by its own
 check_field, plus `format` and the file's own keys (_run_schema, a spec's
 seed). read_kv_file is the only place a config value is cast. A cast also
-applies the value's rules: paths resolve against the file's directory and
-calib patterns must match a file. A file that is not UTF-8 text, an
-unknown key, a key set twice or a value its cast rejects is an error naming
-file:line, so nothing falls back silently; the message quotes at most
-_ECHO_CHARS characters of each piece of file text. A config file is read
-with one bounded read, so it may be a pipe, and one over CONFIG_MAX_BYTES
-(1 MiB) is refused by name without being read whole.
+applies the value's rules: paths resolve against the file's directory, taken
+literally, and calib patterns, which glob only their own text, must match a
+file. A file that is not UTF-8 text, an unknown key, a key set twice or a
+value its cast rejects is an error naming file:line, so nothing falls back
+silently; the message quotes at most _ECHO_CHARS characters of each piece of
+file text. A config file is read with one bounded read, so it may be a pipe,
+and one over CONFIG_MAX_BYTES (1 MiB) is refused by name without being read
+whole.
 """
 
 from __future__ import annotations
@@ -102,10 +103,10 @@ def _block_dtype(fmt: MxFormat) -> np.dtype:
     return np.dtype([("e", "i1"), ("c", "u1", BLOCK * fmt.bits // 8)])
 
 
-def _record_dtype(k: int, clips: bool) -> np.dtype:
+def _record_dtype(k: int) -> np.dtype:
     """The .gpkt body after the header."""
-    body = [("A", "<f4", (G1, G1)), ("B", "<f4", (k, G2, G2))]
-    return np.dtype(body + [("clip", "<f4", (4, k))] * clips)
+    return np.dtype([("A", "<f4", (G1, G1)), ("B", "<f4", (k, G2, G2)),
+                     ("clip", "<f4", (4, k))])
 
 
 def _check_mx_width(shape, where) -> None:
@@ -166,10 +167,10 @@ def _read_head(f, path, magic: bytes, head: struct.Struct, what: str):
     return fields
 
 
-def _read_body(f, path, *layouts) -> np.ndarray:
-    """The rest of the open file f as the first (dtype, count) layout whose size it
-    has exactly. The size is the file's, so a wrong one is refused before any
-    payload byte is read or allocated.
+def _read_body(f, path, dt: np.dtype, count: int) -> np.ndarray:
+    """The rest of the open file f as count items of dt, which must be its exact
+    size. The size is the file's, so a wrong one is refused before any payload
+    byte is read or allocated.
 
     Sizes are Python ints, so a product of header fields cannot wrap. A pipe or
     other stream has no size to check, so it is refused.
@@ -177,15 +178,13 @@ def _read_body(f, path, *layouts) -> np.ndarray:
     st = os.fstat(f.fileno())
     if not stat.S_ISREG(st.st_mode):
         raise FileFormatError(f"{path}: not a regular file")
-    size = st.st_size - f.tell()
-    for dt, count in layouts:
-        if size == count * dt.itemsize:
-            body = np.empty(count, dtype=dt)
-            if (got := f.readinto(body)) != size:  # the file shrank since fstat
-                raise FileFormatError(f"{path}: payload is {got} bytes, expected {size}")
-            return body
-    expect = " or ".join(str(count * dt.itemsize) for dt, count in layouts)
-    raise FileFormatError(f"{path}: payload is {size} bytes, expected {expect}")
+    size, expect = st.st_size - f.tell(), count * dt.itemsize
+    if size == expect:
+        body = np.empty(count, dtype=dt)
+        size = f.readinto(body)  # short if the file shrank since fstat
+    if size != expect:
+        raise FileFormatError(f"{path}: payload is {size} bytes, expected {expect}")
+    return body
 
 
 def write_tensor(path, tensor) -> None:
@@ -257,10 +256,10 @@ def read_tensor(path):
             raise FileFormatError(f"{path}: unknown dtype tag {tag}")
         fmt = _DTYPES[tag]
         if fmt is None:
-            data = _read_body(f, path, (np.dtype("<f4"), count))
+            data = _read_body(f, path, np.dtype("<f4"), count)
         else:
             _check_mx_width(dims, path)
-            rec = _read_body(f, path, (_block_dtype(fmt), count // BLOCK))
+            rec = _read_body(f, path, _block_dtype(fmt), count // BLOCK)
 
     if fmt is None:
         out = np.empty(count)
@@ -289,17 +288,14 @@ def read_tensor(path):
     return MxTensor(tuple(dims), fmt, scale_exps, codes)
 
 
-def write_transform_record(path, t: GpkTransform, act_clip=None, weight_clip=None) -> None:
-    if (act_clip is None) != (weight_clip is None):
-        raise ValueError("write both clip sections or neither")
-    if act_clip is not None and not act_clip.k == weight_clip.k == t.k:
+def write_transform_record(path, t: GpkTransform, act_clip, weight_clip) -> None:
+    if not act_clip.k == weight_clip.k == t.k:
         raise ValueError(f"clip sections need {t.k} logit pairs, one per block")
-    body = np.empty((), dtype=_record_dtype(t.k, act_clip is not None))
+    body = np.empty((), dtype=_record_dtype(t.k))
     with np.errstate(over="ignore"):  # an overflow to inf is reported just below
         body["A"], body["B"] = t.a, t.b
-        if act_clip is not None:
-            body["clip"] = (act_clip.alpha_min, act_clip.alpha_max,
-                            weight_clip.alpha_min, weight_clip.alpha_max)
+        body["clip"] = (act_clip.alpha_min, act_clip.alpha_max,
+                        weight_clip.alpha_min, weight_clip.alpha_max)
     for name in body.dtype.names:
         _check_finite(path, body[name], f" of section {name}")
     with open(path, "wb") as f:
@@ -308,7 +304,7 @@ def write_transform_record(path, t: GpkTransform, act_clip=None, weight_clip=Non
 
 
 def read_transform_record(path):
-    """Returns (transform, act_clip | None, weight_clip | None)."""
+    """Returns (transform, act_clip, weight_clip)."""
     with open(path, "rb") as f:
         n, g, g1, g2, k = _read_head(f, path, RECORD_MAGIC, _RECORD_HEAD, "transform record")
         if k == 0 or (n, g, g1, g2) != (k * BLOCK, BLOCK, G1, G2):
@@ -318,16 +314,14 @@ def read_transform_record(path):
                 f"on the {BLOCK}-element MX block split {G1}x{G2}"
             )
         try:  # numpy caps a record below 2 GiB
-            layouts = [(_record_dtype(k, clips), 1) for clips in (False, True)]
+            dt = _record_dtype(k)
         except ValueError:
             raise FileFormatError(f"{path}: header k={k} needs a body over 2 GiB") from None
-        rec = _read_body(f, path, *layouts)[0]
+        rec = _read_body(f, path, dt, 1)[0]
     for name in rec.dtype.names:
         _check_finite(path, rec[name], f" of section {name}")
-    t = GpkTransform(rec["A"], rec["B"])
-    if "clip" not in rec.dtype.names:
-        return t, None, None
-    return t, ClipParams(*rec["clip"][:2]), ClipParams(*rec["clip"][2:])
+    clip = rec["clip"]
+    return GpkTransform(rec["A"], rec["B"]), ClipParams(*clip[:2]), ClipParams(*clip[2:])
 
 
 # -- flat key=value config files ------------------------------------------
@@ -428,7 +422,7 @@ def _run_schema(base: Path) -> dict:
             raise ValueError("empty path")
         hits = []
         for pat in pats:
-            found = sorted(glob.glob(str(base / pat)))
+            found = sorted(glob.glob(str(Path(glob.escape(str(base))) / pat)))
             if not found:
                 raise ValueError(f"no calibration files match {pat!r}")
             hits.extend(found)

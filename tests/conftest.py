@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mxquant import calib
 from mxquant.formats import FormatConfig
 
 
@@ -36,3 +37,20 @@ def traced_peak(call):
     finally:
         tracemalloc.stop()
     return peak - base, result
+
+
+def nan_factor_gradient_on_call(monkeypatch, n):
+    """Patch calib.gpk_backward so that its n-th call (from 1) returns a NaN d_a.
+
+    A step calls it twice (activation side, then weight side), so n = 3 poisons
+    step 1 after its loss was computed finite.
+    """
+    real = calib.gpk_backward
+    calls = []
+
+    def patched(*args, **kwargs):
+        da, db = real(*args, **kwargs)
+        calls.append(None)
+        return (np.full_like(da, np.nan) if len(calls) == n else da), db
+
+    monkeypatch.setattr(calib, "gpk_backward", patched)

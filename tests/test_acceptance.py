@@ -181,12 +181,13 @@ def test_c08_bimodality_diagnostic(tmp_path):
     # histogram CSV via the CLI, with the Hadamard expressed as a GPK record
     a = hadamard(8) / np.sqrt(8.0)
     b = (hadamard(4) / 2.0).T[None, :, :].copy()
-    io.write_transform_record(tmp_path / "had.gpkt", mq.GpkTransform(a, b))
+    io.write_transform_record(tmp_path / "had.gpkt", mq.GpkTransform(a, b),
+                              mq.ClipParams.init(1), mq.ClipParams.init(1))
     io.write_tensor(tmp_path / "x.mxbt", x)
     code = main(["stats", "--tensor", str(tmp_path / "x.mxbt"),
                  "--transform", str(tmp_path / "had.gpkt"), "--out", str(tmp_path / "s.csv")])
-    row = (tmp_path / "s.csv").read_text().splitlines()[1].split(",")
-    post = np.array([int(c) for c in row[3 + 64:]])
+    header, row = (line.split(",") for line in (tmp_path / "s.csv").read_text().splitlines()[:2])
+    post = np.array([int(c) for name, c in zip(header, row) if name.startswith("post_")])
     two_bin_mass = np.sort(post)[-2:].sum() / post.sum()
 
     elapsed = time.perf_counter() - t0

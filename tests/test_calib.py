@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mxquant as mq
-from conftest import NO_QUANT, W4A4KV16, make_outlier_instance
+from conftest import NO_QUANT, W4A4KV16, make_outlier_instance, nan_factor_gradient_on_call
 from mxquant.calib import (
     BETAS,
     EPS,
@@ -403,6 +403,16 @@ class TestCalibrateLayer:
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as e:
             calibrate_layer(w, x, CalibConfig(lr=1e-3, epochs=1), W4A4KV16)
         assert e.value.step == 0
+
+    def test_nonfinite_gradient_raises_with_the_trace_so_far(self, monkeypatch):
+        x, w = make_outlier_instance(seed=3, rows=32)
+        cfg = CalibConfig(lr=0.01, epochs=1, batch_size=8)
+        _, trace = calibrate_layer(w, x, cfg, W4A4KV16)
+        nan_factor_gradient_on_call(monkeypatch, 3)  # step 1's activation side
+        with pytest.raises(DivergenceError) as e:
+            calibrate_layer(w, x, cfg, W4A4KV16)
+        assert str(e.value) == "non-finite gradient (step 1)"
+        assert e.value.step == 1 and e.value.loss_trace == trace[:1]
 
     def test_final_loss_not_above_initial(self):
         x, w = make_outlier_instance(seed=5, rows=64)

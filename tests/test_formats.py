@@ -317,16 +317,17 @@ class TestDecode:
         with pytest.raises(IndexError):
             t.to_dense()
 
-    def test_signed_codes_index_as_the_table_does(self):
-        # a hand-built tensor's signed codes: [-len, 0) wraps as table[c] does,
-        # anything below raises
+    def test_negative_codes_raise(self):
+        # a hand-built tensor's signed codes: 0 .. n - 1 decode as the table, and any
+        # negative one raises, within table[c]'s wrap range [-n, 0) or below it
         n = len(mq.E2M1.code_values)
-        codes = np.arange(64, dtype=np.int16).reshape(2, 32) % (2 * n) - n  # -n .. n - 1
+        codes = np.arange(64, dtype=np.int16).reshape(2, 32) % n  # 0 .. n - 1
         t = mq.MxTensor((64,), mq.E2M1, np.zeros(2, dtype=np.int8), codes)
         assert t.to_dense().tobytes() == mq.E2M1.code_values[codes].reshape(64).tobytes()
-        codes[1, 3] = -n - 1
-        with pytest.raises(IndexError):
-            t.to_dense()
+        for bad in (-1, -n, -n - 1):
+            codes[1, 3] = bad
+            with pytest.raises(IndexError, match=f"out of bounds for {n} codes"):
+                t.to_dense()
 
     @pytest.mark.parametrize("fmt", [mq.E2M1, mq.E4M3], ids=lambda f: f.name)
     def test_code_values_table(self, fmt):

@@ -180,11 +180,9 @@ class TestConcurrentCalibration:
         # sites in order p_qkv, p_o, p_up, p_down
         sizes = [w.size for w in block.weights.values()]
         assert list(block.weights) == ["p_qkv", "p_o", "p_up", "p_down"]
-        assert formats._balanced_groups(sizes, 2) == [[1, 2], [0, 3]]
-        assert formats._balanced_groups(sizes, 1) == [[0, 1, 2, 3]]
-        assert formats._balanced_groups(sizes, 4) == [[2], [0], [3], [1]]
+        assert formats._balanced_groups(sizes) == [[1, 2], [0, 3]]
         # 8 full chunks and a short last one: equal chunks alternate between the groups
-        assert formats._balanced_groups([2] * 8 + [1], 2) == [[0, 2, 4, 6, 8], [1, 3, 5, 7]]
+        assert formats._balanced_groups([2] * 8 + [1]) == [[0, 2, 4, 6, 8], [1, 3, 5, 7]]
 
     @pytest.mark.parametrize("cpus", [1, 2, 4, 8])
     def test_matches_serial_calibrate_layer_bit_for_bit(self, monkeypatch, cpus):

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import mxquant as mq
-from conftest import traced_peak
-from mxquant import cli, io
+from conftest import nan_factor_gradient_on_call, traced_peak
+from mxquant import cli, io, verify
 from mxquant.cli import _build_parser, main
 from mxquant.errors import FileFormatError
 from mxquant.formats import CHUNK
@@ -26,6 +26,11 @@ def _write_unchecked(write, path, *args):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(io, "_check_finite", lambda *_: None)
         write(path, *args)
+
+
+def _start_clips(k):
+    """Activation and weight clip logits at the start logit, as every record carries."""
+    return mq.ClipParams.init(k), mq.ClipParams.init(k)
 
 
 class TestTensorFile:
@@ -108,7 +113,7 @@ class TestTensorFile:
         # 9 chunks of CHUNK blocks' values: at 2 CPUs the helper thread runs chunk 7
         span = CHUNK * 32
         sizes = [span] * 8 + [100]
-        assert 7 in mq.formats._balanced_groups(sizes, 2)[1]
+        assert 7 in mq.formats._balanced_groups(sizes)[1]
         monkeypatch.setattr(mq.formats, "_cpu_count", lambda: cpus)
         p = tmp_path / "x.mxbt"
         for bad in ([7 * span + 5], [7 * span + 5, 2 * span + 3]):
@@ -330,13 +335,17 @@ class TestTransformRecord:
         assert np.array_equal(act2.alpha_min, act.alpha_min.astype(np.float32).astype(np.float64))
         assert np.array_equal(wgt2.alpha_max, wgt.alpha_max.astype(np.float32).astype(np.float64))
 
-    def test_round_trip_without_clips(self, tmp_path, rng):
-        t = random_transform(rng, 64)
+    def test_clipless_body_refused_naming_its_size(self, tmp_path, rng, capsys):
+        # A (64 floats) and B (2 x 16) without the (4, 2) clip logits: 384 of 416 bytes
         p = tmp_path / "bare.gpkt"
-        io.write_transform_record(p, t)
-        t2, act2, wgt2 = io.read_transform_record(p)
-        assert act2 is None and wgt2 is None
-        assert t2.k == 2
+        io.write_transform_record(p, random_transform(rng, 64), *_start_clips(2))
+        p.write_bytes(p.read_bytes()[:-4 * 4 * 2])
+        message = f"{p}: payload is 384 bytes, expected 416"
+        with pytest.raises(FileFormatError, match=re.escape(message)):
+            io.read_transform_record(p)
+        io.write_tensor(tmp_path / "x.mxbt", rng.normal(size=(16, 64)))
+        _expect_one_data_error(["stats", "--tensor", str(tmp_path / "x.mxbt"), "--transform",
+                                str(p), "--out", str(tmp_path / "s.csv")], capsys, message)
 
     @pytest.mark.parametrize("k_act, k_wgt", [(1, 4), (4, 1), (1, 1)])
     def test_write_rejects_clip_sections_of_other_width(self, tmp_path, rng, k_act, k_wgt):
@@ -351,7 +360,7 @@ class TestTransformRecord:
     def test_inconsistent_header_rejected(self, tmp_path, rng):
         t = random_transform(rng, 64)
         p = tmp_path / "t.gpkt"
-        io.write_transform_record(p, t)
+        io.write_transform_record(p, t, *_start_clips(2))
         raw = bytearray(p.read_bytes())
         struct.pack_into("<I", raw, 6, 999)  # corrupt N
         p.write_bytes(bytes(raw))
@@ -360,7 +369,7 @@ class TestTransformRecord:
 
     def test_version_2_rejected(self, tmp_path):
         p = tmp_path / "t.gpkt"
-        io.write_transform_record(p, mq.GpkTransform.identity(64))
+        io.write_transform_record(p, mq.GpkTransform.identity(64), *_start_clips(2))
         raw = bytearray(p.read_bytes())
         struct.pack_into("<H", raw, 4, 2)
         p.write_bytes(bytes(raw))
@@ -374,17 +383,17 @@ class TestTransformRecord:
         with pytest.raises(FileFormatError, match="k >= 1"):
             io.read_transform_record(p)
 
-    @pytest.mark.parametrize("cut", [-3, 4, 4 * 7], ids=["truncated", "extra-word", "short-clips"])
+    @pytest.mark.parametrize("cut", [-3, 4, -4], ids=["truncated", "extra-word", "short-clips"])
     def test_body_of_neither_legal_size_rejected(self, tmp_path, rng, cut):
-        # bare body 64*4 + 2*16*4 = 384 bytes; with the (4, 2) clip section 416
+        # the one legal body: 64*4 + 2*16*4 + the (4, 2) clip logits' 32 = 416 bytes
         t = random_transform(rng, 64)
         p = tmp_path / "t.gpkt"
-        io.write_transform_record(p, t)
+        io.write_transform_record(p, t, *_start_clips(2))
         raw = p.read_bytes()
         p.write_bytes(raw[:cut] if cut < 0 else raw + bytes(cut))
-        with pytest.raises(FileFormatError, match="payload is") as e:
+        message = f"{p}: payload is {416 + cut} bytes, expected 416"
+        with pytest.raises(FileFormatError, match=re.escape(message)):
             io.read_transform_record(p)
-        assert str(p) in str(e.value)
 
     def test_header_too_large_for_any_body_rejected(self, tmp_path):
         # k = 2^26 would need a body of over 5 GiB; the file holds only A
@@ -466,7 +475,7 @@ class TestHeaderFirst:
         if read is io.read_tensor:
             io.write_tensor(p, rng.normal(size=(4, 32)))
         else:
-            io.write_transform_record(p, random_transform(rng, 32))
+            io.write_transform_record(p, random_transform(rng, 32), *_start_clips(1))
         r, w = os.pipe()
         try:
             os.write(w, p.read_bytes())  # a few hundred bytes: fits the pipe buffer
@@ -515,6 +524,26 @@ class TestKvConfig:
         assert rc.out_dir == str(tmp_path / "artifacts")
         spec, formats, seed = io.read_block_spec(tmp_path / "block.cfg")
         assert (spec.hidden, spec.template, formats.name, seed) == (128, "text", "W4A4KV16", 3)
+
+    @pytest.mark.parametrize("literal, decoy", [("run[1]", "run1"), ("run*", "runA")])
+    def test_config_directory_is_literal_and_only_calib_is_a_pattern(self, tmp_path, literal,
+                                                                     decoy):
+        # the config's directory holds glob metacharacters; a sibling that they would
+        # match holds a decoy x.mxbt, which must not be read in place of the real one
+        d = tmp_path / literal
+        d.mkdir()
+        io.write_tensor(d / "w.mxbt", np.zeros((4, 64)))
+        io.write_tensor(d / "x.mxbt", np.zeros((8, 64)))
+        cfg = d / "run.cfg"
+        cfg.write_text("weights = w.mxbt\ncalib = x.mxbt\n")
+        assert io.RunConfig.from_file(cfg).calib_paths == [str(d / "x.mxbt")]
+        (tmp_path / decoy).mkdir()
+        io.write_tensor(tmp_path / decoy / "x.mxbt", np.zeros((6, 64)))
+        assert io.RunConfig.from_file(cfg).calib_paths == [str(d / "x.mxbt")]
+        cfg.write_text("weights = w.mxbt\ncalib = y*.mxbt\n")
+        with pytest.raises(FileFormatError,
+                           match=re.escape(f"{cfg}:2: calib = y*.mxbt: no calibration files")):
+            io.RunConfig.from_file(cfg)
 
     def test_malformed_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -926,7 +955,7 @@ class TestCli:
         if bad == "nan-transform":
             t = mq.GpkTransform.identity(64)
             t.a[2, 3] = np.nan
-            _write_unchecked(io.write_transform_record, tmp_path / "t.gpkt", t)
+            _write_unchecked(io.write_transform_record, tmp_path / "t.gpkt", t, *_start_clips(2))
             args += ["--transform", str(tmp_path / "t.gpkt")]
         capsys.readouterr()
         assert main(args) == 2
@@ -966,6 +995,28 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("mxquant: data:")
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("side, scale", [("post", 3e38), ("post", 1e38), ("pre", None)],
+                             ids=["post-3e38", "post-1e38", "pre-mx8"])
+    def test_stats_scale_exponent_clamp_is_data_error(self, tmp_path, capsys, side, scale):
+        # scaled values past [-8, 8]: a score that overflowed to nan (3e38), a histogram
+        # that counted none of them (1e38), or an mx8 tensor of 448 * 2^127
+        p = tmp_path / "x.mxbt"
+        args = ["stats", "--tensor", str(p), "--out", str(tmp_path / "s.csv")]
+        if side == "post":
+            x = np.full((64, 32), 3e38, dtype=np.float32)
+            x[:, ::2] *= -1
+            x[:, ::3] /= 2
+            io.write_tensor(p, x)
+            t = mq.GpkTransform(scale * np.eye(8), scale * np.eye(4)[None])
+            io.write_transform_record(tmp_path / "t.gpkt", t, *_start_clips(1))
+            args += ["--transform", str(tmp_path / "t.gpkt")]
+        else:
+            codes = np.resize(np.arange(0x38, 0x7F, dtype=np.uint8), (16, 32))
+            io.write_tensor(p, mq.MxTensor((16, 32), mq.E4M3, np.full(16, 127, np.int8), codes))
+        _expect_one_data_error(args, capsys, f"{p}: block 0 ({side}-transform): scaled values "
+                                             "reach")
+        assert not (tmp_path / "s.csv").exists()
+
     @pytest.mark.parametrize("shape", [(8, 0), ()], ids=["zero-width", "scalar"])
     def test_stats_width_not_whole_blocks_is_data_error(self, tmp_path, capsys, shape):
         io.write_tensor(tmp_path / "x.mxbt", np.ones(shape))
@@ -989,7 +1040,8 @@ class TestCli:
         io.write_tensor(tmp_path / "x.mxbt", x)
         args = ["stats", "--tensor", str(tmp_path / "x.mxbt"), "--out", str(tmp_path / "s.csv")]
         if case == "transform-width":
-            io.write_transform_record(tmp_path / "t.gpkt", mq.GpkTransform.identity(32))
+            io.write_transform_record(tmp_path / "t.gpkt", mq.GpkTransform.identity(32),
+                                      *_start_clips(1))
             args += ["--transform", str(tmp_path / "t.gpkt")]
         err = _expect_one_data_error(args, capsys, mention)
         assert "x.mxbt" in err
@@ -1003,6 +1055,23 @@ class TestCli:
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "all" in out and "passed" in out
+
+    def test_verify_failure_exits_3_and_counts_it(self, capsys, monkeypatch):
+        failing = lambda: verify.OracleReport("injected-failure", 1.0, False)  # noqa: E731
+        monkeypatch.setattr(verify, "ALL_CHECKS", (*verify.ALL_CHECKS[:-1], failing))
+        assert main(["verify"]) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in out if line.endswith("FAIL")] == ["injected-failure"]
+        assert out[-1] == "1 of 8 checks failed"
+
+    def test_calibrate_nonfinite_gradient_exits_3(self, tmp_path, capsys, monkeypatch):
+        cfg, _, _ = _write_calib_bundle(tmp_path)
+        nan_factor_gradient_on_call(monkeypatch, 3)  # step 1's activation side
+        capsys.readouterr()
+        assert main(["calibrate", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["mxquant: numeric: non-finite gradient (step 1)"]
+        assert not (tmp_path / "out").exists()
 
     @staticmethod
     def _python(*args):
