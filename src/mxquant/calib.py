@@ -24,6 +24,17 @@ in place. One step's context is dropped before the next starts, so its
 masks never overlap the next step's. Everything else on the weight side is
 a mask or a temporary of at most formats.CHUNK blocks per busy thread.
 
+Threads: when the process's helper thread is free, every full-size pass of
+a step runs on two contiguous row halves, the first on the caller and the
+second on the helper: gpk_forward and qdq through formats.run_chunks; the
+clip, the straight-through mask, gpk_backward's per-block products and the
+step's three GEMMs (_matmul, split by output rows or columns) through
+formats.run_halves. So a row half of the weight operand stays on one core
+from its transform to its gradient, between the barriers that the clip's
+all-rows extrema and sums and the GEMMs need. Inside
+harness.calibrate_block's site groups, which hold the helper, each pass is
+one whole-array call.
+
 Gradients are a fixed-graph reverse pass hand-derived for this
 pipeline: the quantize-dequantize step is a clipped straight-through
 estimator (identity inside the representable range, zero where an element
@@ -52,7 +63,7 @@ import numpy as np
 from .clipping import START_LOGIT, ClipCtx, ClipParams, clip_backward, clip_with_ctx
 from .errors import DivergenceError, ShapeError
 from .formats import FormatConfig, MxTensor, block_count, quantize_dequantize_with_mask
-from .formats import quantize_tensor
+from .formats import quantize_tensor, run_halves
 from .transform import GpkTransform, gpk_backward, gpk_forward
 
 BETAS = (0.9, 0.999)  # Adam moment decay rates
@@ -157,22 +168,42 @@ def _site_operand(v, t: GpkTransform, clip_params: ClipParams, fmt, out=None) ->
     return _Operand(v, t, vq, mask, clip)
 
 
+def _matmul(a, b, out=None):
+    """a @ b, written into out when given, else into a fresh array.
+
+    The caller and the helper each take half of the output's rows, or of its
+    columns when there are more of them (formats.run_halves). A slice of a
+    GEMM's output, never of its inner dimension, has the bits of one call.
+    """
+    m, n = len(a), b.shape[1]
+    if out is None:
+        out = np.empty((m, n))
+    size = a.size + b.size + out.size
+    if m >= n:
+        run_halves(m, size, lambda s, e: np.matmul(a[s:e], b, out=out[s:e]))
+    else:
+        run_halves(n, size, lambda s, e: np.matmul(a, b[:, s:e], out=out[:, s:e]))
+    return out
+
+
 def _forward(x, w, theta: Theta, formats: FormatConfig, w_out=None) -> _StepCtx:
     """One forward pass; w_out, when given, receives the weight operand."""
     t = theta.transform
     xo = _site_operand(x, t, theta.act_clip, formats.activations)
     wo = _site_operand(w, t.inverse_transpose(), theta.weight_clip, formats.weights, w_out)
-    return _StepCtx(xo, wo, xo.out @ wo.out.T)
+    return _StepCtx(xo, wo, _matmul(xo.out, wo.out.T))
 
 
 def _operand_backward(op: _Operand, grad):
     """Adjoint of _site_operand: grad at op.out -> (d_a, d_b, d_alpha_min, d_alpha_max).
 
     qdq passes grad through where it did not saturate (op.mask). grad is the
-    caller's own array: the mask and the clip's reverse pass run in place in it.
+    caller's own array: the mask, on two row halves (formats.run_halves), and
+    the clip's reverse pass run in place in it.
     """
     if op.mask is not None:
-        np.multiply(grad, op.mask, out=grad)
+        run_halves(len(grad), grad.size,
+                   lambda s, e: np.multiply(grad[s:e], op.mask[s:e], out=grad[s:e]))
     dt, d_min, d_max = clip_backward(op.clip, grad, out=grad)
     da, db = gpk_backward(op.v, op.t, dt)
     return da, db, d_min, d_max
@@ -189,8 +220,8 @@ def _backward(ctx: _StepCtx, y_ref, w_grad=None) -> tuple[float, dict[str, np.nd
     loss = float(np.sum(diff * diff))
 
     dy = 2.0 * diff
-    da_act, db_act, d_act_min, d_act_max = _operand_backward(ctx.x, dy @ ctx.w.out)
-    w_grad = np.matmul(dy.T, ctx.x.out, out=w_grad)
+    da_act, db_act, d_act_min, d_act_max = _operand_backward(ctx.x, _matmul(dy, ctx.w.out))
+    w_grad = _matmul(dy.T, ctx.x.out, w_grad)
     da_p, db_p, d_w_min, d_w_max = _operand_backward(ctx.w, w_grad)
 
     # weight path runs through A' = A^-T, B' = B^-T; map those gradients back

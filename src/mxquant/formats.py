@@ -52,10 +52,15 @@ whatever the tensor's size. Scaling by 2^e is a product with an exact power
 of two, which rounds only where the result leaves the float64 normal range,
 exactly as ldexp would.
 
-One parallel runner serves the whole package: run_parts(sizes, body)
-calls body(i) for every index of sizes, independent parts of one job.
-run_chunks adapts it to chunk spans (the codec's and gpk_forward's loops)
-and harness.calibrate_block passes it a block's linear sites. The rule:
+One parallel runner serves the whole package: run_parts(sizes, body,
+whole=None) calls body(i) for every index of sizes, independent parts of
+one job, or whole() when it runs serially. harness.calibrate_block passes
+it a block's linear sites, and two adapters give it row spans:
+run_chunks(n, step, body) runs the codec's, gpk_forward's and io's chunk
+loops, and run_halves(n, size, body) the other full-size passes of a
+calibration step (clip forward and backward, the straight-through mask,
+gpk_backward's per-block products and the step's three GEMMs), each as
+one whole-array call when serial. The rule:
 - One helper thread per process, taken without waiting (the lock
   _helper); a call that cannot take it, such as one inside a running
   part, runs serially on its caller, as does a call of one part or on one
@@ -63,17 +68,26 @@ and harness.calibrate_block passes it a block's linear sites. The rule:
   threads hold a part's temporaries, and a wider split is unmeasured.
 - Split. The holder splits the indices into 2 groups balanced by size
   (_balanced_groups): largest first, each to the group with the smaller
-  total so far, so equal-size chunks alternate between the groups. The
+  total so far. Both adapters pass two parts, so the caller runs the
+  first half of the rows (the larger one on an odd count) and the helper
+  the second, as one contiguous run each: a row half of the weight operand
+  stays on one core from gpk_forward through qdq to its gradient. The
   caller runs group 0 and one threading.Thread group 1, under the
   caller's numpy error state; the call returns once both have ended, so
   no thread outlives it. The caller works rather than waits because each
   started thread gets its own malloc arena, and an idle caller would cost
-  one more arena's peak memory.
+  one more arena's peak memory. A serial call of run_halves is the
+  whole-array call, so a step inside a busy site group makes the passes
+  of an unsplit one: the two site threads contend for the interpreter
+  lock, and each extra numpy call costs them time.
 - Errors. A group stops at its first failing index, and the error of the
   smallest failing index is raised after the join: every smaller index
-  has run, as in a serial loop.
-Each part's arithmetic is the same on any thread, so the bits do not
-depend on the CPU count.
+  has run, as in a serial loop. run_chunks' part stops at its first
+  failing chunk, so the first failing chunk's error is raised.
+Each part's arithmetic is the same on any thread, and a split pass moves
+only work whose bits do not depend on the split (row or column slices of
+element-wise passes and of GEMM outputs, never a GEMM's inner dimension or
+a sum), so the bits do not depend on the CPU count.
 
 Buffer rule: a public function writes only its own fresh arrays, or the
 array a caller passes as ``out=`` (numpy-style: "write the result here";
@@ -127,17 +141,23 @@ def _balanced_groups(sizes: Sequence[int]) -> list[list[int]]:
     return [sorted(group) for group in groups]
 
 
-def run_parts(sizes: Sequence[int], body: Callable[[int], None]) -> None:
+def run_parts(sizes: Sequence[int], body: Callable[[int], None],
+              whole: Callable[[], None] | None = None) -> None:
     """Call body(i) for every index i of sizes, split by size between the
     caller and, if the call takes it, the process's one helper thread
     (module docstring).
 
     A group stops at its first failing index. Once both groups have ended,
-    the error of the smallest failing index is raised.
+    the error of the smallest failing index is raised. A call that runs
+    serially calls whole() instead, when given: the one call that does the
+    work of every part.
     """
     if len(sizes) < 2 or _cpu_count() < 2 or not _helper.acquire(blocking=False):
-        for i in range(len(sizes)):
-            body(i)
+        if whole is not None:
+            whole()
+        else:
+            for i in range(len(sizes)):
+                body(i)
         return
     errors: dict[int, Exception] = {}  # one key per failing group, so no lock
     err = np.geterr()
@@ -165,12 +185,32 @@ def run_parts(sizes: Sequence[int], body: Callable[[int], None]) -> None:
         raise errors[min(errors)]
 
 
+def run_halves(n: int, size: int, body: Callable[[int, int], None]) -> None:
+    """Call body(0, n) once, or body(0, h) and body(h, n) with h = (n + 1) // 2,
+    the second on the helper, through run_parts.
+
+    size is the number of elements the whole call touches. A call that
+    touches fewer than 2 * CHUNK blocks' elements (where run_chunks first
+    splits a codec loop), or one that runs serially, is body(0, n).
+    """
+    h = (n + 1) // 2
+    if n < 2 or size < 2 * CHUNK * BLOCK:
+        return body(0, n)
+    run_parts((h, n - h), lambda i: body(h * i, (h, n)[i]), lambda: body(0, n))
+
+
 def run_chunks(n: int, step: int, body: Callable[[int, int], None]) -> None:
-    """Call body(s, min(s + step, n)) for every s in range(0, n, step), through
-    run_parts with each span's length as its size."""
+    """Call body(s, min(s + step, n)) for every s in range(0, n, step), in
+    order. Through run_parts, the caller runs the first half of the spans (one
+    more on an odd count) and the helper the rest, as two contiguous runs."""
     starts = range(0, n, step)
-    run_parts([min(step, n - s) for s in starts],
-              lambda i: body(starts[i], min(starts[i] + step, n)))
+    h = (len(starts) + 1) // 2
+
+    def run(i):
+        for s in (starts[:h], starts[h:])[i]:
+            body(s, min(s + step, n))
+
+    run_parts((h, len(starts) - h) if len(starts) > 1 else (h,), run)
 
 
 def block_count(n: int, what: str = "feature dimension") -> int:

@@ -13,11 +13,13 @@ vec(V) @ kron(B, A) == vec(B.T @ V @ A) (row-major vec) ties the two
 pictures together.
 
 gpk_forward runs on about formats.CHUNK blocks of rows at a time, through
-formats.run_chunks, the chunk adapter of formats.run_parts: the chunks run
-on the calling thread and, when it is free, on the process's one helper
-thread; each chunk's arithmetic is the same on any thread, so the bits do
-not depend on the CPU count. gpk_backward, the adjoint of gpk_forward with
-respect to A and the B_i, sits beside it.
+formats.run_chunks, the chunk adapter of formats.run_parts: the calling
+thread runs the first half of the chunks and, when it is free, the
+process's one helper thread the second half; each chunk's arithmetic is the
+same on any thread, so the bits do not depend on the CPU count.
+gpk_backward, the adjoint of gpk_forward with respect to A and the B_i,
+sits beside it; its per-block products split by blocks the same way
+(formats.run_halves).
 DecompositionKind is the one table of decompositions, each with its name,
 matmul cost and parameter count (shared plus per block); param_count reads
 the count for a size-N transform.
@@ -31,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ShapeError, SingularTransformError
-from .formats import BLOCK, CHUNK, block_count, blocks, out_blocks, run_chunks
+from .formats import BLOCK, CHUNK, block_count, blocks, out_blocks, run_chunks, run_halves
 
 G1 = 8  # global factor size
 G2 = 4  # private factor size
@@ -161,8 +163,13 @@ def gpk_backward(x: np.ndarray, t: GpkTransform, grad_out: np.ndarray):
     and as dP_i[a, c, b, d] (a, b index G2; c, d index G1) it projects onto
         d_b[i][b, a] = sum_{c,d} dP_i[a, c, b, d] * A[c, d]
         d_a[c, d] = sum_i sum_{a,b} dP_i[a, c, b, d] * B_i[b, a].
+    The caller and the helper each take half of the blocks' products
+    (formats.run_halves); both projections run whole.
     """
-    dp = np.matmul(blocks(x).transpose(1, 2, 0), blocks(grad_out).transpose(1, 0, 2))
+    xt, gt = blocks(x).transpose(1, 2, 0), blocks(grad_out).transpose(1, 0, 2)
+    dp = np.empty((len(xt), BLOCK, BLOCK))
+    run_halves(len(dp), np.size(grad_out),
+               lambda s, e: np.matmul(xt[s:e], gt[s:e], out=dp[s:e]))
     dp = dp.reshape(-1, G2, G1, G2, G1)
     return np.einsum("kacbd,kba->cd", dp, t.b), np.einsum("kacbd,cd->kba", dp, t.a)
 

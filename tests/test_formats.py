@@ -406,7 +406,7 @@ class TestChunkRunner:
     @pytest.mark.parametrize("cpus_n", [1, 2, 8])
     def test_nonfinite_in_a_helper_chunk_raises(self, cpus, cpus_n):
         x = self._tensor(9)
-        # in chunk 7: the helper runs the odd chunks of 9 unless there is one CPU
+        # in chunk 7: the helper runs chunks 5-8 of 9 unless there is one CPU
         x[7 * CHUNK // 4, 7] = np.nan
         started = cpus(cpus_n)
         threads = threading.active_count()
@@ -421,21 +421,39 @@ class TestChunkRunner:
 
     @pytest.mark.parametrize("cpus_n", [1, 2, 4])
     def test_first_failing_span_in_span_order_raises(self, cpus, cpus_n):
-        # 9 spans; above 1 CPU the caller runs spans 0, 2, 4, 6, 8 and the helper 1, 3, 5, 7,
-        # so the caller stops at span 4 and the helper at span 1
+        # 9 spans; above 1 CPU the caller runs spans 0-4 and the helper 5-8, each stopping
+        # at its first failing span. With spans 1, 4 and 7 failing, the caller stops at
+        # span 1 and the helper at span 7, and span 1 is raised; with spans 6 and 7, the
+        # caller runs all of its spans and the helper's first failure is raised
         cpus(cpus_n)
-        done = []
+        for failing, first, ran in (((1, 4, 7), 1, [0, 5, 6]), ((6, 7), 6, [0, 1, 2, 3, 4, 5])):
+            done = []
 
-        def body(s, e):
-            if s // 2 in (1, 4, 7):
-                raise ValueError(f"span {s // 2}")
-            done.append((s, e))
+            def body(s, e):
+                if s // 2 in failing:
+                    raise ValueError(f"span {s // 2}")
+                done.append((s, e))
 
-        threads = threading.active_count()
-        with pytest.raises(ValueError, match="^span 1$"):
-            formats.run_chunks(17, 2, body)
-        assert threading.active_count() == threads
-        assert sorted(done) == ([(0, 2)] if cpus_n == 1 else [(0, 2), (4, 6)])
+            threads = threading.active_count()
+            with pytest.raises(ValueError, match=f"^span {first}$"):
+                formats.run_chunks(17, 2, body)
+            assert threading.active_count() == threads
+            want = [i for i in ran if cpus_n > 1 or i < first]
+            assert sorted(done) == [(2 * i, 2 * i + 2) for i in want]
+
+    @pytest.mark.parametrize("n_spans", [2, 9, 10])
+    def test_each_thread_runs_one_contiguous_run_in_order(self, cpus, n_spans):
+        # the caller runs the first half of the spans (one more on an odd count) and the
+        # helper the rest, each in span order
+        started = cpus(2)
+        ran = []
+        formats.run_chunks(3 * n_spans - 1, 3, lambda s, e: ran.append((s, e, threading.get_ident())))
+        h = (n_spans + 1) // 2
+        caller = [(s, e) for s, e, who in ran if who == threading.get_ident()]
+        helper = [(s, e) for s, e, who in ran if who != threading.get_ident()]
+        spans = [(s, min(s + 3, 3 * n_spans - 1)) for s in range(0, 3 * n_spans - 1, 3)]
+        assert caller == spans[:h] and helper == spans[h:]
+        assert len(started) == 1 and not started[0].is_alive()
 
     @pytest.mark.parametrize("cpus_n", [2, 8])
     def test_a_call_while_the_helper_runs_is_serial(self, cpus, cpus_n):
