@@ -24,16 +24,11 @@ in place. One step's context is dropped before the next starts, so its
 masks never overlap the next step's. Everything else on the weight side is
 a mask or a temporary of at most formats.CHUNK blocks per busy thread.
 
-Threads: when the process's helper thread is free, every full-size pass of
-a step runs on two contiguous row halves, the first on the caller and the
-second on the helper: gpk_forward and qdq through formats.run_chunks; the
-clip, the straight-through mask, gpk_backward's per-block products and the
-step's three GEMMs (_matmul, split by output rows or columns) through
-formats.run_halves. So a row half of the weight operand stays on one core
-from its transform to its gradient, between the barriers that the clip's
-all-rows extrema and sums and the GEMMs need. Inside
-harness.calibrate_block's site groups, which hold the helper, each pass is
-one whole-array call.
+Threads: every full-size pass of a step runs on two row halves by the
+runner rule of the formats docstring: gpk_forward and qdq through
+formats.run_chunks; the clip, the straight-through mask, gpk_backward's
+per-block products and the step's three GEMMs (_matmul, split by output
+rows or columns) through formats.run_halves.
 
 Gradients are a fixed-graph reverse pass hand-derived for this
 pipeline: the quantize-dequantize step is a clipped straight-through

@@ -13,13 +13,12 @@ k = N/BLOCK bound pairs. Elements exactly on a bound count as interior (the
 pass-through gradient branch). Each bound's extremum term goes to the first
 element that holds the extremum in element-major (element, row) order.
 
-The full-size passes run on two contiguous row halves, the second on the
-process's helper thread when it is free (formats.run_halves): in the
-forward each half's column extrema, combined exactly, then its clamp and
-masks; in the reverse pass the copy and zeroing of d_x. The masked sums
-over rows and everything per block run whole, so the bits do not depend
-on the split. The masks are fresh per call; the clipped tensor and d_x go
-to out when given.
+The forward's column extrema (combined exactly), clamp and masks, and the
+reverse pass's copy and zeroing of d_x, run on two row halves by the runner
+rule of the formats docstring (formats.run_halves); the masked sums over
+rows and everything per block run whole, so the bits do not depend on the
+split. The masks are fresh per call; the clipped tensor and d_x go to out
+when given.
 """
 
 from __future__ import annotations

@@ -52,39 +52,36 @@ whatever the tensor's size. Scaling by 2^e is a product with an exact power
 of two, which rounds only where the result leaves the float64 normal range,
 exactly as ldexp would.
 
-One parallel runner serves the whole package: run_parts(sizes, body,
-whole=None) calls body(i) for every index of sizes, independent parts of
-one job, or whole() when it runs serially. harness.calibrate_block passes
-it a block's linear sites, and two adapters give it row spans:
-run_chunks(n, step, body) runs the codec's, gpk_forward's and io's chunk
-loops, and run_halves(n, size, body) the other full-size passes of a
-calibration step (clip forward and backward, the straight-through mask,
-gpk_backward's per-block products and the step's three GEMMs), each as
-one whole-array call when serial. The rule:
+One parallel runner serves the whole package: run_split(first, second,
+whole) runs first() on the caller and second() on the process's one helper
+thread, or whole(), the work of both, on the caller alone. Two adapters
+give it row spans: run_chunks(n, step, body) runs the codec's,
+gpk_forward's and io's chunk loops, and run_halves(n, size, body) the other
+full-size passes of a calibration step (clip forward and backward, the
+straight-through mask, gpk_backward's per-block products and the step's
+three GEMMs); harness.calibrate_block gives it its two site groups. The
+rule:
 - One helper thread per process, taken without waiting (the lock
-  _helper); a call that cannot take it, such as one inside a running
-  part, runs serially on its caller, as does a call of one part or on one
-  CPU (the process's affinity set, else os.cpu_count()). At most two
-  threads hold a part's temporaries, and a wider split is unmeasured.
-- Split. The holder splits the indices into 2 groups balanced by size
-  (_balanced_groups): largest first, each to the group with the smaller
-  total so far. Both adapters pass two parts, so the caller runs the
-  first half of the rows (the larger one on an odd count) and the helper
-  the second, as one contiguous run each: a row half of the weight operand
-  stays on one core from gpk_forward through qdq to its gradient. The
-  caller runs group 0 and one threading.Thread group 1, under the
-  caller's numpy error state; the call returns once both have ended, so
-  no thread outlives it. The caller works rather than waits because each
-  started thread gets its own malloc arena, and an idle caller would cost
-  one more arena's peak memory. A serial call of run_halves is the
-  whole-array call, so a step inside a busy site group makes the passes
-  of an unsplit one: the two site threads contend for the interpreter
-  lock, and each extra numpy call costs them time.
-- Errors. A group stops at its first failing index, and the error of the
-  smallest failing index is raised after the join: every smaller index
-  has run, as in a serial loop. run_chunks' part stops at its first
-  failing chunk, so the first failing chunk's error is raised.
-Each part's arithmetic is the same on any thread, and a split pass moves
+  _helper). A call that cannot take it, such as one inside a running
+  half, runs whole() on its caller, as does a call on one CPU (the
+  process's affinity set, else os.cpu_count()). At most two threads hold
+  a pass's temporaries, and a wider split is unmeasured.
+- Split. Both adapters give the caller the first half of the rows (the
+  larger one on an odd count) and the helper the second, as one contiguous
+  run each: a row half of the weight operand stays on one core from
+  gpk_forward through qdq to its gradient. The helper is one
+  threading.Thread under the caller's numpy error state, and the call
+  returns once both halves have ended, so no thread outlives it. The
+  caller works rather than waits because each started thread gets its own
+  malloc arena, and an idle caller would cost one more arena's peak
+  memory. A serial run_halves call is the one whole-array call, so a step
+  inside a busy site group makes the passes of an unsplit one: the two
+  site threads contend for the interpreter lock, and each extra numpy call
+  costs them time.
+- Errors. Once both halves have ended, first()'s error is raised, else
+  second()'s. A chunk loop's half stops at its first failing chunk, so the
+  first failing chunk's error is raised, as in a serial loop.
+Each half's arithmetic is the same on any thread, and a split pass moves
 only work whose bits do not depend on the split (row or column slices of
 element-wise passes and of GEMM outputs, never a GEMM's inner dimension or
 a sum), so the bits do not depend on the CPU count.
@@ -104,7 +101,7 @@ from __future__ import annotations
 
 import os
 import threading
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -126,91 +123,68 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _balanced_groups(sizes: Sequence[int]) -> list[list[int]]:
-    """Split the indices of sizes into 2 groups of about equal total size.
+def run_split(first: Callable[[], None], second: Callable[[], None],
+              whole: Callable[[], None]) -> None:
+    """Run first() on the caller and second() on the process's one helper
+    thread, or whole() on the caller alone when the helper is taken or there
+    is one CPU (module docstring).
 
-    Largest item first, each item joins the group with the smaller total so
-    far (group 0 on a tie). Each group lists its indices in ascending order.
+    Once both halves have ended, first()'s error is raised, else second()'s.
     """
-    load = [0, 0]
-    groups: list[list[int]] = [[], []]
-    for i in sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True):
-        g = 1 if load[1] < load[0] else 0
-        groups[g].append(i)
-        load[g] += sizes[i]
-    return [sorted(group) for group in groups]
-
-
-def run_parts(sizes: Sequence[int], body: Callable[[int], None],
-              whole: Callable[[], None] | None = None) -> None:
-    """Call body(i) for every index i of sizes, split by size between the
-    caller and, if the call takes it, the process's one helper thread
-    (module docstring).
-
-    A group stops at its first failing index. Once both groups have ended,
-    the error of the smallest failing index is raised. A call that runs
-    serially calls whole() instead, when given: the one call that does the
-    work of every part.
-    """
-    if len(sizes) < 2 or _cpu_count() < 2 or not _helper.acquire(blocking=False):
-        if whole is not None:
-            whole()
-        else:
-            for i in range(len(sizes)):
-                body(i)
-        return
-    errors: dict[int, Exception] = {}  # one key per failing group, so no lock
+    if _cpu_count() < 2 or not _helper.acquire(blocking=False):
+        return whole()
     err = np.geterr()
+    failed: list[Exception] = []  # second()'s error
 
-    def run(group):
+    def helper():
         with np.errstate(**err):  # a started thread begins in numpy's default state
-            for i in group:
-                try:
-                    body(i)
-                except Exception as exc:  # re-raised by the caller, smallest index first
-                    errors[i] = exc
-                    return  # the group's later indices are larger
+            try:
+                second()
+            except Exception as exc:  # raised by the caller unless first() fails
+                failed.append(exc)
 
-    mine, theirs = _balanced_groups(sizes)
     try:
-        helper = threading.Thread(target=run, args=(theirs,))
-        helper.start()
+        thread = threading.Thread(target=helper)
+        thread.start()
         try:
-            run(mine)
+            first()
         finally:
-            helper.join()
+            thread.join()
     finally:
         _helper.release()
-    if errors:
-        raise errors[min(errors)]
+    if failed:
+        raise failed[0]
 
 
 def run_halves(n: int, size: int, body: Callable[[int, int], None]) -> None:
     """Call body(0, n) once, or body(0, h) and body(h, n) with h = (n + 1) // 2,
-    the second on the helper, through run_parts.
+    the second on the helper, through run_split.
 
     size is the number of elements the whole call touches. A call that
-    touches fewer than 2 * CHUNK blocks' elements (where run_chunks first
-    splits a codec loop), or one that runs serially, is body(0, n).
+    touches fewer than 2 * CHUNK blocks' elements, or one that runs serially,
+    is body(0, n). (run_chunks splits a codec loop from two spans on, that is
+    from CHUNK + 1 blocks.)
     """
-    h = (n + 1) // 2
     if n < 2 or size < 2 * CHUNK * BLOCK:
         return body(0, n)
-    run_parts((h, n - h), lambda i: body(h * i, (h, n)[i]), lambda: body(0, n))
+    h = (n + 1) // 2
+    run_split(lambda: body(0, h), lambda: body(h, n), lambda: body(0, n))
 
 
 def run_chunks(n: int, step: int, body: Callable[[int, int], None]) -> None:
     """Call body(s, min(s + step, n)) for every s in range(0, n, step), in
-    order. Through run_parts, the caller runs the first half of the spans (one
+    order. Through run_split, the caller runs the first half of the spans (one
     more on an odd count) and the helper the rest, as two contiguous runs."""
     starts = range(0, n, step)
-    h = (len(starts) + 1) // 2
 
-    def run(i):
-        for s in (starts[:h], starts[h:])[i]:
+    def run(part):
+        for s in part:
             body(s, min(s + step, n))
 
-    run_parts((h, len(starts) - h) if len(starts) > 1 else (h,), run)
+    if len(starts) < 2:
+        return run(starts)
+    h = (len(starts) + 1) // 2
+    run_split(lambda: run(starts[:h]), lambda: run(starts[h:]), lambda: run(starts))
 
 
 def block_count(n: int, what: str = "feature dimension") -> int:

@@ -23,25 +23,26 @@ quantization is simulated as one quantize-dequantize of each head's key
 and value slice; the cache carries no transform, because calibration
 learns only the linear sites. RoPE is deliberately absent.
 
-calibrate_block runs the sites through formats.run_parts, split by weight
-size, since a calibration step costs about the same per weight element
-and each site learns from its own recorded input and weight. Each
-calibrate_layer call reads and writes only its own arrays, so every Theta
-is byte-identical to a serial loop's, and a failing site leaves the block
-as a serial loop over the sites would.
+calibrate_block splits the sites into two groups balanced by weight size
+(_balanced_groups), since a calibration step costs about the same per
+weight element, and runs them through formats.run_split (the runner rule
+is in the formats docstring). Each site learns from its own recorded input
+and weight, and each calibrate_layer call reads and writes only its own
+arrays, so every Theta is byte-identical to a serial loop's. A failing
+site leaves the block as it was.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .calib import CalibConfig, Theta, calibrate_layer, quantized_forward
 from .errors import ShapeError
-from .formats import FormatConfig, block_count, quantize_dequantize, run_parts
+from .formats import FormatConfig, block_count, quantize_dequantize, run_split
 
 SATURATED_LOGIT = 40.0  # sigmoid is exactly 1.0 in float64
 
@@ -177,29 +178,42 @@ def simulate_block(block: ToyBlock, x, formats: FormatConfig):
     return y, report
 
 
+def _balanced_groups(sizes: Sequence[int]) -> list[list[int]]:
+    """Split the indices of sizes into 2 groups of about equal total size.
+
+    Largest item first, each item joins the group with the smaller total so
+    far (group 0 on a tie). Each group lists its indices in ascending order.
+    """
+    load = [0, 0]
+    groups: list[list[int]] = [[], []]
+    for i in sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True):
+        g = 1 if load[1] < load[0] else 0
+        groups[g].append(i)
+        load[g] += sizes[i]
+    return [sorted(group) for group in groups]
+
+
 def calibrate_block(block: ToyBlock, x, config: CalibConfig, formats: FormatConfig) -> ToyBlock:
     """Calibrate every linear site on the block's own activations.
 
     One full-precision forward records each site's input and weight
-    matrix, then each site is calibrated layer-wise through
-    formats.run_parts. If a site fails, the error of the first failing site
-    in site order is raised once every site group has ended: the sites
-    before it keep their new Theta, the later ones their old one, as a
-    serial loop over the sites would leave them.
+    matrix, then each site is calibrated layer-wise, the two site groups
+    (_balanced_groups) through formats.run_split, or serially as group 0
+    then group 1. If a site fails, the first error in that order is raised
+    and block.sites is left untouched.
     """
     _, taps = _block_forward(block, np.asarray(x, dtype=np.float64), None)
     order = list(taps)
+    mine, theirs = ([order[i] for i in group]
+                    for group in _balanced_groups([taps[site][1].size for site in order]))
     thetas: dict[str, Theta] = {}  # one key per site, so no lock
 
-    def run(i):
-        inp, w, _ = taps[order[i]]
-        thetas[order[i]], _ = calibrate_layer(w, inp, config, formats)
+    def run(sites):
+        for site in sites:
+            inp, w, _ = taps[site]
+            thetas[site], _ = calibrate_layer(w, inp, config, formats)
 
-    try:
-        run_parts([taps[site][1].size for site in order], run)
-    finally:  # the first site without a Theta is the first failing one
-        for site in order:
-            if site not in thetas:
-                break
-            block.sites[site] = thetas[site]
+    run_split(lambda: run(mine), lambda: run(theirs), lambda: run(mine + theirs))
+    for site in order:
+        block.sites[site] = thetas[site]
     return block

@@ -44,9 +44,10 @@ chunk is then checked; the reader's f32 chunk is checked, then widened into
 the float64 result. mx4 packs a code pair by viewing it as one '<u2' v:
 both codes are below 16, so the low byte of v | v >> 4 is lo | hi << 4;
 the reader reverses it in place, v |= v << 4, v &= 0x0F0F. A failing chunk
-reports its first bad value by its index in the whole tensor, and
-run_chunks raises the error of the smallest failing chunk, so the message
-names the first bad value, as a serial check would.
+reports its first bad value by its index in the whole tensor, and the
+first failing chunk's error is raised (the runner rule of the formats
+docstring), so the message names the first bad value, as a serial check
+would.
 
 Config files are flat text, one `key = value` per line; blank lines and
 lines starting with # are ignored. Both kinds (run configs, block specs)

@@ -12,14 +12,10 @@ is what oracle.dense_block_matrices() builds. The identity
 vec(V) @ kron(B, A) == vec(B.T @ V @ A) (row-major vec) ties the two
 pictures together.
 
-gpk_forward runs on about formats.CHUNK blocks of rows at a time, through
-formats.run_chunks, the chunk adapter of formats.run_parts: the calling
-thread runs the first half of the chunks and, when it is free, the
-process's one helper thread the second half; each chunk's arithmetic is the
-same on any thread, so the bits do not depend on the CPU count.
-gpk_backward, the adjoint of gpk_forward with respect to A and the B_i,
-sits beside it; its per-block products split by blocks the same way
-(formats.run_halves).
+gpk_forward, and beside it gpk_backward, its adjoint with respect to A
+and the B_i, split their rows (about formats.CHUNK blocks at a time) and
+per-block products between the caller and the process's helper thread by
+the runner rule of the formats docstring (run_chunks, run_halves).
 DecompositionKind is the one table of decompositions, each with its name,
 matmul cost and parameter count (shared plus per block); param_count reads
 the count for a size-N transform.
@@ -138,7 +134,7 @@ def gpk_forward(x: np.ndarray, t: GpkTransform, out=None) -> np.ndarray:
     G2, G1) slices), then B_i @ (V @ A) per block, written into out (see
     formats.out_blocks; out=x runs in place) or a fresh array. Both run on
     rows holding about CHUNK blocks at a time, split between the caller and
-    the process's one helper thread, when it is free, by formats.run_parts,
+    the process's one helper thread, when it is free, by formats.run_chunks,
     so V @ A is one chunk's temporary per busy thread.
     Cost is rows * N * (G1 + G2) multiply-adds.
     """

@@ -1,15 +1,31 @@
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from mxquant import calib
+from mxquant import calib, formats
 from mxquant.formats import FormatConfig
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def patch_cpus(monkeypatch):
+    """A function that patches formats._cpu_count to n and returns the threads
+    started since the test began, one list for the whole test."""
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+
+    def patch(n):
+        monkeypatch.setattr(formats, "_cpu_count", lambda: n)
+        return started
+
+    return patch
 
 
 def make_outlier_instance(seed=0, n=128, m=64, rows=128, factor=50.0):

@@ -347,27 +347,18 @@ class TestDecode:
 
 
 class TestChunkRunner:
-    """run_parts, through run_chunks, runs the chunks of the codec and of gpk_forward
+    """run_split, through run_chunks, runs the chunks of the codec and of gpk_forward
     on the caller and at most one helper thread per process; the bits never depend on
     the CPU count."""
 
     @pytest.fixture
-    def cpus(self, monkeypatch):
-        """A function that patches the CPU count to n and returns the threads started
-        since the test began; the test runs with frequent thread switches, so that
-        chunks interleave."""
-        started = []
-        start = threading.Thread.start
-        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
-
-        def patch(n):
-            monkeypatch.setattr(formats, "_cpu_count", lambda: n)
-            return started
-
+    def cpus(self, patch_cpus):
+        """conftest's patch_cpus, with frequent thread switches, so that chunks
+        interleave."""
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            yield patch
+            yield patch_cpus
         finally:
             sys.setswitchinterval(interval)
 
@@ -457,27 +448,30 @@ class TestChunkRunner:
 
     @pytest.mark.parametrize("cpus_n", [2, 8])
     def test_a_call_while_the_helper_runs_is_serial(self, cpus, cpus_n):
-        # one thread's call holds the helper until its part 1 is released; a second
-        # call meanwhile runs all its parts on its own caller and starts no thread
+        # one thread's call holds the helper until its second half is released; a
+        # second call meanwhile runs whole() on its own caller and starts no thread
         started = cpus(cpus_n)
         entered, release = threading.Event(), threading.Event()
 
-        def first(i):
-            if i == 1:
-                entered.set()
-                assert release.wait(10)
+        def second():
+            entered.set()
+            assert release.wait(10)
 
-        outer = threading.Thread(target=formats.run_parts, args=([1, 1], first))
+        def never():
+            raise AssertionError("the outer call must split")
+
+        outer = threading.Thread(target=formats.run_split, args=(lambda: None, second, never))
         outer.start()
         try:
             assert entered.wait(10)
             ran = []
-            formats.run_parts([1, 1, 1], lambda i: ran.append((i, threading.get_ident())))
+            formats.run_split(lambda: ran.append("first"), lambda: ran.append("second"),
+                              lambda: ran.append(("whole", threading.get_ident())))
         finally:
             release.set()
             outer.join(10)
         assert not outer.is_alive()
-        assert ran == [(i, threading.get_ident()) for i in range(3)]
+        assert ran == [("whole", threading.get_ident())]
         assert len(started) == 2  # the outer thread and its one helper
 
     def test_helpers_run_under_the_callers_error_state(self, cpus):

@@ -180,17 +180,15 @@ class TestConcurrentCalibration:
         # sites in order p_qkv, p_o, p_up, p_down
         sizes = [w.size for w in block.weights.values()]
         assert list(block.weights) == ["p_qkv", "p_o", "p_up", "p_down"]
-        assert formats._balanced_groups(sizes) == [[1, 2], [0, 3]]
-        # 8 full chunks and a short last one: equal chunks alternate between the groups
-        assert formats._balanced_groups([2] * 8 + [1]) == [[0, 2, 4, 6, 8], [1, 3, 5, 7]]
+        assert harness._balanced_groups(sizes) == [[1, 2], [0, 3]]
+        # 8 equal sites and a smaller last one: each site joins the lighter group, group 0
+        # on a tie, so equal sites alternate and the last one ties into group 0
+        assert harness._balanced_groups([2] * 8 + [1]) == [[0, 2, 4, 6, 8], [1, 3, 5, 7]]
 
     @pytest.mark.parametrize("cpus", [1, 2, 4, 8])
-    def test_matches_serial_calibrate_layer_bit_for_bit(self, monkeypatch, cpus):
+    def test_matches_serial_calibrate_layer_bit_for_bit(self, patch_cpus, cpus):
         # a helper thread with frequent thread switches is the stress case
-        monkeypatch.setattr(formats, "_cpu_count", lambda: cpus)
-        started = []
-        start = threading.Thread.start
-        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+        started = patch_cpus(cpus)
         block, x = self._instance()
         want = self._serial(block, x)
         interval = sys.getswitchinterval()
@@ -208,11 +206,13 @@ class TestConcurrentCalibration:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("failing", [("p_o",), ("p_up",), ("p_down",), ("p_up", "p_qkv")])
-    def test_first_failing_site_in_site_order_raises(self, monkeypatch, cpus, failing):
-        # at 2 CPUs the groups are [p_o, p_up] (the caller's) and [p_qkv, p_down]
-        monkeypatch.setattr(formats, "_cpu_count", lambda: cpus)
+    def test_first_failing_site_in_site_order_raises(self, monkeypatch, patch_cpus, cpus,
+                                                     failing):
+        # the groups are [p_o, p_up] (the caller's at 2 CPUs) and [p_qkv, p_down], run in
+        # that order at 1 CPU: the first failing site in that run order raises, at any CPU
+        # count, and every site keeps its old Theta
+        patch_cpus(cpus)
         block, x = self._instance()
-        want = self._serial(block, x)
         old = dict(block.sites)
 
         def forced(w, inp, config, formats):
@@ -226,19 +226,18 @@ class TestConcurrentCalibration:
         with pytest.raises(DivergenceError) as e:
             calibrate_block(block, x, QUICK, W4A4KV16)
         assert threading.active_count() == threads
-        order = list(block.sites)
-        first = min(order.index(site) for site in failing)
-        assert str(e.value) == f"forced at {order[first]} (step 0)"
-        for site in order[:first]:
-            assert self._same_bits(block.sites[site], want[site]), site
-        for site in order[first:]:
+        run_order = ["p_o", "p_up", "p_qkv", "p_down"]
+        first = next(site for site in run_order if site in failing)
+        assert str(e.value) == f"forced at {first} (step 0)"
+        assert list(block.sites) == list(old)
+        for site in run_order:
             assert block.sites[site] is old[site], site
 
     @pytest.mark.parametrize("cpus", [2, 4, 8])
-    def test_at_most_one_site_per_cpu_in_flight(self, monkeypatch, cpus):
+    def test_at_most_one_site_per_cpu_in_flight(self, patch_cpus, cpus):
         # calibrate_block also holds the recorded taps while two sites run, so its
         # bound adds the recording forward's own peak to the two largest site peaks
-        monkeypatch.setattr(formats, "_cpu_count", lambda: cpus)
+        patch_cpus(cpus)
         block, x = self._instance()
         record, (_, taps) = traced_peak(lambda: _block_forward(block, x, None))
         peaks = sorted(traced_peak(lambda: calibrate_layer(w, inp, QUICK, W4A4KV16))[0]
@@ -247,11 +246,12 @@ class TestConcurrentCalibration:
         assert peak <= peaks[-1] + peaks[-2] + record
 
     @pytest.mark.parametrize("cpus", [2, 4, 8])
-    def test_codec_calls_inside_site_groups_start_no_thread(self, monkeypatch, cpus):
+    def test_codec_calls_inside_site_groups_start_no_thread(self, monkeypatch, patch_cpus,
+                                                            cpus):
         # perfbench's text block: p_up's weight and its transform are 2 chunks each,
         # so its chunk loops would start a thread if the site groups did not hold
         # the process's one helper, at any CPU count
-        monkeypatch.setattr(formats, "_cpu_count", lambda: cpus)
+        started = patch_cpus(cpus)
         block = build_toy_block(ToyBlockSpec(256, 32, 8, 512), seed=13)
         x = np.random.default_rng(13).normal(size=(8, 256))
         base = threading.active_count()
@@ -264,9 +264,6 @@ class TestConcurrentCalibration:
 
         monkeypatch.setattr(formats, "run_chunks", spy)
         monkeypatch.setattr(transform, "run_chunks", spy)
-        started = []
-        start = threading.Thread.start
-        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
         calibrate_block(block, x, QUICK, W4A4KV16)
         assert max(spans for _, spans in calls) == 2
         assert max(live for live, _ in calls) <= base + 1  # the caller and one helper

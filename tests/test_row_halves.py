@@ -1,8 +1,6 @@
 """The full-size passes of a calibration step split by formats.run_halves give the
 bytes of one whole-array call: on one CPU, on two, and while the helper is taken
-(inside a running part, say), where no thread may start."""
-
-import threading
+(inside a running half, say), where no thread may start."""
 
 import numpy as np
 import pytest
@@ -18,17 +16,14 @@ ROWS, N = 1025, 256  # an odd row count: the caller takes rows 0-512, the helper
 
 
 @pytest.fixture
-def modes(monkeypatch):
+def modes(patch_cpus):
     """Run a function in each of the three cases; returns its bytes per case and the
     threads each case started."""
-    started = []
-    start = threading.Thread.start
-    monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
 
     def run(call):
         out = {}
         for mode in ("1 cpu", "2 cpus", "helper held"):
-            monkeypatch.setattr(formats, "_cpu_count", lambda: 1 if mode == "1 cpu" else 2)
+            started = patch_cpus(1 if mode == "1 cpu" else 2)
             del started[:]
             if mode == "helper held":
                 assert formats._helper.acquire(blocking=False)
