@@ -1,6 +1,7 @@
-"""Command-line surface.
-
-Subcommands: calibrate, stats, param-count, verify, simulate.
+"""Command-line surface: each subcommand reads its inputs, runs and writes its outputs.
+Subcommands: calibrate, stats, param-count, verify, simulate. `stats` scores each block
+with Sarle's bimodality coefficient (bimodality_score, below); `verify` runs the
+oracle cross-check suite, whose modules (verify, oracle) load only when it runs.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 Errors print a single machine-parsable line to stderr:
     mxquant: <usage|data|numeric>: <message>
@@ -19,9 +20,7 @@ from .calib import CalibConfig, calibrate_layer, fuse
 from .errors import DataError, MxQuantError, NumericalError, ShapeError
 from .formats import BLOCK, E2M1, MxTensor, block_count, blocks, quantize_tensor
 from .harness import build_toy_block, calibrate_block, simulate_block
-from .oracle import bimodality_score
 from .transform import G1, G2, DecompositionKind, GpkTransform, gpk_forward, param_count
-from .verify import run_all
 
 HIST_BINS = 64
 HIST_RANGE = (-8.0, 8.0)
@@ -106,6 +105,24 @@ def _cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+def bimodality_score(values) -> float:
+    """Sarle's bimodality coefficient: (skewness^2 + 1) / kurtosis.
+
+    Population moment estimators, so a symmetric two-point mass scores
+    exactly 1.0 (the maximum) and a normal sample about 1/3.
+    """
+    v = np.asarray(values, dtype=np.float64).reshape(-1)
+    if v.size < 8:
+        raise ShapeError(f"need at least 8 values for a bimodality score, got {v.size}")
+    c = v - v.mean()
+    m2 = np.mean(c * c)
+    if m2 == 0.0:
+        raise ShapeError("degenerate sample: zero variance")
+    skew = np.mean(c**3) / m2**1.5
+    kurt = np.mean(c**4) / (m2 * m2)
+    return float((skew * skew + 1.0) / kurt)
+
+
 def _stats_rows(x: np.ndarray, k: int, transform: GpkTransform | None, where):
     """One row per MX block of x's last axis (k blocks), scaled by the E2M1 scale rule;
     a block scaled outside HIST_RANGE (its scale exponent clamped) is a DataError."""
@@ -163,6 +180,7 @@ def _cmd_param_count(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_all  # the judges load only for this command
     reports = run_all()
     width = max(len(r.case_id) for r in reports)
     failed = 0

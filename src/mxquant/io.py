@@ -352,6 +352,7 @@ def read_kv_file(path, schema) -> dict:
         raw = f.read(CONFIG_MAX_BYTES + 1)
     if len(raw) > CONFIG_MAX_BYTES:
         raise FileFormatError(f"{path}: over {CONFIG_MAX_BYTES} bytes, not a config file")
+    raw = raw.removeprefix(b"\xef\xbb\xbf")  # one leading UTF-8 byte-order mark is not text
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as e:

@@ -1,9 +1,10 @@
-"""Independent brute-force references for cross-checking the fast paths.
+"""Independent brute-force references, the judges of the fast paths' results.
 
-Nothing here calls into the modules it validates: the quantizer reference
-enumerates the decoded grid per element, the transform and Hadamard
-references build dense matrices entry by entry, and gradients come from
-central finite differences.
+References only: no program module imports this one; `mxquant verify` (the
+verify module) and the tests call it. Nothing here calls into the modules
+it validates: the quantizer reference enumerates the decoded grid per
+element, the transform and Hadamard references build dense matrices entry
+by entry, and gradients come from central finite differences.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def dense_transform_oracle(x, t) -> np.ndarray:
     return y.reshape(*lead, k * g)
 
 
-def nearest_mx_oracle_batch(blocks, fmt, chunk: int = 4096):
+def nearest_mx_oracle_batch(blocks, fmt):
     """Vectorized exhaustive nearest-grid search over many 32-value blocks.
 
     Same rule as nearest_mx_oracle; distances are computed against every
@@ -87,7 +88,7 @@ def nearest_mx_oracle_batch(blocks, fmt, chunk: int = 4096):
     nv = len(values)
     decoded = np.empty_like(xb)
     codes = np.empty(xb.shape, dtype=np.uint8)
-
+    chunk = 4096  # blocks per pass, which bounds the (chunk, 32, nv) distance array
     for start in range(0, xb.shape[0], chunk):
         cb = xb[start : start + chunk]
         maxabs = np.abs(cb).max(axis=1)
@@ -128,7 +129,7 @@ def counted_gpk_forward(x, t):
     Returns (y, madd_count); used to pin the complexity of the fast path.
     """
     a, b = t.a, t.b
-    g1, g2, k = t.g1, t.g2, t.k
+    g1, (k, g2, _) = a.shape[0], b.shape  # the split, read from the factors' shapes
     xb = np.asarray(x, dtype=np.float64).reshape(-1, k, g2, g1)
     rows = xb.shape[0]
     count = 0
@@ -173,21 +174,3 @@ def finite_diff_oracle(loss_fn, params: dict[str, np.ndarray], h: float = 1e-4):
             gflat[j] = (up - down) / (2.0 * h)
         grads[name] = g
     return grads
-
-
-def bimodality_score(values) -> float:
-    """Sarle's bimodality coefficient: (skewness^2 + 1) / kurtosis.
-
-    Population moment estimators, so a symmetric two-point mass scores
-    exactly 1.0 (the maximum) and a normal sample about 1/3.
-    """
-    v = np.asarray(values, dtype=np.float64).reshape(-1)
-    if v.size < 8:
-        raise ShapeError(f"need at least 8 values for a bimodality score, got {v.size}")
-    c = v - v.mean()
-    m2 = np.mean(c * c)
-    if m2 == 0.0:
-        raise ShapeError("degenerate sample: zero variance")
-    skew = np.mean(c**3) / m2**1.5
-    kurt = np.mean(c**4) / (m2 * m2)
-    return float((skew * skew + 1.0) / kurt)

@@ -21,8 +21,8 @@ from mxquant.calib import (
     fuse,
     quantized_forward,
 )
-from mxquant.cli import main
-from mxquant.oracle import bimodality_score, counted_gpk_forward, finite_diff_oracle, nearest_mx_oracle_batch
+from mxquant.cli import bimodality_score, main
+from mxquant.oracle import counted_gpk_forward, finite_diff_oracle, nearest_mx_oracle_batch
 from mxquant.transform import DecompositionKind, gpk_forward, gpk_inverse_forward, param_count
 from mxquant.verify import random_transform
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import mxquant as mq
+from mxquant.cli import bimodality_score
 from mxquant.errors import ShapeError
 from mxquant.oracle import (
-    bimodality_score,
     counted_gpk_forward,
     finite_diff_oracle,
     hadamard_oracle,
