@@ -12,9 +12,12 @@ source trees agree when their outputs are identical:
     python3 scripts/artifact_digest.py ../other-checkout > old.txt
     diff old.txt new.txt
 
-Run under `taskset -c 0`, every chunk loop and calibrate_block run on the
-calling thread alone, so diffing that output against a default run compares
-the threaded and the serial code byte for byte.
+Two runs take the serial path, where every split runs both halves on the
+calling thread: one under `taskset -c 0` (one CPU, so no helper thread
+starts), and one with threading.Thread.start patched to raise RuntimeError
+(no thread can start; the tests job of .github/workflows/tests.yml shows
+how). Diffing either output against a default run compares the threaded and
+the serial path byte for byte.
 
 The optional argument is the checkout whose src/ and perfbench/ are used;
 it defaults to the one holding this script.

@@ -24,8 +24,8 @@ in place. One step's context is dropped before the next starts, so its
 masks never overlap the next step's. Everything else on the weight side is
 a mask or a temporary of at most formats.CHUNK blocks per busy thread.
 
-Threads: every full-size pass of a step runs on two row halves by the
-runner rule of the formats docstring: gpk_forward and qdq through
+Threads: every full-size pass of a step runs as the same two row halves
+on any CPU count (formats docstring): gpk_forward and qdq through
 formats.run_chunks; the clip, the straight-through mask, gpk_backward's
 per-block products and the step's three GEMMs (_matmul, split by output
 rows or columns) through formats.run_halves.

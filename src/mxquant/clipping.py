@@ -14,11 +14,11 @@ pass-through gradient branch). Each bound's extremum term goes to the first
 element that holds the extremum in element-major (element, row) order.
 
 The forward's column extrema (combined exactly), clamp and masks, and the
-reverse pass's copy and zeroing of d_x, run on two row halves by the runner
-rule of the formats docstring (formats.run_halves); the masked sums over
-rows and everything per block run whole, so the bits do not depend on the
-split. The masks are fresh per call; the clipped tensor and d_x go to out
-when given.
+reverse pass's copy and zeroing of d_x, run as the same two row halves on
+any CPU count (formats.run_halves); the masked sums over rows and
+everything per block run as one call each, so the bits do not depend on
+the split. The masks are fresh per call; the clipped tensor and d_x go to
+out when given.
 """
 
 from __future__ import annotations

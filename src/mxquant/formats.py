@@ -52,39 +52,38 @@ whatever the tensor's size. Scaling by 2^e is a product with an exact power
 of two, which rounds only where the result leaves the float64 normal range,
 exactly as ldexp would.
 
-One parallel runner serves the whole package: run_split(first, second,
-whole) runs first() on the caller and second() on the process's one helper
-thread, or whole(), the work of both, on the caller alone. Two adapters
-give it row spans: run_chunks(n, step, body) runs the codec's,
-gpk_forward's and io's chunk loops, and run_halves(n, size, body) the other
-full-size passes of a calibration step (clip forward and backward, the
-straight-through mask, gpk_backward's per-block products and the step's
-three GEMMs); harness.calibrate_block gives it its two site groups. The
-rule:
+One parallel runner serves the whole package: run_split(first, second)
+runs first() on the caller and second() on the process's one helper
+thread, or first() and then second() on the caller when the helper is
+unavailable. Two adapters give it row spans: run_chunks(n, step, body)
+runs the codec's, gpk_forward's and io's chunk loops, and
+run_halves(n, size, body) the other full-size passes of a calibration
+step (clip forward and backward, the straight-through mask,
+gpk_backward's per-block products and the step's three GEMMs);
+harness.calibrate_block gives it its two site groups. The rule:
 - One helper thread per process, taken without waiting (the lock
-  _helper). A call that cannot take it, such as one inside a running
-  half, runs whole() on its caller, as does a call on one CPU (the
-  process's affinity set, else os.cpu_count()). At most two threads hold
-  a pass's temporaries, and a wider split is unmeasured.
+  _helper). It is unavailable on one CPU (the process's affinity set, else
+  os.cpu_count()), while another call holds it (one inside a running half,
+  say), or when threading.Thread.start raises RuntimeError. A pass then
+  runs the same two spans on its caller, one after the other. At most two
+  threads hold a pass's temporaries, and a wider split is unmeasured.
 - Split. Both adapters give the caller the first half of the rows (the
   larger one on an odd count) and the helper the second, as one contiguous
   run each: a row half of the weight operand stays on one core from
   gpk_forward through qdq to its gradient. The helper is one
   threading.Thread under the caller's numpy error state, and the call
   returns once both halves have ended, so no thread outlives it. The
-  caller works rather than waits because each started thread gets its own
-  malloc arena, and an idle caller would cost one more arena's peak
-  memory. A serial run_halves call is the one whole-array call, so a step
-  inside a busy site group makes the passes of an unsplit one: the two
-  site threads contend for the interpreter lock, and each extra numpy call
-  costs them time.
+  caller works rather than waits: each started thread gets its own malloc
+  arena, and an idle caller would cost one more arena's peak memory.
 - Errors. Once both halves have ended, first()'s error is raised, else
-  second()'s. A chunk loop's half stops at its first failing chunk, so the
-  first failing chunk's error is raised, as in a serial loop.
-Each half's arithmetic is the same on any thread, and a split pass moves
-only work whose bits do not depend on the split (row or column slices of
-element-wise passes and of GEMM outputs, never a GEMM's inner dimension or
-a sum), so the bits do not depend on the CPU count.
+  second()'s; on the caller alone, first()'s error stops the call before
+  second() runs. A chunk loop's half stops at its first failing chunk, so
+  the first failing chunk's error is raised, as in a serial loop.
+The spans of a pass depend only on its input sizes, and each span's
+arithmetic is the same on any thread. A split pass moves only work whose
+bits do not depend on the split (row or column slices of element-wise
+passes and of GEMM outputs, never a GEMM's inner dimension or a sum), so
+the bits do not depend on the CPU count.
 
 Buffer rule: a public function writes only its own fresh arrays, or the
 array a caller passes as ``out=`` (numpy-style: "write the result here";
@@ -123,16 +122,16 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def run_split(first: Callable[[], None], second: Callable[[], None],
-              whole: Callable[[], None]) -> None:
+def run_split(first: Callable[[], None], second: Callable[[], None]) -> None:
     """Run first() on the caller and second() on the process's one helper
-    thread, or whole() on the caller alone when the helper is taken or there
-    is one CPU (module docstring).
+    thread, or first() and then second() on the caller when the helper is
+    unavailable (module docstring).
 
     Once both halves have ended, first()'s error is raised, else second()'s.
     """
     if _cpu_count() < 2 or not _helper.acquire(blocking=False):
-        return whole()
+        first()
+        return second()
     err = np.geterr()
     failed: list[Exception] = []  # second()'s error
 
@@ -145,7 +144,11 @@ def run_split(first: Callable[[], None], second: Callable[[], None],
 
     try:
         thread = threading.Thread(target=helper)
-        thread.start()
+        try:
+            thread.start()
+        except RuntimeError:  # no thread can start
+            first()
+            return second()
         try:
             first()
         finally:
@@ -157,18 +160,14 @@ def run_split(first: Callable[[], None], second: Callable[[], None],
 
 
 def run_halves(n: int, size: int, body: Callable[[int, int], None]) -> None:
-    """Call body(0, n) once, or body(0, h) and body(h, n) with h = (n + 1) // 2,
-    the second on the helper, through run_split.
-
-    size is the number of elements the whole call touches. A call that
-    touches fewer than 2 * CHUNK blocks' elements, or one that runs serially,
-    is body(0, n). (run_chunks splits a codec loop from two spans on, that is
-    from CHUNK + 1 blocks.)
+    """Call body(0, n) when the call touches fewer than 2 * CHUNK blocks'
+    elements (size) or n < 2, else body(0, h) and body(h, n) with
+    h = (n + 1) // 2 through run_chunks. (run_chunks splits a codec loop from
+    two spans on, that is from CHUNK + 1 blocks.)
     """
     if n < 2 or size < 2 * CHUNK * BLOCK:
         return body(0, n)
-    h = (n + 1) // 2
-    run_split(lambda: body(0, h), lambda: body(h, n), lambda: body(0, n))
+    run_chunks(n, (n + 1) // 2, body)
 
 
 def run_chunks(n: int, step: int, body: Callable[[int, int], None]) -> None:
@@ -184,7 +183,7 @@ def run_chunks(n: int, step: int, body: Callable[[int, int], None]) -> None:
     if len(starts) < 2:
         return run(starts)
     h = (len(starts) + 1) // 2
-    run_split(lambda: run(starts[:h]), lambda: run(starts[h:]), lambda: run(starts))
+    run_split(lambda: run(starts[:h]), lambda: run(starts[h:]))
 
 
 def block_count(n: int, what: str = "feature dimension") -> int:

@@ -25,11 +25,11 @@ learns only the linear sites. RoPE is deliberately absent.
 
 calibrate_block splits the sites into two groups balanced by weight size
 (_balanced_groups), since a calibration step costs about the same per
-weight element, and runs them through formats.run_split (the runner rule
-is in the formats docstring). Each site learns from its own recorded input
-and weight, and each calibrate_layer call reads and writes only its own
-arrays, so every Theta is byte-identical to a serial loop's. A failing
-site leaves the block as it was.
+weight element, and runs them through formats.run_split: concurrently,
+or group 0 then group 1 on the caller (the formats docstring). Each site
+learns from its own recorded input and weight, and each calibrate_layer
+call reads and writes only its own arrays, so every Theta has the bytes
+of a serial loop's. A failing site leaves the block as it was.
 """
 
 from __future__ import annotations
@@ -198,9 +198,9 @@ def calibrate_block(block: ToyBlock, x, config: CalibConfig, formats: FormatConf
 
     One full-precision forward records each site's input and weight
     matrix, then each site is calibrated layer-wise, the two site groups
-    (_balanced_groups) through formats.run_split, or serially as group 0
-    then group 1. If a site fails, the first error in that order is raised
-    and block.sites is left untouched.
+    (_balanced_groups) through formats.run_split, concurrently or as
+    group 0 then group 1 on the caller. If a site fails, the first error in
+    that order is raised and block.sites is left untouched.
     """
     _, taps = _block_forward(block, np.asarray(x, dtype=np.float64), None)
     order = list(taps)
@@ -213,7 +213,7 @@ def calibrate_block(block: ToyBlock, x, config: CalibConfig, formats: FormatConf
             inp, w, _ = taps[site]
             thetas[site], _ = calibrate_layer(w, inp, config, formats)
 
-    run_split(lambda: run(mine), lambda: run(theirs), lambda: run(mine + theirs))
+    run_split(lambda: run(mine), lambda: run(theirs))
     for site in order:
         block.sites[site] = thetas[site]
     return block

@@ -333,8 +333,9 @@ _ECHO_CHARS = 80  # a message quotes at most this much of each piece of file tex
 
 
 def _echo(text: str) -> str:
-    """text, cut to _ECHO_CHARS characters for a message."""
-    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "..."
+    """text for a one-line message: cut to _ECHO_CHARS characters, non-printables escaped."""
+    text = text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "..."
+    return "".join(c if c.isprintable() else ascii(c)[1:-1] for c in text)
 
 
 def read_kv_file(path, schema) -> dict:
@@ -346,7 +347,7 @@ def read_kv_file(path, schema) -> dict:
     rejects with ValueError or DataError. A rejection gets the prefix
     `key = value: ` unless it already starts with `key = ` (a check_field
     message states the field and its value itself). The line, key, value and
-    cast message a message quotes are each cut by _echo.
+    cast message a message quotes are each cut and escaped by _echo.
     """
     with open(path, "rb") as f:
         raw = f.read(CONFIG_MAX_BYTES + 1)
@@ -359,15 +360,15 @@ def read_kv_file(path, schema) -> dict:
         ln = raw.count(b"\n", 0, e.start) + 1
         raise FileFormatError(f"{path}:{ln}: not UTF-8 text ({e.reason})") from None
     out = {}
-    for ln, line in enumerate(text.splitlines(), start=1):
+    for ln, line in enumerate(text.split("\n"), start=1):  # lines end at \n, as grep -n counts
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, eq, value = (part.strip() for part in line.partition("="))
         if not eq:
-            raise FileFormatError(f"{path}:{ln}: expected 'key = value', got {_echo(line)!r}")
+            raise FileFormatError(f"{path}:{ln}: expected 'key = value', got '{_echo(line)}'")
         if key not in schema:
-            raise FileFormatError(f"{path}:{ln}: unknown key {_echo(key)!r}")
+            raise FileFormatError(f"{path}:{ln}: unknown key '{_echo(key)}'")
         if key in out:
             raise FileFormatError(f"{path}:{ln}: {key!r} is set twice")
         try:

@@ -28,6 +28,11 @@ def patch_cpus(monkeypatch):
     return patch
 
 
+def refuse_thread_start(thread):
+    """A threading.Thread.start that fails as it does at a process's thread limit."""
+    raise RuntimeError("can't start new thread")
+
+
 def make_outlier_instance(seed=0, n=128, m=64, rows=128, factor=50.0):
     """Synthetic layer with extreme-outlier channels in 2 of the 4 blocks."""
     r = np.random.default_rng(seed)

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 import mxquant as mq
 from mxquant import formats
 from mxquant.errors import NonFiniteError, ShapeError
-from mxquant.formats import CHUNK, blocks
+from mxquant.formats import BLOCK, CHUNK, blocks
 from mxquant.oracle import nearest_mx_oracle, nearest_mx_oracle_batch
 from mxquant.transform import gpk_forward
 from mxquant.verify import random_transform
+
+from conftest import refuse_thread_start
 
 
 class TestValueSets:
@@ -449,30 +451,76 @@ class TestChunkRunner:
     @pytest.mark.parametrize("cpus_n", [2, 8])
     def test_a_call_while_the_helper_runs_is_serial(self, cpus, cpus_n):
         # one thread's call holds the helper until its second half is released; a
-        # second call meanwhile runs whole() on its own caller and starts no thread
+        # second call meanwhile runs first() then second() on its own caller and starts
+        # no thread
         started = cpus(cpus_n)
         entered, release = threading.Event(), threading.Event()
+        held_by = []
 
         def second():
+            held_by.append(threading.current_thread())
             entered.set()
             assert release.wait(10)
 
-        def never():
-            raise AssertionError("the outer call must split")
-
-        outer = threading.Thread(target=formats.run_split, args=(lambda: None, second, never))
+        outer = threading.Thread(target=formats.run_split, args=(lambda: None, second))
         outer.start()
         try:
             assert entered.wait(10)
             ran = []
-            formats.run_split(lambda: ran.append("first"), lambda: ran.append("second"),
-                              lambda: ran.append(("whole", threading.get_ident())))
+            formats.run_split(lambda: ran.append(("first", threading.get_ident())),
+                              lambda: ran.append(("second", threading.get_ident())))
         finally:
             release.set()
             outer.join(10)
         assert not outer.is_alive()
-        assert ran == [("whole", threading.get_ident())]
-        assert len(started) == 2  # the outer thread and its one helper
+        assert ran == [("first", threading.get_ident()), ("second", threading.get_ident())]
+        assert len(started) == 2 and held_by == [started[1]]  # the outer call split
+
+    @pytest.mark.parametrize("adapter, args, spans", [
+        ("run_chunks", (17, 2), [(s, min(s + 2, 17)) for s in range(0, 17, 2)]),
+        ("run_chunks", (10, 3), [(0, 3), (3, 6), (6, 9), (9, 10)]),
+        ("run_chunks", (3, 4), [(0, 3)]),
+        ("run_halves", (1025, 2 * CHUNK * BLOCK), [(0, 513), (513, 1025)]),
+        ("run_halves", (2, 2 * CHUNK * BLOCK), [(0, 1), (1, 2)]),
+        ("run_halves", (1025, 2 * CHUNK * BLOCK - 1), [(0, 1025)]),
+        ("run_halves", (1, 2 * CHUNK * BLOCK), [(0, 1)]),
+    ])
+    def test_spans_depend_only_on_the_sizes(self, cpus, monkeypatch, adapter, args, spans):
+        # one CPU, two, the helper held and no thread able to start run the same body
+        # calls; the serial cases run them in order on the caller
+        got = {}
+        for mode in ("1 cpu", "2 cpus", "helper held", "no thread can start"):
+            started = cpus(1 if mode == "1 cpu" else 2)
+            del started[:]
+            ran = []
+            with monkeypatch.context() as m:
+                if mode == "no thread can start":
+                    m.setattr(threading.Thread, "start", refuse_thread_start)
+                if mode == "helper held":
+                    assert formats._helper.acquire(blocking=False)
+                try:
+                    getattr(formats, adapter)(*args, lambda s, e: ran.append(
+                        (s, e, threading.get_ident())))
+                finally:
+                    if mode == "helper held":
+                        formats._helper.release()
+            assert not formats._helper.locked()
+            assert len(started) == (1 if mode == "2 cpus" and len(spans) > 1 else 0)
+            got[mode] = sorted((s, e) for s, e, _ in ran)
+            if mode != "2 cpus":
+                assert ran == [(s, e, threading.get_ident()) for s, e in spans], mode
+        assert got == dict.fromkeys(got, spans)
+
+    def test_no_thread_can_start(self, cpus, monkeypatch):
+        # the codec and gpk_forward on 9 chunks give the bytes of a split run when
+        # threading.Thread.start raises, and leave the helper free
+        x = self._tensor(9)
+        t = random_transform(np.random.default_rng(5), 128)
+        cpus(2)
+        want = self._outputs(x, t)
+        monkeypatch.setattr(threading.Thread, "start", refuse_thread_start)
+        assert self._outputs(x, t) == want
+        assert not formats._helper.locked()
 
     def test_helpers_run_under_the_callers_error_state(self, cpus):
         # the last of 2 spans runs on a helper at 2 CPUs; numpy's error state is

@@ -4,6 +4,7 @@ import re
 import struct
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 
 import mxquant as mq
-from conftest import nan_factor_gradient_on_call, traced_peak
-from mxquant import cli, io, verify
+from conftest import nan_factor_gradient_on_call, refuse_thread_start, traced_peak
+from mxquant import cli, formats, io, verify
 from mxquant.cli import _build_parser, main
 from mxquant.errors import FileFormatError
 from mxquant.formats import CHUNK
@@ -874,6 +875,40 @@ class TestCli:
             written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert written[0] == written[1] and len(written[0]) == (3 if command == "calibrate" else 1)
 
+    @pytest.mark.parametrize("command", ["calibrate", "simulate"])
+    def test_no_thread_can_start_gives_the_same_artifacts(self, tmp_path, patch_cpus,
+                                                          monkeypatch, command):
+        # at a thread limit threading.Thread.start raises RuntimeError; every split then
+        # runs both halves on the caller. A 256 x 1024 weight splits its step's passes
+        # and its fused weights' chunk loops, and simulate splits the site groups
+        if command == "calibrate":
+            rng = np.random.default_rng(2)
+            io.write_tensor(tmp_path / "w.mxbt", rng.normal(size=(256, 1024)) / 32.0)
+            io.write_tensor(tmp_path / "acts.mxbt", rng.normal(size=(16, 1024)))
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("weights = w.mxbt\ncalib = acts.mxbt\nepochs = 1\nbatch_size = 8\n")
+        else:
+            cfg = tmp_path / "spec.cfg"
+            cfg.write_text(_SPEC + "seed = 3\n")
+        started = patch_cpus(2)
+        written = []
+        for tag in ("split", "no-thread"):
+            out = tmp_path / tag
+            out.mkdir()
+            argv = (["calibrate", "--config", str(cfg), "--out", str(out)]
+                    if command == "calibrate" else
+                    ["simulate", "--spec", str(cfg), "--out", str(out / "report.csv"),
+                     "--rows", "16", "--calibrate"])
+            del started[:]
+            with monkeypatch.context() as m:
+                if tag == "no-thread":
+                    m.setattr(threading.Thread, "start", refuse_thread_start)
+                assert main(argv) == 0
+            assert (len(started) > 0) == (tag == "split")  # the helper ran only if it could
+            assert not formats._helper.locked()
+            written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert written[0] == written[1] and len(written[0]) == (3 if command == "calibrate" else 1)
+
     def test_not_utf8_after_a_byte_order_mark_names_its_line(self, tmp_path, capsys):
         # dropping the mark must not shift the bad byte's offset off its line
         cfg = tmp_path / "run.cfg"
@@ -891,6 +926,26 @@ class TestCli:
         cfg.write_text(text, encoding="utf-8")
         err = _expect_one_data_error(["calibrate", "--config", str(cfg)], capsys, "unknown key")
         assert err == f"mxquant: data: {cfg}:{at}: unknown key '\\ufeff{key}'"
+
+    @pytest.mark.parametrize("line3", ["\x0c", "epochs\u2028= 1"],
+                             ids=["form-feed-line", "line-separator-inside-a-line"])
+    def test_a_line_ends_only_at_a_newline(self, tmp_path, capsys, line3):
+        # as grep -n counts: a form-feed line is one blank line, and a U+2028 stays part of
+        # its line, so lr is on line 4 in both files
+        _write_calib_bundle(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(f"weights = w.mxbt\ncalib = acts.mxbt\n{line3}\nlr = -1\n".encode())
+        err = _expect_one_data_error(["calibrate", "--config", str(cfg)], capsys, "lr")
+        assert err == f"mxquant: data: {cfg}:4: lr = -1.0 must be non-negative"
+
+    def test_a_line_end_inside_a_value_is_escaped(self, tmp_path, capsys):
+        # the message quotes the value as one line, by str.splitlines' count too
+        _write_calib_bundle(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes("weights = w.mxbt\ncalib = acts.mxbt\nlr = 1\x0b2\u20283\n".encode())
+        err = _expect_one_data_error(["calibrate", "--config", str(cfg)], capsys, "lr")
+        assert err == (f"mxquant: data: {cfg}:3: lr = 1\\x0b2\\u20283: could not convert "
+                       "string to float: '1\\x0b2\\u20283'")
 
     @pytest.mark.parametrize("name, mention", [
         ("w.mxbt", "calibration needs full-precision weights"),

@@ -1,6 +1,10 @@
 """The full-size passes of a calibration step split by formats.run_halves give the
-bytes of one whole-array call: on one CPU, on two, and while the helper is taken
-(inside a running half, say), where no thread may start."""
+bytes of one whole-array call: on one CPU, on two, while the helper is taken (inside a
+running half, say) and when no thread can start. Every case but two CPUs runs both
+halves on the caller; the whole-array reference patches formats.CHUNK so large that no
+run_halves pass splits."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -10,37 +14,44 @@ from mxquant.clipping import ClipParams, clip_backward, clip_with_ctx, sigmoid
 from mxquant.transform import gpk_backward
 from mxquant.verify import random_transform
 
-from conftest import W4A4KV16
+from conftest import W4A4KV16, refuse_thread_start
 
 ROWS, N = 1025, 256  # an odd row count: the caller takes rows 0-512, the helper 513-1024
 
 
 @pytest.fixture
-def modes(patch_cpus):
-    """Run a function in each of the three cases; returns its bytes per case and the
-    threads each case started."""
+def modes(patch_cpus, monkeypatch):
+    """Run a function unsplit and in each of the four cases; returns its bytes per case
+    and the threads each case started."""
 
     def run(call):
         out = {}
-        for mode in ("1 cpu", "2 cpus", "helper held"):
-            started = patch_cpus(1 if mode == "1 cpu" else 2)
+        for mode in ("unsplit", "1 cpu", "2 cpus", "helper held", "no thread can start"):
+            started = patch_cpus(1 if mode in ("unsplit", "1 cpu") else 2)
             del started[:]
-            if mode == "helper held":
-                assert formats._helper.acquire(blocking=False)
-            try:
-                out[mode] = [np.asarray(a).tobytes() for a in call()], len(started)
-            finally:
+            with monkeypatch.context() as m:
+                if mode == "unsplit":
+                    m.setattr(formats, "CHUNK", 1 << 40)
+                if mode == "no thread can start":
+                    m.setattr(threading.Thread, "start", refuse_thread_start)
                 if mode == "helper held":
-                    formats._helper.release()
-        assert not any(t.is_alive() for t in started)
+                    assert formats._helper.acquire(blocking=False)
+                try:
+                    out[mode] = [np.asarray(a).tobytes() for a in call()], len(started)
+                finally:
+                    if mode == "helper held":
+                        formats._helper.release()
+            assert not formats._helper.locked()
+            assert not any(t.is_alive() for t in started)
         return out
 
     return run
 
 
 def _same_bytes(out):
-    want, _ = out["1 cpu"]
-    assert out["1 cpu"][1] == 0 and out["helper held"][1] == 0  # no thread may start
+    want, _ = out["unsplit"]
+    serial = ("unsplit", "1 cpu", "helper held", "no thread can start")
+    assert [out[mode][1] for mode in serial] == [0, 0, 0, 0]  # no thread may start
     assert out["2 cpus"][1] > 0  # the split ran
     for mode, (got, _) in out.items():
         assert [g == w for g, w in zip(got, want)] == [True] * len(want), mode
